@@ -15,18 +15,16 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 import numpy as np
 
 from . import presets, topology
-from .contour import make_sector_contour
 from .errors import ConfigInvalid, SectoralError
 from .experiments import (ExperimentReport, composition_gap_experiment,
                           parametrix_gap_experiment, perturbation_experiment,
                           resolvent_decay_experiment)
 from .projections import (sectorial_projection, wodzicki_residual)
-from .symbol1d import CutoffFunction, SymbolFunction, cutoff_resolvent_symbol
+from .symbol1d import CutoffFunction
 
 # keys understood by every subcommand
 COMMON_KEYS = {
@@ -39,8 +37,6 @@ COMMON_KEYS = {
     "panels_ray": "quadrature panels per ray",
     "gauss_order": "Gauss-Legendre order per panel",
     "out": "output directory for reports",
-    "seed": "RNG seed for random presets",
-    "threads": "worker cap (samples evaluate serially at or below this)",
 }
 
 COMMAND_KEYS = {
@@ -76,8 +72,8 @@ COMMAND_KEYS = {
 _FLOAT_KEYS = {"R", "lambda_max_contour", "s", "p", "ray_angle",
                "lambda_min", "lambda_max", "eps_min", "eps_max", "rho",
                "exponent", "alpha1", "alpha2"}
-_INT_KEYS = {"K", "panels_arc", "panels_ray", "gauss_order", "seed",
-             "threads", "n_eps", "n_samples", "level", "n_path_samples"}
+_INT_KEYS = {"K", "panels_arc", "panels_ray", "gauss_order", "n_eps",
+             "n_samples", "level", "n_path_samples"}
 _BOOL_KEYS = {"include_matrix"}
 
 
@@ -240,51 +236,11 @@ def _cmd_parametrix(opt: dict) -> tuple:
     return rec, "parametrix_gap", preset, rep.samples
 
 
-def _symbol_pair(pair: str, rho: float):
-    am = presets.symbol_c_theta_times_xi()
-    psi = CutoffFunction(rho)
-
-    def g_family(lam):
-        return cutoff_resolvent_symbol(am, psi, lam)
-
-    if pair == "resolvent_pair":
-        def f_family(lam):
-            ev = lambda theta, xi: np.asarray(am.evaluate(theta, xi)) - lam
-            return SymbolFunction(order=1, evaluate=ev,
-                                  principal=am.principal, name="a_m-lam")
-        return f_family, g_family, 1.0, 1.0, 0.15
-    if pair == "multiplier_pair":
-        def f_family(lam):
-            ev = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                                xi - lam, dtype=complex)
-            pr = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                                xi, dtype=complex)
-            return SymbolFunction(order=1, evaluate=ev, principal=pr,
-                                  name="xi-lam")
-
-        def g2_family(lam):
-            ev = lambda theta, xi: np.full_like(
-                np.asarray(theta, float), psi(xi) / (xi - lam),
-                dtype=complex)
-            return SymbolFunction(order=-1, evaluate=ev, principal=ev,
-                                  name="psi/(xi-lam)")
-        return f_family, g2_family, 1.0, 1.0, 0.15
-    if pair == "order_zero_pair":
-        def f_family(lam):
-            g = cutoff_resolvent_symbol(am, psi, lam)
-            phase = lambda theta: np.exp(1j * np.asarray(theta, float))
-            ev = lambda theta, xi: g.evaluate(theta, xi) * phase(theta) * xi
-            pr = lambda theta, xi: g.principal(theta, xi) * phase(theta) * xi
-            return SymbolFunction(order=0, evaluate=ev, principal=pr,
-                                  name="r_psi*b")
-        return f_family, g_family, 0.0, 1.0, 0.2
-    raise ConfigInvalid("pair", f"unknown symbol pair {pair!r}")
-
-
 def _cmd_compose(opt: dict) -> tuple:
     pair = opt.get("pair", "resolvent_pair")
     K = opt.get("K", 128)
-    f_family, g_family, r, m, tol = _symbol_pair(pair, opt.get("rho", 1.0))
+    f_family, g_family, r, m, tol = presets.symbol_pair(pair,
+                                                        opt.get("rho", 1.0))
     rep = composition_gap_experiment(
         f_family, g_family, r, m, opt.get("s", 0.0),
         (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
@@ -372,9 +328,6 @@ def run(command: str, opt: dict) -> int:
     if command == "list-presets":
         sys.stdout.write(presets.describe_presets())
         return 0
-    seed = opt.get("seed")
-    if seed is not None:
-        np.random.seed(seed)
     rec, kind, preset, samples = _HANDLERS[command](opt)
     out_dir = os.environ.get("SECTORAL_OUT") or opt.get("out") or "."
     path = _write_reports(rec, kind, preset, out_dir, samples)

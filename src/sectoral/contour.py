@@ -166,6 +166,12 @@ def ray_tail_moments(c: ContourSpec):
     return complex(m2), complex(m3)
 
 
+def ray_distance(z, alpha: float) -> np.ndarray:
+    """Elementwise distance from z to the ray {r e^{i alpha} : r >= 0}."""
+    w = np.asarray(z) * np.exp(-1j * alpha)
+    return np.where(w.real >= 0, np.abs(w.imag), np.abs(w))
+
+
 def _dist_to_ray(z: complex, alpha: float, R: float) -> float:
     """Distance from z to the truncated ray {r e^{i alpha} : r >= R}."""
     w = z * np.exp(-1j * alpha)

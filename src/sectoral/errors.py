@@ -11,12 +11,6 @@ class SingularMatrix(SectoralError):
         super().__init__(f"matrix numerically singular (pivot {pivot_magnitude:.3e})")
 
 
-class NoConvergence(SectoralError):
-    def __init__(self, iterations):
-        self.iterations = iterations
-        super().__init__(f"eigensolver did not converge within {iterations} iterations")
-
-
 class NotHermitian(SectoralError):
     pass
 

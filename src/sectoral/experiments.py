@@ -19,13 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, validate_contour
+from .contour import ContourSpec, ray_distance, validate_contour
 from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime,
                      RayHitsSpectrum)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       choose_rho, cutoff_resolvent_symbol, op_from_symbol,
-                       parametrix_phi0, sobolev_op_norm)
+                       _fibres, choose_rho, cutoff_resolvent_symbol,
+                       op_from_symbol, parametrix_phi0, sobolev_op_norm)
 
 DEGENERATE_ZERO_TOL = 1e-12
 # Below this total log-ordinate variation the data is flat to measurement
@@ -122,9 +122,7 @@ def _check_resolved_regime(A: DiscretizedOperator, lambda_range, factor=4.0):
 
 
 def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
-    values = linalg.eig(A.matrix).values
-    w = values * np.exp(-1j * ray_angle)
-    dist = np.where(w.real >= 0, np.abs(w.imag), np.abs(w))
+    dist = ray_distance(linalg.eig(A.matrix).values, ray_angle)
     if dist.min() <= tol:
         raise RayHitsSpectrum(
             f"spectrum within {dist.min():.3e} of the ray at angle {ray_angle}")
@@ -215,19 +213,17 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
 def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
     N = g.fiber_dim
 
-    def evaluate(theta, xi):
-        gv = np.asarray(g.evaluate(theta, xi), dtype=complex)
-        fv = np.asarray(f.evaluate(theta, xi), dtype=complex)
-        return gv * fv if N == 1 else gv @ fv
+    def product(gv, fv):
+        gv = np.asarray(gv, dtype=complex)
+        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(gv.shape)
 
-    def principal(theta, xi):
-        gv = np.asarray(g.principal(theta, xi), dtype=complex)
-        fv = np.asarray(f.principal(theta, xi), dtype=complex)
-        return gv * fv if N == 1 else gv @ fv
-
-    return SymbolFunction(order=g.order + f.order, evaluate=evaluate,
-                          principal=principal, fiber_dim=N,
-                          name=f"({g.name})*({f.name})")
+    return SymbolFunction(
+        order=g.order + f.order,
+        evaluate=lambda theta, xi: product(g.evaluate(theta, xi),
+                                           f.evaluate(theta, xi)),
+        principal=lambda theta, xi: product(g.principal(theta, xi),
+                                            f.principal(theta, xi)),
+        fiber_dim=N, name=f"({g.name})*({f.name})")
 
 
 def composition_gap_experiment(f_family, g_family, r: float, m: float,

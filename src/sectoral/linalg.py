@@ -98,40 +98,3 @@ def inv_sqrt_hpd(H) -> np.ndarray:
     if w.min() <= 0:
         raise NotPositiveDefinite(float(w.min()))
     return (U * (w ** -0.5)) @ U.conj().T
-
-
-def schur_bound(K) -> float:
-    """Schur-test upper bound sqrt(C1*C2) on the operator 2-norm, from the
-    maximal row and column l1-sums of absolute entries."""
-    K = as_matrix(K)
-    if K.size == 0:
-        return 0.0
-    absK = np.abs(K)
-    return float(np.sqrt(absK.sum(axis=1).max() * absK.sum(axis=0).max()))
-
-
-def format_matrix(A) -> str:
-    """Serialize to the fixture text format: first line dim, then dim rows
-    of "re+imj" tokens.  Lossless for 17-significant-digit decimals."""
-    A = as_matrix(A)
-    lines = [str(A.shape[0])]
-    for row in A:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of :func:`format_matrix`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    dim = int(lines[0])
-    if len(lines) != dim + 1:
-        raise ValueError(f"expected {dim} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) != dim:
-            raise ValueError(f"expected {dim} entries per row, got {len(tokens)}")
-        rows.append([complex(tok) for tok in tokens])
-    return as_matrix(rows)

@@ -13,7 +13,8 @@ from . import topology
 from .contour import ContourSpec, make_sector_contour
 from .errors import ConfigInvalid
 from .experiments import SplitOperator
-from .symbol1d import DiscretizedOperator, SymbolFunction, op_from_symbol
+from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
+                       cutoff_resolvent_symbol, op_from_symbol)
 
 # ---------------------------------------------------------------------------
 # symbol library
@@ -75,6 +76,50 @@ SYMBOL_PRESETS = {
                        "xi*(cos theta sigma_x + sin theta sigma_y), 2x2"),
 }
 
+def symbol_pair(pair: str, rho: float):
+    """Lambda-dependent symbol families (f, g) for the composition gap,
+    with the order r of f, the order m of the resolvent, and the slope
+    tolerance: returns (f_family, g_family, r, m, tolerance)."""
+    am = symbol_c_theta_times_xi()
+    psi = CutoffFunction(rho)
+
+    def g_family(lam):
+        return cutoff_resolvent_symbol(am, psi, lam)
+
+    if pair == "resolvent_pair":
+        def f_family(lam):
+            ev = lambda theta, xi: np.asarray(am.evaluate(theta, xi)) - lam
+            return SymbolFunction(order=1, evaluate=ev,
+                                  principal=am.principal, name="a_m-lam")
+        return f_family, g_family, 1.0, 1.0, 0.15
+    if pair == "multiplier_pair":
+        def f_family(lam):
+            ev = lambda theta, xi: np.full_like(np.asarray(theta, float),
+                                                xi - lam, dtype=complex)
+            pr = lambda theta, xi: np.full_like(np.asarray(theta, float),
+                                                xi, dtype=complex)
+            return SymbolFunction(order=1, evaluate=ev, principal=pr,
+                                  name="xi-lam")
+
+        def g2_family(lam):
+            ev = lambda theta, xi: np.full_like(
+                np.asarray(theta, float), psi(xi) / (xi - lam),
+                dtype=complex)
+            return SymbolFunction(order=-1, evaluate=ev, principal=ev,
+                                  name="psi/(xi-lam)")
+        return f_family, g2_family, 1.0, 1.0, 0.15
+    if pair == "order_zero_pair":
+        def f_family(lam):
+            g = cutoff_resolvent_symbol(am, psi, lam)
+            phase = lambda theta: np.exp(1j * np.asarray(theta, float))
+            ev = lambda theta, xi: g.evaluate(theta, xi) * phase(theta) * xi
+            pr = lambda theta, xi: g.principal(theta, xi) * phase(theta) * xi
+            return SymbolFunction(order=0, evaluate=ev, principal=pr,
+                                  name="r_psi*b")
+        return f_family, g_family, 0.0, 1.0, 0.2
+    raise ConfigInvalid("pair", f"unknown symbol pair {pair!r}")
+
+
 # ---------------------------------------------------------------------------
 # operator presets (factories take the mode cutoff K)
 
@@ -105,15 +150,12 @@ def op_variable_coeff_shift(K: int) -> DiscretizedOperator:
 
 
 def op_variable_coeff_m2(K: int) -> DiscretizedOperator:
-    base = symbol_c_theta_times_xi()
-
     def evaluate(theta, xi):
         return (2.0 + np.cos(np.asarray(theta, float))) * xi * xi + 1.0 + 0j
 
     def principal(theta, xi):
         return (2.0 + np.cos(np.asarray(theta, float))) * xi * xi + 0j
 
-    del base
     sym = SymbolFunction(order=2, evaluate=evaluate, principal=principal,
                          name="c_theta_times_xi2_plus_1")
     return op_from_symbol(sym, K)

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, quad_nodes, ray_tail_moments, validate_contour
+from .contour import (ContourSpec, quad_nodes, ray_distance, ray_tail_moments,
+                      validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
                      EigenvalueZero, NotHermitian, SpectrumOnContour,
                      TooDefective)
@@ -189,13 +190,11 @@ def complex_power(A, s: complex, alpha: float) -> np.ndarray:
         raise TooDefective(dec.condition_estimate)
     scale = max(np.abs(dec.values).max(), 1.0)
     powers = np.empty_like(dec.values)
+    cut_dist = ray_distance(dec.values, alpha)
     for i, lam in enumerate(dec.values):
         if abs(lam) <= 1e-12 * scale:
             raise EigenvalueZero(f"eigenvalue {lam} too close to zero")
-        # distance to the cut ray
-        w = lam * np.exp(-1j * alpha)
-        dist = abs(w.imag) if w.real >= 0 else abs(lam)
-        if dist <= 1e-10 * scale:
+        if cut_dist[i] <= 1e-10 * scale:
             raise EigenvalueOnCut(f"eigenvalue {lam} on the cut L_{alpha}")
         powers[i] = np.exp(s * (np.log(abs(lam)) + 1j * _arg_branch(lam, alpha)))
     V = dec.right_vectors

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
+from .contour import ray_distance
 from .errors import (EigenvalueOnAxis, EndpointOnAxis, RoundingUnsafe)
 
 AXIS_CLEARANCE = 1e-8
@@ -22,17 +23,23 @@ PATH_CLEARANCE = 1e-6
 ROUNDING_LIMIT = 0.05
 
 
+def _axis_clearance(a) -> tuple:
+    """(min |Re lambda|, number of eigenvalues with Re lambda > 0) from one
+    eigendecomposition."""
+    values = linalg.eig(a).values
+    return (float(np.abs(values.real).min()),
+            int(np.count_nonzero(values.real > 0)))
+
+
 def component_index(a) -> int:
     """Number of eigenvalues with positive real part (with algebraic
     multiplicity); labels the connected component of the space of
     hyperbolic matrices."""
-    a = linalg.as_matrix(a)
-    values = linalg.eig(a).values
-    min_clear = float(np.abs(values.real).min())
+    min_clear, index = _axis_clearance(linalg.as_matrix(a))
     if min_clear <= AXIS_CLEARANCE:
         raise EigenvalueOnAxis(
             f"eigenvalue within {min_clear:.3e} of the imaginary axis")
-    return int(np.count_nonzero(values.real > 0))
+    return index
 
 
 @dataclass
@@ -71,13 +78,12 @@ def path_component_invariance(p: MatrixPath) -> dict:
     """Component index per sample; flags whether it is constant."""
     indices = []
     for t, m in p.samples:
-        values = linalg.eig(m).values
-        clear = float(np.abs(values.real).min())
+        clear, index = _axis_clearance(m)
         if clear <= PATH_CLEARANCE:
             raise EigenvalueOnAxis(
                 f"sample at t={t} has eigenvalue within {clear:.3e} "
                 "of the imaginary axis", t=t)
-        indices.append(int(np.count_nonzero(values.real > 0)))
+        indices.append(index)
     return {"invariant": len(set(indices)) == 1, "indices": indices}
 
 
@@ -85,12 +91,14 @@ def spectral_flow(p: MatrixPath) -> int:
     """Net rightward eigenvalue flow across the imaginary axis: the
     endpoint difference of component indices.  Interior samples may touch
     the axis; the endpoints must clear it."""
+    indices = []
     for label, (t, m) in (("start", p.samples[0]), ("end", p.samples[-1])):
-        values = linalg.eig(m).values
-        if float(np.abs(values.real).min()) <= PATH_CLEARANCE:
+        clear, index = _axis_clearance(m)
+        if clear <= PATH_CLEARANCE:
             raise EndpointOnAxis(f"{label}point (t={t}) has spectrum on the "
                                  "imaginary axis")
-    return component_index(p.samples[-1][1]) - component_index(p.samples[0][1])
+        indices.append(index)
+    return indices[1] - indices[0]
 
 
 def seeley_one_ray_deformation(xi):
@@ -102,11 +110,6 @@ def seeley_one_ray_deformation(xi):
     return np.where(np.abs(xi) >= 1.0, xi.astype(complex), inner)
 
 
-def _dist_to_ray_origin(z, alpha):
-    w = np.asarray(z) * np.exp(-1j * alpha)
-    return np.where(w.real >= 0, np.abs(w.imag), np.abs(w))
-
-
 def seeley_deformation_check(grid, cut: str = "single_ray") -> dict:
     """Minimum distance of the deformed symbol's values to the spectral
     cut.  For the single ray L_{pi/2} the check passes (distance bounded
@@ -115,10 +118,10 @@ def seeley_deformation_check(grid, cut: str = "single_ray") -> dict:
     grid = np.asarray(grid, dtype=float)
     vals = seeley_one_ray_deformation(grid)
     if cut == "single_ray":
-        d = _dist_to_ray_origin(vals, np.pi / 2.0)
+        d = ray_distance(vals, np.pi / 2.0)
     elif cut == "imaginary_axis":
-        d = np.minimum(_dist_to_ray_origin(vals, np.pi / 2.0),
-                       _dist_to_ray_origin(vals, -np.pi / 2.0))
+        d = np.minimum(ray_distance(vals, np.pi / 2.0),
+                       ray_distance(vals, -np.pi / 2.0))
     else:
         raise ValueError(f"unknown cut {cut!r}")
     min_distance = float(d.min())
@@ -200,24 +203,17 @@ def bundle_from_map(proj: Callable[[np.ndarray], np.ndarray],
     return SphereBundleSample(verts, tris, projectors)
 
 
-def _frames(sample: SphereBundleSample, rank: int) -> np.ndarray:
-    """Orthonormal frame of ran P per vertex (top-`rank` eigenvectors)."""
-    frames = []
-    for P in sample.projectors:
-        w, U = np.linalg.eigh(P)
-        frames.append(U[:, -rank:])
-    return np.array(frames)
-
-
-def chern_number(b: SphereBundleSample) -> int:
-    """First Chern number of ran P by plaquette overlap phases:
-    sum over oriented triangles of arg det(F_i^* F_j F_j^* F_k F_k^* F_i),
-    divided by 2*pi.  Gauge invariant by construction; raises
-    RoundingUnsafe if the sum is not close to an integer."""
+def _plaquette_chern(b: SphereBundleSample, strict: bool = True) -> tuple:
+    """One plaquette pass: validate the bundle, frame ran P at each vertex,
+    and sum arg det(F_i^* F_j F_j^* F_k F_k^* F_i) over the oriented
+    triangles.  Returns (nearest integer to the sum / 2 pi, distance to
+    it); with `strict`, raises RoundingUnsafe if that distance is not
+    below ROUNDING_LIMIT."""
     rank = b.validate()
     if rank == 0:
-        return 0
-    F = _frames(b, rank)
+        return 0, 0.0
+    # orthonormal frame of ran P per vertex (top-`rank` eigenvectors)
+    F = np.array([np.linalg.eigh(P)[1][:, -rank:] for P in b.projectors])
     total = 0.0
     for (i, j, k) in b.triangles:
         m = (F[i].conj().T @ F[j]) @ (F[j].conj().T @ F[k]) \
@@ -225,23 +221,20 @@ def chern_number(b: SphereBundleSample) -> int:
         total += float(np.angle(np.linalg.det(m)))
     c = total / (2.0 * np.pi)
     residual = abs(c - round(c))
-    if residual >= ROUNDING_LIMIT:
+    if strict and residual >= ROUNDING_LIMIT:
         raise RoundingUnsafe(residual)
-    return int(round(c))
+    return int(round(c)), residual
+
+
+def chern_number(b: SphereBundleSample) -> int:
+    """First Chern number of ran P: the plaquette overlap-phase sum of
+    _plaquette_chern divided by 2*pi.  Gauge invariant by construction;
+    raises RoundingUnsafe if the sum is not close to an integer."""
+    return _plaquette_chern(b)[0]
 
 
 def chern_rounding_residual(b: SphereBundleSample) -> float:
-    rank = b.validate()
-    if rank == 0:
-        return 0.0
-    F = _frames(b, rank)
-    total = 0.0
-    for (i, j, k) in b.triangles:
-        m = (F[i].conj().T @ F[j]) @ (F[j].conj().T @ F[k]) \
-            @ (F[k].conj().T @ F[i])
-        total += float(np.angle(np.linalg.det(m)))
-    c = total / (2.0 * np.pi)
-    return abs(c - round(c))
+    return _plaquette_chern(b, strict=False)[1]
 
 
 PAULI = (
@@ -292,13 +285,13 @@ def obstruction_demo(preset: str, level: int = 3) -> dict:
            np.abs(values.real).min() < 0.5:
             spec_ok = False
             break
-    chern = chern_number(sample)
+    chern, residual = _plaquette_chern(sample)
     return {
         "preset": preset,
         "fiber_dim": N,
         "grid_level": level,
         "hyperbolic_everywhere": spec_ok,
         "chern_number": chern,
-        "rounding_residual": chern_rounding_residual(sample),
+        "rounding_residual": residual,
         "obstructed": chern != 0,
     }

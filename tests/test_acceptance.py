@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sectoral import linalg, presets, topology
-from sectoral.cli import _symbol_pair, canonical_json
+from sectoral.cli import canonical_json
 from sectoral.experiments import (composition_gap_experiment,
                                   parametrix_gap_experiment,
                                   perturbation_experiment,
@@ -86,10 +86,10 @@ def _run_suite():
                                   and rep.r_squared >= 0.98)}
 
     # -- criterion 5: composition gap -------------------------------------
-    f_fam, g_fam, r, m, tol = _symbol_pair("resolvent_pair", 1.0)
+    f_fam, g_fam, r, m, tol = presets.symbol_pair("resolvent_pair", 1.0)
     rep = composition_gap_experiment(f_fam, g_fam, r, m, 0.0, (10.0, 50.0),
                                      K=128, tolerance=tol)
-    f2, g2, r2_, m2_, _ = _symbol_pair("multiplier_pair", 1.0)
+    f2, g2, r2_, m2_, _ = presets.symbol_pair("multiplier_pair", 1.0)
     rep0 = composition_gap_experiment(f2, g2, r2_, m2_, 0.0, (10.0, 50.0),
                                       K=128)
     max_gap0 = max(y for _, y in rep0.samples)

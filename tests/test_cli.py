@@ -134,6 +134,16 @@ def test_load_config_merges_sections(tmp_path):
         load_config(str(cfg), "project")
 
 
+def test_load_config_rejects_removed_keys(tmp_path):
+    # no preset draws random numbers and every run is serial
+    cfg = tmp_path / "old.ini"
+    for line in ("threads = 2", "seed = 7"):
+        cfg.write_text(f"[run]\n{line}\n")
+        with pytest.raises(ConfigInvalid) as exc:
+            load_config(str(cfg), "project")
+        assert exc.value.key == line.split()[0]
+
+
 def test_canonical_json_deterministic(tmp_path, monkeypatch, capsys):
     recs = []
     for _ in range(2):

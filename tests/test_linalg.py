@@ -79,28 +79,3 @@ def test_inv_sqrt_hpd():
         linalg.inv_sqrt_hpd(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
         linalg.inv_sqrt_hpd(np.diag([1.0, -2.0]))
-
-
-def test_schur_bound_dominates_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert linalg.schur_bound(A) >= linalg.operator_norm_2(A) - 1e-12
-    # exact for nonnegative diagonal
-    assert linalg.schur_bound(np.diag([2.0, 7.0])) == pytest.approx(7.0)
-
-
-def test_matrix_text_roundtrip_exact():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    B = linalg.parse_matrix(linalg.format_matrix(A))
-    assert np.array_equal(A, B)
-
-
-def test_parse_matrix_rejects_malformed():
-    with pytest.raises(ValueError):
-        linalg.parse_matrix("")
-    with pytest.raises(ValueError):
-        linalg.parse_matrix("2\n1+0j 2+0j\n")
-    with pytest.raises(ValueError):
-        linalg.parse_matrix("1\n1+0j 2+0j\n")

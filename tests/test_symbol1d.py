@@ -6,8 +6,7 @@ from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
 from sectoral.symbol1d import (CutoffFunction, SymbolFunction, choose_rho,
                                cutoff_resolvent_symbol, op_from_symbol,
-                               parametrix_phi0, sobolev_op_norm,
-                               sobolev_weight)
+                               parametrix_phi0, sobolev_op_norm)
 
 
 def _const_symbol(fn, order=0):
@@ -47,8 +46,6 @@ def test_aliasing_warning_for_rough_symbol():
 
 
 def test_sobolev_weight_and_norm():
-    W = sobolev_weight(2, 1.0)
-    assert np.allclose(np.diag(W).real, np.sqrt([5.0, 2.0, 1.0, 2.0, 5.0]))
     # single matrix entry: ||E_jk||_{s,t} = (1+j^2)^{t/2} / (1+k^2)^{s/2}
     K = 3
     T = np.zeros((7, 7), dtype=complex)
@@ -99,11 +96,10 @@ def test_choose_rho_for_presets():
     assert choose_rho(presets.symbol_c_theta_times_xi(), c, 16) == 1
 
 
-def test_parametrix_phi0_consistent_with_nodewise_assembly():
+def _check_phi0_against_nodewise_assembly(a):
     from sectoral.contour import quad_nodes, ray_tail_moments
-    a = presets.symbol_c_theta_times_xi()
     psi = CutoffFunction(2.0)
-    K = 8
+    K, N = 8, a.fiber_dim
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5, panels_ray=6,
                             panels_arc=3, gauss_order=6)
     phi0 = parametrix_phi0(a, psi, c, K)
@@ -118,12 +114,23 @@ def test_parametrix_phi0_consistent_with_nodewise_assembly():
             M += (w / lam) * op_from_symbol(
                 cutoff_resolvent_symbol(a, psi, lam), K).matrix
     m2, m3 = ray_tail_moments(c)
-    psi_diag = np.diag([psi(float(k)) for k in range(-K, K + 1)])
+    psi_vals = [psi(float(k)) for k in range(-K, K + 1)]
+    psi_diag = np.diag(np.repeat(psi_vals, N))
     M += -m2 * psi_diag.astype(complex)
     Ma = op_from_symbol(a, K).matrix
     M += -m3 * (Ma @ psi_diag)  # a-hat columns scaled by psi(k)
     assert np.allclose(phi0.matrix, M, atol=1e-12)
     assert phi0.order == -1
+    assert phi0.fiber_dim == N
+
+
+def test_parametrix_phi0_consistent_with_nodewise_assembly():
+    _check_phi0_against_nodewise_assembly(presets.symbol_c_theta_times_xi())
+
+
+def test_parametrix_phi0_system_consistent_with_nodewise_assembly():
+    # N = 2: the 2x2 fibre inverses and block columns of the same assembly
+    _check_phi0_against_nodewise_assembly(presets.symbol_pauli_monopole())
 
 
 def test_check_classical_accepts_presets_and_rejects_fakes():
