@@ -12,6 +12,7 @@ low.  Weights carry d(lambda) including traversal direction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -92,9 +93,19 @@ def make_circle_contour(center, radius,
                        gauss_order=gauss_order)
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per order and
+    shared read-only (every rule is built from fresh arrays)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_gauss(a, b, order):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -8,7 +8,6 @@ boundaries.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,19 @@ from .errors import NotHermitian, NotPositiveDefinite, SingularMatrix
 
 PIVOT_REL_THRESHOLD = 1e-13
 
+# LAPACK's LU factorization and LU solve, bound once and called directly:
+# solve runs once per quadrature node, where scipy's wrappers around these
+# routines cost more than the factorization of a small matrix.
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
+                                               dtype=np.complex128)
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a square complex matrix."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -47,19 +52,24 @@ def solve(A, B) -> np.ndarray:
     ``PIVOT_REL_THRESHOLD * max|A|``.
     """
     A = as_matrix(A)
+    if A.size == 0:
+        raise ValueError("cannot solve with an empty matrix")
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between A and B")
-    with warnings.catch_warnings():
-        # exact zero pivots are reported via SingularMatrix below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    # getrf reports an exact zero pivot via info > 0; the pivot floor below
+    # refuses it together with the nearly singular cases
+    lu, piv, info = _getrf(A)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    min_pivot = np.abs(lu.diagonal()).min()
     threshold = PIVOT_REL_THRESHOLD * max(np.abs(A).max(), 1e-300)
-    min_pivot = pivots.min() if pivots.size else 0.0
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    X, info = _getrs(lu, piv, B)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return X
 
 
 def eig(A) -> EigenDecomposition:

@@ -68,22 +68,29 @@ def _matrix_of(A):
     return linalg.as_matrix(A)
 
 
+def _contour_sum(M, c: ContourSpec, weight):
+    """Sum of weight(lambda, w) * (M - lambda)^{-1} over the nodes lambda and
+    weights w of quad_nodes(c), one solve per node, after refusing a
+    spectrum within CLEARANCE_MIN of the contour.  Returns (sum, clearance,
+    rule)."""
+    clearance = validate_contour(M, c)
+    if clearance <= CLEARANCE_MIN:
+        raise SpectrumOnContour(clearance)
+    rule = quad_nodes(c)
+    I = np.eye(M.shape[0], dtype=complex)
+    acc = np.zeros_like(M)
+    for lam, w in zip(rule.nodes, rule.weights):
+        acc += weight(lam, w) * linalg.solve(M - lam * I, I)
+    return acc, clearance, rule
+
+
 def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
     """Riesz projection (-1/2 pi i) * integral over a closed contour of
     (A - lambda)^{-1}, projecting onto the enclosed generalized
     eigenspaces."""
     if c.kind != "closed_circle":
         raise ValueError("bounded_spectral_projection needs a closed contour")
-    A = _matrix_of(A)
-    clearance = validate_contour(A, c)
-    if clearance <= CLEARANCE_MIN:
-        raise SpectrumOnContour(clearance)
-    rule = quad_nodes(c)
-    n = A.shape[0]
-    I = np.eye(n, dtype=complex)
-    acc = np.zeros_like(A)
-    for lam, w in zip(rule.nodes, rule.weights):
-        acc += w * linalg.solve(A - lam * I, I)
+    acc, clearance, rule = _contour_sum(_matrix_of(A), c, lambda lam, w: w)
     P = (-1.0 / (2j * np.pi)) * acc
     return _finish(P, clearance, rule.truncation_error_estimate)
 
@@ -99,18 +106,10 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     if c.kind != "sector":
         raise ValueError("sectorial_projection needs a sector contour")
     M = _matrix_of(A)
-    clearance = validate_contour(M, c)
-    if clearance <= CLEARANCE_MIN:
-        raise SpectrumOnContour(clearance)
-    rule = quad_nodes(c)
-    n = M.shape[0]
-    I = np.eye(n, dtype=complex)
-    phi = np.zeros_like(M)
-    for lam, w in zip(rule.nodes, rule.weights):
-        phi += (w / lam) * linalg.solve(M - lam * I, I)
+    phi, clearance, rule = _contour_sum(M, c, lambda lam, w: w / lam)
     # tail: lambda^{-1}(A-lambda)^{-1} ~ -I/lambda^2 - A/lambda^3
     m2, m3 = ray_tail_moments(c)
-    phi += -m2 * I - m3 * M
+    phi += -m2 * np.eye(M.shape[0], dtype=complex) - m3 * M
     P = (-1.0 / (2j * np.pi)) * (M @ phi)
     return _finish(P, clearance, rule.truncation_error_estimate)
 

@@ -277,14 +277,9 @@ def obstruction_demo(preset: str, level: int = 3) -> dict:
                          f"choose from {sorted(BUNDLE_PRESETS)}")
     proj, N = BUNDLE_PRESETS[preset]
     sample = bundle_from_map(proj, level)
-    spec_ok = True
-    for P in sample.projectors:
-        a = 2.0 * P - np.eye(N)
-        values = linalg.eig(a).values
-        if not np.allclose(np.sort(np.abs(values)), 1.0, atol=1e-9) or \
-           np.abs(values.real).min() < 0.5:
-            spec_ok = False
-            break
+    values = np.linalg.eigvals(2.0 * sample.projectors - np.eye(N))
+    spec_ok = bool(np.allclose(np.abs(values), 1.0, atol=1e-9)
+                   and np.abs(values.real).min() >= 0.5)
     chern, residual = _plaquette_chern(sample)
     return {
         "preset": preset,

@@ -108,3 +108,35 @@ def test_contour_serialization_roundtrip():
 def test_default_lambda_max_scales_with_radius():
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 2.0)
     assert c.lambda_max == pytest.approx(2e6)
+
+
+def test_gauss_legendre_cache_is_read_only():
+    from sectoral.contour import _gauss_legendre
+    x, w = _gauss_legendre(16)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [2, 16, 64])
+def test_quad_nodes_match_uncached_leggauss(order, monkeypatch):
+    from sectoral import contour
+    specs = (make_sector_contour(np.pi / 2, -np.pi / 2, 0.5,
+                                 gauss_order=order),
+             make_circle_contour(0.3 - 0.2j, 1.5, gauss_order=order))
+    cached = [quad_nodes(c) for c in specs]
+    monkeypatch.setattr(contour, "_gauss_legendre",
+                        np.polynomial.legendre.leggauss)
+    for c, rule in zip(specs, cached):
+        fresh = quad_nodes(c)
+        assert np.array_equal(rule.nodes, fresh.nodes)
+        assert np.array_equal(rule.weights, fresh.weights)
+
+
+def test_quad_nodes_returns_independent_arrays():
+    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
+    first = quad_nodes(c)
+    expected = first.nodes.copy()
+    first.nodes[:] = 0.0
+    first.weights[:] = 0.0
+    assert np.array_equal(quad_nodes(c).nodes, expected)

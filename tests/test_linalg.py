@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectoral import linalg
 from sectoral.errors import (NotHermitian, NotPositiveDefinite,
@@ -11,6 +14,10 @@ def test_as_matrix_rejects_nonsquare_and_nonfinite():
         linalg.as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         linalg.as_matrix([[np.inf, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        linalg.as_matrix([[1.0 + 1j * np.nan, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        linalg.as_matrix([[np.inf + 1j, 0], [0, 1]])
     with pytest.raises(ValueError):
         linalg.as_matrix([1, 2, 3])
 
@@ -25,8 +32,11 @@ def test_solve_matches_direct_inverse():
 
 def test_solve_raises_on_singular():
     A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(SingularMatrix) as exc:
-        linalg.solve(A, np.eye(2))
+    # an exact zero pivot is refused, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix) as exc:
+            linalg.solve(A, np.eye(2))
     assert exc.value.pivot_magnitude < 1e-10
 
 
@@ -79,3 +89,23 @@ def test_inv_sqrt_hpd():
         linalg.inv_sqrt_hpd(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
         linalg.inv_sqrt_hpd(np.diag([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_solve_bit_identical_to_lu_factor_lu_solve(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for M in (A, np.asfortranarray(A), A.T):
+        factors = scipy.linalg.lu_factor(M)
+        for B in (vector, block):
+            assert np.array_equal(linalg.solve(M, B),
+                                  scipy.linalg.lu_solve(factors, B))
+
+
+def test_solve_empty_matrix_raises_before_lapack(capfd):
+    with pytest.raises(ValueError):
+        linalg.solve(np.zeros((0, 0)), np.zeros(0))
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
