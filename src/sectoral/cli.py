@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import presets, topology
+from . import linalg, presets, topology
 from .errors import ConfigInvalid, SectoralError
 from .experiments import (ExperimentReport, composition_gap_experiment,
                           parametrix_gap_experiment, perturbation_experiment,
@@ -267,9 +267,8 @@ def _cmd_wodzicki(opt: dict) -> tuple:
     if opt.get("R") is None:
         # the arc must pass below the smallest eigenvalue modulus, or the
         # projection misses the eigenvalues hiding inside the arc
-        from . import linalg
         opt = dict(opt, R=0.5 * float(
-            np.abs(linalg.eig(A.matrix).values).min()))
+            np.abs(np.linalg.eigvals(linalg.as_matrix(A.matrix))).min()))
     c = _build_contour(opt)
     alpha1 = opt.get("alpha1", c.alpha1)
     alpha2 = opt.get("alpha2", c.alpha2)

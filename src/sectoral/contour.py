@@ -103,66 +103,47 @@ def _gauss_legendre(order):
     return x, w
 
 
-def _panel_gauss(a, b, order):
-    """Gauss-Legendre nodes/weights on [a, b]."""
+def _composite_gauss(edges, order):
+    """Gauss-Legendre nodes/weights on the panels [edges[i], edges[i+1]],
+    concatenated in panel order."""
     x, w = _gauss_legendre(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
-def _ray_u_panels(c: ContourSpec):
-    """Geometric panel edges in u = R/r, from u_min = R/lambda_max to 1."""
-    u_min = c.R / c.lambda_max
-    return np.geomspace(u_min, 1.0, c.panels_ray + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def quad_nodes(c: ContourSpec) -> QuadratureRule:
     """Composite Gauss-Legendre rule along the contour, weights = d(lambda)."""
     if c.kind == "closed_circle":
-        nodes, weights = [], []
-        edges = np.linspace(0.0, TWO_PI, c.panels_arc + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            phi, w = _panel_gauss(a, b, c.gauss_order)
-            z = c.center + c.radius * np.exp(1j * phi)
-            nodes.append(z)
-            weights.append(w * 1j * c.radius * np.exp(1j * phi))
-        return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), 0.0)
+        phi, w = _composite_gauss(np.linspace(0.0, TWO_PI, c.panels_arc + 1),
+                                  c.gauss_order)
+        e = np.exp(1j * phi)
+        return QuadratureRule(c.center + c.radius * e, w * 1j * c.radius * e,
+                              0.0)
 
     if c.kind != "sector":
         raise ValueError(f"unknown contour kind {c.kind!r}")
 
-    nodes, weights = [], []
-    edges = _ray_u_panels(c)
+    # Rays: geometric panels in u = R/r from u_min = R/lambda_max to 1;
+    # lambda = (R/u) e^{i alpha}, |d(lambda)| = (R/u^2) du.  Ray alpha1 runs
+    # inward (u increasing), ray alpha2 outward (the sign of du flipped).
+    edges = np.geomspace(c.R / c.lambda_max, 1.0, c.panels_ray + 1)
+    u, wu = _composite_gauss(edges, c.gauss_order)
     e1 = np.exp(1j * c.alpha1)
     e2 = np.exp(1j * c.alpha2)
-
-    # Ray alpha1, inward: r from lambda_max down to R, i.e. u increasing.
-    # lambda = (R/u) e^{i a1}, d(lambda) = -(R/u^2) e^{i a1} du.
-    for a, b in zip(edges[:-1], edges[1:]):
-        u, w = _panel_gauss(a, b, c.gauss_order)
-        nodes.append((c.R / u) * e1)
-        weights.append(w * (-c.R / u**2) * e1)
-
     # Arc: lambda = R e^{i(a1 - t)}, t in [0, theta] increasing.
-    t_edges = np.linspace(0.0, c.theta, c.panels_arc + 1)
-    for a, b in zip(t_edges[:-1], t_edges[1:]):
-        t, w = _panel_gauss(a, b, c.gauss_order)
-        z = c.R * np.exp(1j * (c.alpha1 - t))
-        nodes.append(z)
-        weights.append(w * (-1j) * z)
-
-    # Ray alpha2, outward: r from R up to lambda_max, i.e. u decreasing;
-    # same panels as ray alpha1 with the sign of du flipped.
-    for a, b in zip(edges[:-1], edges[1:]):
-        u, w = _panel_gauss(a, b, c.gauss_order)
-        nodes.append((c.R / u) * e2)
-        weights.append(w * (c.R / u**2) * e2)
+    t, wt = _composite_gauss(np.linspace(0.0, c.theta, c.panels_arc + 1),
+                             c.gauss_order)
+    arc = c.R * np.exp(1j * (c.alpha1 - t))
+    nodes = np.concatenate(((c.R / u) * e1, arc, (c.R / u) * e2))
+    weights = np.concatenate((wu * (-c.R / u**2) * e1, wt * (-1j) * arc,
+                              wu * (c.R / u**2) * e2))
 
     # Resolution indicator: outermost ray panel's contribution to the model
     # integrand r^-2 (both rays).
     r_hi, r_lo = c.R / edges[0], c.R / edges[1]
     trunc = 2.0 * abs(1.0 / r_lo - 1.0 / r_hi)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), float(trunc))
+    return QuadratureRule(nodes, weights, float(trunc))
 
 
 def ray_tail_moments(c: ContourSpec):
@@ -177,42 +158,55 @@ def ray_tail_moments(c: ContourSpec):
     return complex(m2), complex(m3)
 
 
-def ray_distance(z, alpha: float) -> np.ndarray:
-    """Elementwise distance from z to the ray {r e^{i alpha} : r >= 0}."""
+def resolvent_sum(X, nodes, coefficients, inverse) -> np.ndarray:
+    """Sum over k of coefficients[k] * inverse(X - nodes[k] I) for one N x N
+    matrix or a (..., N, N) stack X.  `inverse` inverts a shifted copy of X
+    (per matrix for a stack); the quadrature node loop of the package."""
+    I = np.eye(X.shape[-1], dtype=complex)
+    acc = np.zeros(X.shape, dtype=complex)
+    for lam, coef in zip(nodes, coefficients):
+        # scaled in place: one more n x n temporary per node made glibc trim
+        # and re-fault the heap top on every node (n = 129: +146k faults)
+        inv = inverse(X - lam * I)
+        acc += np.multiply(coef, inv, out=inv)
+    return acc
+
+
+def sector_phi(X, c: ContourSpec, inverse) -> tuple:
+    """Phi(X) = integral over Gamma_+ of lambda^{-1} (X - lambda)^{-1} by
+    the rule quad_nodes(c), plus the analytic tail of the truncated rays:
+    lambda^{-1} (X - lambda)^{-1} ~ -I/lambda^2 - X/lambda^3.  X is a matrix
+    or a (..., N, N) stack, as in resolvent_sum.  Returns (Phi, rule)."""
+    rule = quad_nodes(c)
+    phi = resolvent_sum(X, rule.nodes, rule.weights / rule.nodes, inverse)
+    m2, m3 = ray_tail_moments(c)
+    return phi - m2 * np.eye(X.shape[-1], dtype=complex) - m3 * X, rule
+
+
+def ray_distance(z, alpha: float, start: float = 0.0) -> np.ndarray:
+    """Elementwise distance from z to the ray {r e^{i alpha} : r >= start}."""
     w = np.asarray(z) * np.exp(-1j * alpha)
-    return np.where(w.real >= 0, np.abs(w.imag), np.abs(w))
+    return np.where(w.real >= start, np.abs(w.imag), np.abs(w - start))
 
 
-def _dist_to_ray(z: complex, alpha: float, R: float) -> float:
-    """Distance from z to the truncated ray {r e^{i alpha} : r >= R}."""
-    w = z * np.exp(-1j * alpha)
-    if w.real >= R:
-        return abs(w.imag)
-    return abs(w - R)
-
-
-def _dist_to_arc(z: complex, c: ContourSpec) -> float:
-    """Distance from z to the arc {R e^{i(alpha1 - t)} : t in [0, theta]}."""
-    if z == 0:
-        return c.R
-    t = (c.alpha1 - np.angle(z)) % TWO_PI
-    if t <= c.theta:
-        return abs(abs(z) - c.R)
-    ends = (c.R * np.exp(1j * c.alpha1), c.R * np.exp(1j * c.alpha2))
-    return min(abs(z - e) for e in ends)
-
-
-def point_contour_distance(z: complex, c: ContourSpec) -> float:
-    """Analytic distance from a point to the contour (not to the nodes)."""
-    z = complex(z)
+def point_contour_distance(z, c: ContourSpec) -> np.ndarray:
+    """Elementwise analytic distance from z to the contour (not to the
+    nodes).  On the sector contour: the nearer of the truncated rays
+    {r e^{i alpha} : r >= R} and the arc {R e^{i(alpha1 - t)} : t in
+    [0, theta]}, whose distance is ||z| - R| where arg z lies on the arc
+    and the distance to the nearer arc end elsewhere."""
+    z = np.asarray(z, dtype=complex)
     if c.kind == "closed_circle":
-        return abs(abs(z - c.center) - c.radius)
-    return min(_dist_to_ray(z, c.alpha1, c.R),
-               _dist_to_ray(z, c.alpha2, c.R),
-               _dist_to_arc(z, c))
+        return np.abs(np.abs(z - c.center) - c.radius)
+    on_arc = (c.alpha1 - np.angle(z)) % TWO_PI <= c.theta
+    ends = np.minimum(np.abs(z - c.R * np.exp(1j * c.alpha1)),
+                      np.abs(z - c.R * np.exp(1j * c.alpha2)))
+    arc = np.where(on_arc, np.abs(np.abs(z) - c.R), ends)
+    return np.minimum(np.minimum(ray_distance(z, c.alpha1, c.R),
+                                 ray_distance(z, c.alpha2, c.R)), arc)
 
 
 def validate_contour(A, c: ContourSpec) -> float:
     """Minimal distance from spec(A) to the contour."""
-    dec = linalg.eig(A)
-    return min(point_contour_distance(z, c) for z in dec.values)
+    values = np.linalg.eigvals(linalg.as_matrix(A))
+    return float(point_contour_distance(values, c).min())

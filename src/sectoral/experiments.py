@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, ray_distance, validate_contour
+from .contour import ContourSpec, ray_distance
 from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime,
-                     RayHitsSpectrum)
+                     RayHitsSpectrum, SpectrumOnContour)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
                        _fibres, choose_rho, cutoff_resolvent_symbol,
@@ -122,7 +122,8 @@ def _check_resolved_regime(A: DiscretizedOperator, lambda_range, factor=4.0):
 
 
 def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
-    dist = ray_distance(linalg.eig(A.matrix).values, ray_angle)
+    dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
+                        ray_angle)
     if dist.min() <= tol:
         raise RayHitsSpectrum(
             f"spectrum within {dist.min():.3e} of the ray at angle {ray_angle}")
@@ -382,10 +383,11 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
     rejected = []
     for eps in sorted(float(e) for e in epsilons):
         pert = M + eps * dM
-        if validate_contour(pert, c) <= 1e-6:
+        try:
+            res = sectorial_projection(pert, c)
+        except SpectrumOnContour:
             rejected.append(eps)
             continue
-        res = sectorial_projection(pert, c)
         y = norm(res.P - base.P)
         x = eps * x_unit
         samples.append((x, y))

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .contour import (ContourSpec, quad_nodes, ray_distance, ray_tail_moments,
-                      validate_contour)
+from .contour import (ContourSpec, quad_nodes, ray_distance, resolvent_sum,
+                      sector_phi, validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
                      EigenvalueZero, NotHermitian, SpectrumOnContour,
                      TooDefective)
@@ -68,20 +68,15 @@ def _matrix_of(A):
     return linalg.as_matrix(A)
 
 
-def _contour_sum(M, c: ContourSpec, weight):
-    """Sum of weight(lambda, w) * (M - lambda)^{-1} over the nodes lambda and
-    weights w of quad_nodes(c), one solve per node, after refusing a
-    spectrum within CLEARANCE_MIN of the contour.  Returns (sum, clearance,
-    rule)."""
+def _checked_solver(A, c: ContourSpec):
+    """(matrix of A, its contour clearance, the inverse B -> B^{-1} by one
+    linalg.solve), after refusing a spectrum within CLEARANCE_MIN of c."""
+    M = _matrix_of(A)
     clearance = validate_contour(M, c)
     if clearance <= CLEARANCE_MIN:
         raise SpectrumOnContour(clearance)
-    rule = quad_nodes(c)
     I = np.eye(M.shape[0], dtype=complex)
-    acc = np.zeros_like(M)
-    for lam, w in zip(rule.nodes, rule.weights):
-        acc += weight(lam, w) * linalg.solve(M - lam * I, I)
-    return acc, clearance, rule
+    return M, clearance, lambda B: linalg.solve(B, I)
 
 
 def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
@@ -90,8 +85,10 @@ def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
     eigenspaces."""
     if c.kind != "closed_circle":
         raise ValueError("bounded_spectral_projection needs a closed contour")
-    acc, clearance, rule = _contour_sum(_matrix_of(A), c, lambda lam, w: w)
-    P = (-1.0 / (2j * np.pi)) * acc
+    M, clearance, inverse = _checked_solver(A, c)
+    rule = quad_nodes(c)
+    P = (-1.0 / (2j * np.pi)) * resolvent_sum(M, rule.nodes, rule.weights,
+                                              inverse)
     return _finish(P, clearance, rule.truncation_error_estimate)
 
 
@@ -99,17 +96,14 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     """P = (-1/2 pi i) A Phi(A) with
     Phi(A) = integral over Gamma_+ of lambda^{-1} (A - lambda)^{-1}.
 
-    Computed in the factorized form (Phi first); the quadrature integrand is
-    then O(|lambda|^-2) and the truncated ray tails admit an analytic
-    second-order correction.
+    Computed in the factorized form (Phi first, contour.sector_phi); the
+    quadrature integrand is then O(|lambda|^-2) and the truncated ray tails
+    admit an analytic second-order correction.
     """
     if c.kind != "sector":
         raise ValueError("sectorial_projection needs a sector contour")
-    M = _matrix_of(A)
-    phi, clearance, rule = _contour_sum(M, c, lambda lam, w: w / lam)
-    # tail: lambda^{-1}(A-lambda)^{-1} ~ -I/lambda^2 - A/lambda^3
-    m2, m3 = ray_tail_moments(c)
-    phi += -m2 * np.eye(M.shape[0], dtype=complex) - m3 * M
+    M, clearance, inverse = _checked_solver(A, c)
+    phi, rule = sector_phi(M, c, inverse)
     P = (-1.0 / (2j * np.pi)) * (M @ phi)
     return _finish(P, clearance, rule.truncation_error_estimate)
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, quad_nodes, ray_tail_moments
+from .contour import ContourSpec, quad_nodes, sector_phi
 from .errors import AliasingRisk, SymbolSingular
 
 ALIASING_TOL = 1e-10
@@ -223,9 +223,8 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     analytically to second order in 1/lambda.
 
     Op is linear, so Phi_0 = Op(sigma) for the one tabulated symbol
-    sigma = psi [sum_i (w_i/lambda_i)(a_m - lambda_i)^{-1} - m2 I - m3 a_m];
+    sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise;
     only the columns with psi(k) != 0 are tabulated, the others are zero."""
-    rule = quad_nodes(c)
     n_modes = 2 * K + 1
     G = 4 * n_modes
     theta = 2.0 * np.pi * np.arange(G) / G
@@ -234,19 +233,13 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     psi_vals = np.array([float(psi(float(k))) for k in modes])
     cols = np.flatnonzero(psi_vals)
 
-    # principal-symbol samples (G, columns, N, N), reused across nodes
+    # principal-symbol samples (G, columns, N, N)
     P = np.empty((G, cols.size, N, N), dtype=complex)
     for j, col in enumerate(cols):
         P[:, j] = _fibres(a.principal(theta, float(modes[col])), N)
-    eye = np.eye(N)
-    S = np.zeros_like(P)
-    for lam, w in zip(rule.nodes, rule.weights):
-        S += (w / lam) * _fibre_inverse(P - lam * eye, theta[:, None],
-                                        modes[cols])
-
-    # tail: lam^{-1} r_psi ~ -psi/lam^2 - psi a_m/lam^3
-    m2, m3 = ray_tail_moments(c)
-    sigma = psi_vals[cols, None, None] * (S - m2 * eye - m3 * P)
+    phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta[:, None],
+                                                       modes[cols]))
+    sigma = psi_vals[cols, None, None] * phi
     coeffs = _coefficient_columns(sigma)
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
     for j, col in enumerate(cols):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from sectoral import linalg
 from sectoral.contour import (make_circle_contour, make_sector_contour,
                               point_contour_distance, quad_nodes,
-                              ray_tail_moments, validate_contour)
+                              ray_tail_moments, sector_phi, validate_contour)
 from sectoral.errors import InvalidAngles, InvalidRadii
+from sectoral.symbol1d import _fibre_inverse
 
 
 def test_theta_property():
@@ -87,6 +89,69 @@ def test_point_contour_distance_known_cases():
     circ = make_circle_contour(0.0, 1.0)
     assert point_contour_distance(3.0, circ) == pytest.approx(2.0)
     assert point_contour_distance(0.5j, circ) == pytest.approx(0.5)
+
+
+def _scalar_contour_distance(z: complex, c) -> float:
+    """Reference: distance from one point to the truncated rays
+    {r e^{i alpha} : r >= R} and the arc, one case at a time."""
+    if c.kind == "closed_circle":
+        return abs(abs(z - c.center) - c.radius)
+
+    def ray(alpha):
+        w = z * np.exp(-1j * alpha)
+        return abs(w.imag) if w.real >= c.R else abs(w - c.R)
+
+    if z == 0:
+        arc = c.R
+    elif (c.alpha1 - np.angle(z)) % (2 * np.pi) <= c.theta:
+        arc = abs(abs(z) - c.R)
+    else:
+        arc = min(abs(z - c.R * np.exp(1j * a)) for a in (c.alpha1, c.alpha2))
+    return min(ray(c.alpha1), ray(c.alpha2), arc)
+
+
+def test_point_contour_distance_array_matches_scalar_reference():
+    rng = np.random.default_rng(3)
+    contours = (make_sector_contour(np.pi / 2, -np.pi / 2, 0.5),
+                make_sector_contour(2.9, 0.4, 1.3),
+                make_sector_contour(0.2, -5.5, 0.8),
+                make_circle_contour(0.3 - 0.2j, 1.5))
+    for c in contours:
+        z = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
+        if c.kind == "sector":
+            inner, inner_dist = 0.0, c.R
+            on = [r * np.exp(1j * a) for a in (c.alpha1, c.alpha2)
+                  for r in (c.R, 1.5 * c.R, 3.0)]
+        else:
+            inner, inner_dist = c.center, c.radius
+            on = [c.center + c.radius, c.center - 1j * c.radius]
+        z = np.concatenate((z, [inner], on))
+        d = point_contour_distance(z, c)
+        assert d.shape == z.shape
+        ref = np.array([_scalar_contour_distance(complex(x), c) for x in z])
+        assert np.abs(d - ref).max() <= 1e-14
+        assert np.all(d[-len(on):] <= 1e-14)
+        assert d[-len(on) - 1] == pytest.approx(inner_dist, abs=1e-15)
+
+
+def test_sector_phi_fibre_stack_matches_diagonal_matrix():
+    # the stack path (elementwise 1 x 1 inverses) and the matrix path (one
+    # LU solve per node) integrate the same diagonal entries
+    rng = np.random.default_rng(5)
+    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
+    vals = (rng.choice([-1.0, 1.0], 12) * rng.uniform(0.8, 4.0, 12)
+            + 1j * rng.uniform(-4.0, 4.0, 12))
+    stack, rule_s = sector_phi(vals.reshape(-1, 1, 1), c,
+                               lambda X: _fibre_inverse(X, 0.0, 0.0))
+    eye = np.eye(len(vals), dtype=complex)
+    phi, rule_m = sector_phi(np.diag(vals), c,
+                             lambda B: linalg.solve(B, eye))
+    assert stack.shape == (len(vals), 1, 1)
+    assert np.array_equal(rule_s.nodes, rule_m.nodes)
+    assert np.abs(phi - np.diag(stack[:, 0, 0])).max() <= 1e-13
+    # Phi(a) = -2 pi i a^{-1} on the sector Re a > 0, 0 outside
+    exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
+    assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
 
 
 def test_validate_contour_minimal_spectral_distance():

@@ -3,9 +3,9 @@ import pytest
 
 from sectoral.errors import (EigenvalueOnAxis, EndpointOnAxis,
                              RoundingUnsafe)
-from sectoral.topology import (MatrixPath, SphereBundleSample,
-                               antimonopole_projector, bundle_from_map,
-                               chern_number, chern_rounding_residual,
+from sectoral.topology import (BUNDLE_PRESETS, MatrixPath,
+                               SphereBundleSample, antimonopole_projector,
+                               bundle_from_map, chern_number, chern_rounding_residual,
                                component_index, icosphere,
                                monopole_projector, obstruction_demo,
                                path_component_invariance, sample_path,
@@ -243,6 +243,28 @@ def test_chern_rejects_inconsistent_orientation():
     b = SphereBundleSample(verts, tris, projectors)
     with pytest.raises(RoundingUnsafe):
         chern_number(b)
+
+
+def _loop_plaquette_sum(b):
+    """Reference: the plaquette sum / 2 pi, one triangle at a time."""
+    rank = b.validate()
+    F = np.array([np.linalg.eigh(P)[1][:, -rank:] for P in b.projectors])
+    total = 0.0
+    for (i, j, k) in b.triangles:
+        m = (F[i].conj().T @ F[j]) @ (F[j].conj().T @ F[k]) \
+            @ (F[k].conj().T @ F[i])
+        total += float(np.angle(np.linalg.det(m)))
+    return total / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("preset", ["monopole", "antimonopole", "trivial"])
+def test_batched_plaquette_sum_matches_loop(preset):
+    for level in (2, 3, 4):
+        b = bundle_from_map(BUNDLE_PRESETS[preset][0], level)
+        c = _loop_plaquette_sum(b)
+        assert chern_number(b) == round(c)
+        assert chern_rounding_residual(b) == pytest.approx(
+            abs(c - round(c)), abs=1e-12)
 
 
 def test_bundle_validate_errors():
