@@ -8,6 +8,7 @@ boundaries.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,12 @@ from .errors import NotHermitian, NotPositiveDefinite, SingularMatrix
 
 PIVOT_REL_THRESHOLD = 1e-13
 
-# LAPACK's LU factorization and LU solve, bound once and called directly:
-# solve runs once per quadrature node, where scipy's wrappers around these
-# routines cost more than the factorization of a small matrix.
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
-                                               dtype=np.complex128)
+# LAPACK's LU factorization, LU solve and triangular solve, bound once and
+# called directly: solve runs once per quadrature node, where scipy's
+# wrappers around these routines cost more than the factorization of a small
+# matrix.
+_getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "trtrs"), dtype=np.complex128)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -45,11 +47,32 @@ class EigenDecomposition:
     condition_estimate: float
 
 
-def solve(A, B) -> np.ndarray:
-    """Solve A X = B with partial pivoting.
+@functools.lru_cache(maxsize=64)
+def _strict_lower(n):
+    """Boolean mask of the strict lower triangle of an n x n matrix, built
+    once per n and shared read-only."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
-    Raises SingularMatrix when a pivot falls below
-    ``PIVOT_REL_THRESHOLD * max|A|``.
+
+def _is_upper_triangular(A) -> bool:
+    # the corner test rejects a full matrix in one scalar read; the masked
+    # reduction then reads the strict lower triangle in place (gathering it
+    # first would copy half the matrix: 2 MB at n = 513)
+    n = A.shape[0]
+    return n > 1 and A[-1, 0] == 0 and not A.any(where=_strict_lower(n))
+
+
+def solve(A, B) -> np.ndarray:
+    """Solve A X = B.
+
+    An upper-triangular A (every entry below the diagonal exactly zero, as
+    for a shifted Schur factor T - lambda I) is solved by back substitution
+    (LAPACK ``trtrs``); every other A by LU with partial pivoting (``getrf``,
+    ``getrs``).  Either way raises SingularMatrix when a pivot falls below
+    ``PIVOT_REL_THRESHOLD * max|A|``; the pivots of a triangular A are its
+    diagonal, which is also the U that ``getrf`` would return for it.
     """
     A = as_matrix(A)
     if A.size == 0:
@@ -57,13 +80,21 @@ def solve(A, B) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between A and B")
+    threshold = PIVOT_REL_THRESHOLD * max(np.abs(A).max(), 1e-300)
+    if _is_upper_triangular(A):
+        min_pivot = np.abs(A.diagonal()).min()
+        if min_pivot < threshold:
+            raise SingularMatrix(min_pivot)
+        X, info = _trtrs(A, B)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of trtrs")
+        return X
     # getrf reports an exact zero pivot via info > 0; the pivot floor below
     # refuses it together with the nearly singular cases
     lu, piv, info = _getrf(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     min_pivot = np.abs(lu.diagonal()).min()
-    threshold = PIVOT_REL_THRESHOLD * max(np.abs(A).max(), 1e-300)
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
     X, info = _getrs(lu, piv, B)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
-from .contour import (ContourSpec, quad_nodes, ray_distance, resolvent_sum,
-                      sector_phi, validate_contour)
+from .contour import (ContourSpec, point_contour_distance, quad_nodes,
+                      ray_distance, resolvent_sum, sector_phi)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
                      EigenvalueZero, NotHermitian, SpectrumOnContour,
                      TooDefective)
@@ -55,7 +56,9 @@ class ProjectionResult:
         return rec
 
 
-def _finish(P, clearance, trunc) -> ProjectionResult:
+def _finish(P_T, Z, clearance, trunc) -> ProjectionResult:
+    """The result for P = Z P_T Z*, P_T being P in the Schur basis."""
+    P = Z @ P_T @ Z.conj().T
     defect = linalg.operator_norm_2(P @ P - P)
     rank = int(round(np.trace(P).real))
     return ProjectionResult(P, float(defect), max(rank, 0), float(clearance),
@@ -69,14 +72,22 @@ def _matrix_of(A):
 
 
 def _checked_solver(A, c: ContourSpec):
-    """(matrix of A, its contour clearance, the inverse B -> B^{-1} by one
-    linalg.solve), after refusing a spectrum within CLEARANCE_MIN of c."""
-    M = _matrix_of(A)
-    clearance = validate_contour(M, c)
+    """(T, Z, contour clearance, the inverse B -> B^{-1} by one
+    linalg.solve) for the complex Schur form M = Z T Z* of A's matrix,
+    after refusing a spectrum within CLEARANCE_MIN of c.
+
+    Every contour integral of M is evaluated on T and transformed back once:
+    f(M) = Z f(T) Z*.  Each shifted T - lambda I is upper triangular, so
+    linalg.solve takes it by back substitution instead of an LU
+    factorization per node, and the eigenvalues for the clearance are the
+    diagonal of T.
+    """
+    T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
+    clearance = float(point_contour_distance(np.diag(T), c).min())
     if clearance <= CLEARANCE_MIN:
         raise SpectrumOnContour(clearance)
-    I = np.eye(M.shape[0], dtype=complex)
-    return M, clearance, lambda B: linalg.solve(B, I)
+    I = np.eye(T.shape[0], dtype=complex)
+    return T, Z, clearance, lambda B: linalg.solve(B, I)
 
 
 def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
@@ -85,11 +96,11 @@ def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
     eigenspaces."""
     if c.kind != "closed_circle":
         raise ValueError("bounded_spectral_projection needs a closed contour")
-    M, clearance, inverse = _checked_solver(A, c)
+    T, Z, clearance, inverse = _checked_solver(A, c)
     rule = quad_nodes(c)
-    P = (-1.0 / (2j * np.pi)) * resolvent_sum(M, rule.nodes, rule.weights,
-                                              inverse)
-    return _finish(P, clearance, rule.truncation_error_estimate)
+    P_T = (-1.0 / (2j * np.pi)) * resolvent_sum(T, rule.nodes, rule.weights,
+                                                inverse)
+    return _finish(P_T, Z, clearance, rule.truncation_error_estimate)
 
 
 def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
@@ -98,14 +109,15 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
 
     Computed in the factorized form (Phi first, contour.sector_phi); the
     quadrature integrand is then O(|lambda|^-2) and the truncated ray tails
-    admit an analytic second-order correction.
+    admit an analytic second-order correction.  Evaluated on the Schur
+    factor T of A (see _checked_solver).
     """
     if c.kind != "sector":
         raise ValueError("sectorial_projection needs a sector contour")
-    M, clearance, inverse = _checked_solver(A, c)
-    phi, rule = sector_phi(M, c, inverse)
-    P = (-1.0 / (2j * np.pi)) * (M @ phi)
-    return _finish(P, clearance, rule.truncation_error_estimate)
+    T, Z, clearance, inverse = _checked_solver(A, c)
+    phi, rule = sector_phi(T, c, inverse)
+    P_T = (-1.0 / (2j * np.pi)) * (T @ phi)
+    return _finish(P_T, Z, clearance, rule.truncation_error_estimate)
 
 
 def eigen_projection_oracle(A, sector: Callable[[complex], bool],
@@ -174,13 +186,18 @@ def _arg_branch(lam: complex, alpha: float) -> float:
     return alpha - ((alpha - np.angle(lam)) % TWO_PI)
 
 
-def complex_power(A, s: complex, alpha: float) -> np.ndarray:
-    """A^s with the branch cut along the ray L_alpha
-    (arg in (alpha - 2*pi, alpha)), via eigendecomposition."""
-    A = _matrix_of(A)
-    dec = linalg.eig(A)
+def _diagonalization(A) -> linalg.EigenDecomposition:
+    """linalg.eig of A's matrix, refused as TooDefective beyond
+    DEFECTIVE_LIMIT; the one decomposition behind every power of A."""
+    dec = linalg.eig(_matrix_of(A))
     if dec.condition_estimate > DEFECTIVE_LIMIT:
         raise TooDefective(dec.condition_estimate)
+    return dec
+
+
+def _power(dec: linalg.EigenDecomposition, s: complex,
+           alpha: float) -> np.ndarray:
+    """V diag(lambda_i^s) V^{-1} with the branch cut along L_alpha."""
     scale = max(np.abs(dec.values).max(), 1.0)
     powers = np.empty_like(dec.values)
     cut_dist = ray_distance(dec.values, alpha)
@@ -194,14 +211,20 @@ def complex_power(A, s: complex, alpha: float) -> np.ndarray:
     return V @ np.diag(powers) @ np.linalg.inv(V)
 
 
+def complex_power(A, s: complex, alpha: float) -> np.ndarray:
+    """A^s with the branch cut along the ray L_alpha
+    (arg in (alpha - 2*pi, alpha)), via eigendecomposition."""
+    return _power(_diagonalization(A), s, alpha)
+
+
 def wodzicki_residual(A, s: complex, alpha1: float, alpha2: float,
                       c: ContourSpec) -> float:
     """Norm of A^s_{a2} - A^s_{a1} - (1 - e^{2 pi i s}) P_{Gamma+}(A) A^s_{a2},
     which vanishes identically for the correct branch and sector
     conventions."""
-    A = _matrix_of(A)
-    p2 = complex_power(A, s, alpha2)
-    p1 = complex_power(A, s, alpha1)
+    dec = _diagonalization(A)
+    p2 = _power(dec, s, alpha2)
+    p1 = _power(dec, s, alpha1)
     P = sectorial_projection(A, c).P
     factor = 1.0 - np.exp(2j * np.pi * s)
     return linalg.operator_norm_2(p2 - p1 - factor * (P @ p2))

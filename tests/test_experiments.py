@@ -186,15 +186,29 @@ def test_perturbation_operator_mode_linear_response():
 
 
 def test_perturbation_sign_symmetry():
-    # first-order response is even in the sign of the perturbation direction
+    # A is diagonal with eigenvalues k + 0.3, k = -12..12, in that order
     A = presets.op_dtheta_shift(12).matrix
-    dA = np.zeros_like(A)
-    dA[0, 1] = 1.0
+    n = A.shape[0]
     c = presets.contour_imag()
     base = sectorial_projection(A, c).P
+
+    def responses(dA, eps):
+        return [np.linalg.norm(sectorial_projection(A + sign * eps * dA,
+                                                    c).P - base, 2)
+                for sign in (1.0, -1.0)]
+
+    # coupling two modes that both lie outside the sector (-11.7, -10.7)
+    # leaves P = 0 on their block: the exact response is zero
+    within = np.zeros_like(A)
+    within[0, 1] = 1.0
+    # coupling across the cut (-11.7 and 12.3): the response
+    # eps / 24 is even in the sign of the perturbation direction
+    across = np.zeros_like(A)
+    across[0, n - 1] = 1.0
     for eps in (1e-3, 1e-2):
-        yp = np.linalg.norm(sectorial_projection(A + eps * dA, c).P - base, 2)
-        ym = np.linalg.norm(sectorial_projection(A - eps * dA, c).P - base, 2)
+        assert max(responses(within, eps)) <= 1e-12
+        yp, ym = responses(across, eps)
+        assert yp == pytest.approx(eps / 24.0, rel=1e-6)
         assert abs(yp - ym) <= 0.2 * yp
 
 

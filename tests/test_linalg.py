@@ -97,7 +97,13 @@ def test_solve_bit_identical_to_lu_factor_lu_solve(n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    for M in (A, np.asfortranarray(A), A.T):
+    inputs = [A, np.asfortranarray(A), A.T]
+    if n > 1:
+        # a zero corner but a nonzero strict lower part: not triangular
+        corner = A.copy()
+        corner[-1, 0] = 0.0
+        inputs.append(corner)
+    for M in inputs:
         factors = scipy.linalg.lu_factor(M)
         for B in (vector, block):
             assert np.array_equal(linalg.solve(M, B),
@@ -109,3 +115,60 @@ def test_solve_empty_matrix_raises_before_lapack(capfd):
         linalg.solve(np.zeros((0, 0)), np.zeros(0))
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+def _upper_triangular(rng, n):
+    U = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return U + n * np.eye(n)  # diagonally dominant: well conditioned
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_solve_upper_triangular_matches_lu_solve(n):
+    rng = np.random.default_rng(100 + n)
+    U = _upper_triangular(rng, n)
+    vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for M in (U, np.asfortranarray(U)):
+        factors = scipy.linalg.lu_factor(M)
+        for B in (vector, block):
+            X = linalg.solve(M, B)
+            assert X.shape == B.shape
+            ref = scipy.linalg.lu_solve(factors, B)
+            assert np.linalg.norm(X - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_solve_upper_triangular_skips_lu(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("getrf called on a triangular matrix")
+
+    monkeypatch.setattr(linalg, "_getrf", no_lu)
+    U = _upper_triangular(np.random.default_rng(5), 6)
+    X = linalg.solve(U, np.eye(6))
+    assert np.linalg.norm(U @ X - np.eye(6)) <= 1e-13
+    # lower triangular input is not mistaken for upper triangular
+    with pytest.raises(AssertionError):
+        linalg.solve(U.T, np.eye(6))
+
+
+def test_solve_upper_triangular_tiny_diagonal_raises():
+    U = _upper_triangular(np.random.default_rng(9), 5)
+    U[2, 2] = 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix) as exc:
+            linalg.solve(U, np.eye(5))
+    assert exc.value.pivot_magnitude == pytest.approx(1e-15)
+    U[2, 2] = 0.0  # an exact zero never reaches trtrs either
+    with pytest.raises(SingularMatrix):
+        linalg.solve(U, np.eye(5))
+
+
+def test_solve_one_by_one_stays_on_lu(monkeypatch):
+    def no_trtrs(*args, **kwargs):
+        raise AssertionError("trtrs called on a 1 x 1 matrix")
+
+    monkeypatch.setattr(linalg, "_trtrs", no_trtrs)
+    X = linalg.solve(np.array([[4.0 - 2.0j]]), np.array([2.0]))
+    assert X == pytest.approx(np.array([2.0 / (4.0 - 2.0j)]), rel=1e-15)
+    with pytest.raises(SingularMatrix):
+        linalg.solve(np.zeros((1, 1)), np.ones(1))

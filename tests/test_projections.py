@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectoral import linalg, presets
-from sectoral.contour import make_circle_contour
+from sectoral.contour import make_circle_contour, quad_nodes, ray_tail_moments
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
                              SpectrumOnContour, TooDefective)
@@ -163,6 +165,80 @@ def test_wodzicki_identity_sample(imag_contour):
         s = rng.uniform(-2.0, 2.0)
         resid = wodzicki_residual(A, s, np.pi / 2, -np.pi / 2, imag_contour)
         assert resid <= 1e-6
+
+
+def test_wodzicki_residual_decomposes_once(imag_contour, monkeypatch):
+    A, _, _ = random_diagonalizable(np.random.default_rng(23), dim=6)
+    s = 0.37
+    two_powers = linalg.operator_norm_2(
+        complex_power(A, s, -np.pi / 2) - complex_power(A, s, np.pi / 2)
+        - (1.0 - np.exp(2j * np.pi * s))
+        * (sectorial_projection(A, imag_contour).P
+           @ complex_power(A, s, -np.pi / 2)))
+    calls = []
+    eig = linalg.eig
+    monkeypatch.setattr(linalg, "eig", lambda M: calls.append(1) or eig(M))
+    resid = wodzicki_residual(A, s, np.pi / 2, -np.pi / 2, imag_contour)
+    assert len(calls) == 1
+    assert resid == two_powers
+
+
+def _dense_sector_projection(M, c):
+    """The per-node formula on the dense matrix, without the Schur basis:
+    P = (-1/2 pi i) M [sum_k (w_k/lambda_k) (M - lambda_k)^{-1}
+    - m2 I - m3 M]."""
+    rule = quad_nodes(c)
+    m2, m3 = ray_tail_moments(c)
+    I = np.eye(M.shape[0], dtype=complex)
+    shifted = M[None, :, :] - rule.nodes[:, None, None] * I
+    coef = (rule.weights / rule.nodes)[:, None, None]
+    phi = (coef * np.linalg.solve(shifted, I)).sum(axis=0) - m2 * I - m3 * M
+    return (-1.0 / (2j * np.pi)) * (M @ phi)
+
+
+@st.composite
+def _non_normal_matrices(draw):
+    """S J S^{-1}: J upper triangular with a spectrum at least 0.5 from the
+    imag contour (|Re| >= 0.7, 1.1 <= |lambda| <= 4), coupled above the
+    diagonal; with `jordan`, runs of equal eigenvalues on a nonzero
+    superdiagonal, i.e. Jordan blocks.  S has condition number <= 10."""
+    n = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    jordan = draw(st.booleans())
+    coupling = draw(st.floats(0.1, 3.0))
+    rng = np.random.default_rng(seed)
+    values = np.empty(n, dtype=complex)
+    i = 0
+    while i < n:
+        z = rng.uniform(-4.0, 4.0) + 1j * rng.uniform(-4.0, 4.0)
+        if abs(z.real) < 0.7 or not 1.1 <= abs(z) <= 4.0:
+            continue
+        size = int(rng.integers(1, 4)) if jordan else 1
+        values[i:i + size] = z
+        i += size
+    J = np.diag(values) + coupling * np.triu(
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    if jordan:
+        J += np.diag(np.where(values[1:] == values[:-1], 1.0, 0.0), 1)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))
+    S = q1 @ np.diag(np.geomspace(1.0, 10.0, n)) @ q2
+    return S @ J @ np.linalg.inv(S)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_non_normal_matrices())
+def test_schur_kernel_matches_dense_formula(A):
+    c = presets.contour_imag()
+    res = sectorial_projection(A, c)
+    P_ref = _dense_sector_projection(A, c)
+    # P = 0 when no eigenvalue lies in the sector: then roundoff is
+    # measured against 1
+    scale = max(np.linalg.norm(P_ref, 2), 1.0)
+    assert np.linalg.norm(res.P - P_ref, 2) <= 1e-10 * scale
+    assert res.idempotency_defect <= 1e-9 * scale ** 2
 
 
 def test_projection_record_fields(imag_contour):
