@@ -1,9 +1,8 @@
 """Spectral-cut contours and quadrature rules.
 
-Two contour kinds are supported: the sector cut made of two rays and an
-arc of radius R (traversed inward along the ray at angle alpha1, along the
-arc with decreasing angle, then outward along the ray at angle alpha2),
-and a closed circle traversed counterclockwise.
+The one contour is the sector cut Gamma_+ made of two rays and an arc of
+radius R, traversed inward along the ray at angle alpha1, along the arc
+with decreasing angle, then outward along the ray at angle alpha2.
 
 Quadrature is composite Gauss-Legendre.  On each ray the substitution
 r = R/u maps [R, lambda_max] to a bounded u-interval on which integrands
@@ -31,13 +30,10 @@ DEFAULT_LAMBDA_MAX_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class ContourSpec:
-    kind: str  # "sector" or "closed_circle"
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    R: float = 0.0
-    lambda_max: float = 0.0
-    center: complex = 0j
-    radius: float = 0.0
+    alpha1: float
+    alpha2: float
+    R: float
+    lambda_max: float
     panels_arc: int = DEFAULT_PANELS_ARC
     panels_ray: int = DEFAULT_PANELS_RAY
     gauss_order: int = DEFAULT_GAUSS_ORDER
@@ -48,9 +44,7 @@ class ContourSpec:
         return (self.alpha1 - self.alpha2) % TWO_PI
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["center"] = [self.center.real, self.center.imag]
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -64,12 +58,16 @@ def make_sector_contour(alpha1, alpha2, R, lambda_max=None,
                         panels_arc=DEFAULT_PANELS_ARC,
                         panels_ray=DEFAULT_PANELS_RAY,
                         gauss_order=DEFAULT_GAUSS_ORDER) -> ContourSpec:
-    if R <= 0:
-        raise InvalidRadii(f"arc radius must be positive, got {R}")
+    if not (math.isfinite(R) and R > 0):
+        raise InvalidRadii(f"arc radius must be positive and finite, got {R}")
     if lambda_max is None:
         lambda_max = DEFAULT_LAMBDA_MAX_FACTOR * R
-    if lambda_max <= R:
-        raise InvalidRadii(f"lambda_max ({lambda_max}) must exceed R ({R})")
+    if not (math.isfinite(lambda_max) and lambda_max > R):
+        raise InvalidRadii(f"lambda_max ({lambda_max}) must be finite and "
+                           f"exceed R ({R})")
+    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
+        raise InvalidAngles(f"sector angles must be finite, got "
+                            f"({alpha1}, {alpha2})")
     theta = (alpha1 - alpha2) % TWO_PI
     if theta <= 0.0 or theta >= TWO_PI:
         raise InvalidAngles(f"degenerate sector: (alpha1 - alpha2) mod 2pi = {theta}")
@@ -77,19 +75,9 @@ def make_sector_contour(alpha1, alpha2, R, lambda_max=None,
         raise ValueError("panel counts must be >= 1")
     if not 2 <= gauss_order <= 64:
         raise ValueError("gauss_order must lie in [2, 64]")
-    return ContourSpec(kind="sector", alpha1=float(alpha1), alpha2=float(alpha2),
+    return ContourSpec(alpha1=float(alpha1), alpha2=float(alpha2),
                        R=float(R), lambda_max=float(lambda_max),
                        panels_arc=panels_arc, panels_ray=panels_ray,
-                       gauss_order=gauss_order)
-
-
-def make_circle_contour(center, radius,
-                        panels_arc=DEFAULT_PANELS_ARC,
-                        gauss_order=DEFAULT_GAUSS_ORDER) -> ContourSpec:
-    if radius <= 0:
-        raise InvalidRadii(f"radius must be positive, got {radius}")
-    return ContourSpec(kind="closed_circle", center=complex(center),
-                       radius=float(radius), panels_arc=panels_arc,
                        gauss_order=gauss_order)
 
 
@@ -114,16 +102,6 @@ def _composite_gauss(edges, order):
 
 def quad_nodes(c: ContourSpec) -> QuadratureRule:
     """Composite Gauss-Legendre rule along the contour, weights = d(lambda)."""
-    if c.kind == "closed_circle":
-        phi, w = _composite_gauss(np.linspace(0.0, TWO_PI, c.panels_arc + 1),
-                                  c.gauss_order)
-        e = np.exp(1j * phi)
-        return QuadratureRule(c.center + c.radius * e, w * 1j * c.radius * e,
-                              0.0)
-
-    if c.kind != "sector":
-        raise ValueError(f"unknown contour kind {c.kind!r}")
-
     # Rays: geometric panels in u = R/r from u_min = R/lambda_max to 1;
     # lambda = (R/u) e^{i alpha}, |d(lambda)| = (R/u^2) du.  Ray alpha1 runs
     # inward (u increasing), ray alpha2 outward (the sign of du flipped).
@@ -150,35 +128,32 @@ def ray_tail_moments(c: ContourSpec):
     """Analytic tail of the truncated rays for integrands with expansion
     f(lambda) ~ c2/lambda^2 + c3/lambda^3: the missing contribution is
     c2*m2 + c3*m3 with the moments returned here."""
-    if c.kind != "sector":
-        return 0.0j, 0.0j
     L = c.lambda_max
     m2 = (np.exp(-1j * c.alpha2) - np.exp(-1j * c.alpha1)) / L
     m3 = (np.exp(-2j * c.alpha2) - np.exp(-2j * c.alpha1)) / (2.0 * L**2)
     return complex(m2), complex(m3)
 
 
-def resolvent_sum(X, nodes, coefficients, inverse) -> np.ndarray:
-    """Sum over k of coefficients[k] * inverse(X - nodes[k] I) for one N x N
-    matrix or a (..., N, N) stack X.  `inverse` inverts a shifted copy of X
-    (per matrix for a stack); the quadrature node loop of the package."""
-    I = np.eye(X.shape[-1], dtype=complex)
-    acc = np.zeros(X.shape, dtype=complex)
-    for lam, coef in zip(nodes, coefficients):
-        # scaled in place: one more n x n temporary per node made glibc trim
-        # and re-fault the heap top on every node (n = 129: +146k faults)
-        inv = inverse(X - lam * I)
-        acc += np.multiply(coef, inv, out=inv)
-    return acc
-
-
 def sector_phi(X, c: ContourSpec, inverse) -> tuple:
     """Phi(X) = integral over Gamma_+ of lambda^{-1} (X - lambda)^{-1} by
     the rule quad_nodes(c), plus the analytic tail of the truncated rays:
-    lambda^{-1} (X - lambda)^{-1} ~ -I/lambda^2 - X/lambda^3.  X is a matrix
-    or a (..., N, N) stack, as in resolvent_sum.  Returns (Phi, rule)."""
+    lambda^{-1} (X - lambda)^{-1} ~ -I/lambda^2 - X/lambda^3.  X is one
+    N x N matrix or a (..., N, N) stack; `inverse` inverts a shifted copy of
+    X (per matrix for a stack) and must leave its argument unchanged.  This
+    is the quadrature node loop of the package.  Returns (Phi, rule)."""
     rule = quad_nodes(c)
-    phi = resolvent_sum(X, rule.nodes, rule.weights / rule.nodes, inverse)
+    # X - lambda I without n x n temporaries: one shifted copy of X whose
+    # diagonal is rewritten at every node
+    shifted = X.astype(complex)
+    diag = np.einsum("...ii->...i", shifted)
+    base = diag.copy()
+    phi = np.zeros(X.shape, dtype=complex)
+    for lam, coef in zip(rule.nodes, rule.weights / rule.nodes):
+        np.subtract(base, lam, out=diag)
+        # scaled in place: one more n x n temporary per node made glibc trim
+        # and re-fault the heap top on every node (n = 129: +146k faults)
+        inv = inverse(shifted)
+        phi += np.multiply(coef, inv, out=inv)
     m2, m3 = ray_tail_moments(c)
     return phi - m2 * np.eye(X.shape[-1], dtype=complex) - m3 * X, rule
 
@@ -191,13 +166,11 @@ def ray_distance(z, alpha: float, start: float = 0.0) -> np.ndarray:
 
 def point_contour_distance(z, c: ContourSpec) -> np.ndarray:
     """Elementwise analytic distance from z to the contour (not to the
-    nodes).  On the sector contour: the nearer of the truncated rays
+    nodes): the nearer of the truncated rays
     {r e^{i alpha} : r >= R} and the arc {R e^{i(alpha1 - t)} : t in
     [0, theta]}, whose distance is ||z| - R| where arg z lies on the arc
     and the distance to the nearer arc end elsewhere."""
     z = np.asarray(z, dtype=complex)
-    if c.kind == "closed_circle":
-        return np.abs(np.abs(z - c.center) - c.radius)
     on_arc = (c.alpha1 - np.angle(z)) % TWO_PI <= c.theta
     ends = np.minimum(np.abs(z - c.R * np.exp(1j * c.alpha1)),
                       np.abs(z - c.R * np.exp(1j * c.alpha2)))

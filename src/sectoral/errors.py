@@ -60,9 +60,7 @@ class EigenvalueZero(SectoralError):
 
 
 class EigenvalueOnAxis(SectoralError):
-    def __init__(self, message, t=None):
-        self.t = t
-        super().__init__(message)
+    pass
 
 
 class EndpointOnAxis(SectoralError):

@@ -1,7 +1,7 @@
-"""Projection-type operators: Dunford integrals over closed contours,
-sectorial projections via the factorized weighted integral, the
-eigendecomposition oracle, Riesz transform, APS projection, complex powers
-with an explicit branch convention, and the power/projection identity check.
+"""Projection-type operators: sectorial projections via the factorized
+weighted integral over the sector contour, the eigendecomposition oracle,
+Riesz transform, APS projection, complex powers with an explicit branch
+convention, and the power/projection identity check.
 
 Branch convention for log_alpha: arg in (alpha - 2*pi, alpha), i.e. the
 cut lies along the ray L_alpha.  The positive sector Lambda_+ of a sector
@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .contour import (ContourSpec, point_contour_distance, quad_nodes,
-                      ray_distance, resolvent_sum, sector_phi)
+from .contour import (ContourSpec, point_contour_distance, ray_distance,
+                      sector_phi)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
                      EigenvalueZero, NotHermitian, SpectrumOnContour,
                      TooDefective)
@@ -56,51 +56,10 @@ class ProjectionResult:
         return rec
 
 
-def _finish(P_T, Z, clearance, trunc) -> ProjectionResult:
-    """The result for P = Z P_T Z*, P_T being P in the Schur basis."""
-    P = Z @ P_T @ Z.conj().T
-    defect = linalg.operator_norm_2(P @ P - P)
-    rank = int(round(np.trace(P).real))
-    return ProjectionResult(P, float(defect), max(rank, 0), float(clearance),
-                            float(trunc))
-
-
 def _matrix_of(A):
     if isinstance(A, DiscretizedOperator):
         return A.matrix
     return linalg.as_matrix(A)
-
-
-def _checked_solver(A, c: ContourSpec):
-    """(T, Z, contour clearance, the inverse B -> B^{-1} by one
-    linalg.solve) for the complex Schur form M = Z T Z* of A's matrix,
-    after refusing a spectrum within CLEARANCE_MIN of c.
-
-    Every contour integral of M is evaluated on T and transformed back once:
-    f(M) = Z f(T) Z*.  Each shifted T - lambda I is upper triangular, so
-    linalg.solve takes it by back substitution instead of an LU
-    factorization per node, and the eigenvalues for the clearance are the
-    diagonal of T.
-    """
-    T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
-    clearance = float(point_contour_distance(np.diag(T), c).min())
-    if clearance <= CLEARANCE_MIN:
-        raise SpectrumOnContour(clearance)
-    I = np.eye(T.shape[0], dtype=complex)
-    return T, Z, clearance, lambda B: linalg.solve(B, I)
-
-
-def bounded_spectral_projection(A, c: ContourSpec) -> ProjectionResult:
-    """Riesz projection (-1/2 pi i) * integral over a closed contour of
-    (A - lambda)^{-1}, projecting onto the enclosed generalized
-    eigenspaces."""
-    if c.kind != "closed_circle":
-        raise ValueError("bounded_spectral_projection needs a closed contour")
-    T, Z, clearance, inverse = _checked_solver(A, c)
-    rule = quad_nodes(c)
-    P_T = (-1.0 / (2j * np.pi)) * resolvent_sum(T, rule.nodes, rule.weights,
-                                                inverse)
-    return _finish(P_T, Z, clearance, rule.truncation_error_estimate)
 
 
 def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
@@ -109,15 +68,27 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
 
     Computed in the factorized form (Phi first, contour.sector_phi); the
     quadrature integrand is then O(|lambda|^-2) and the truncated ray tails
-    admit an analytic second-order correction.  Evaluated on the Schur
-    factor T of A (see _checked_solver).
+    admit an analytic second-order correction.
+
+    The integral is evaluated on the complex Schur form M = Z T Z* of A's
+    matrix and transformed back once: P = Z P(T) Z*.  Each shifted
+    T - lambda I is upper triangular, so linalg.solve takes it by back
+    substitution instead of an LU factorization per node, and the
+    eigenvalues for the clearance check (a spectrum within CLEARANCE_MIN of
+    c is refused) are the diagonal of T.
     """
-    if c.kind != "sector":
-        raise ValueError("sectorial_projection needs a sector contour")
-    T, Z, clearance, inverse = _checked_solver(A, c)
-    phi, rule = sector_phi(T, c, inverse)
+    T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
+    clearance = float(point_contour_distance(np.diag(T), c).min())
+    if clearance <= CLEARANCE_MIN:
+        raise SpectrumOnContour(clearance)
+    I = np.eye(T.shape[0], dtype=complex)
+    phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, I))
     P_T = (-1.0 / (2j * np.pi)) * (T @ phi)
-    return _finish(P_T, Z, clearance, rule.truncation_error_estimate)
+    P = Z @ P_T @ Z.conj().T
+    defect = linalg.operator_norm_2(P @ P - P)
+    rank = int(round(np.trace(P).real))
+    return ProjectionResult(P, float(defect), max(rank, 0), float(clearance),
+                            float(rule.truncation_error_estimate))
 
 
 def eigen_projection_oracle(A, sector: Callable[[complex], bool],

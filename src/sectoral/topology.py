@@ -9,7 +9,7 @@ field-strength (plaquette overlap-phase) method on an icosphere grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,12 +44,9 @@ def component_index(a) -> int:
 
 @dataclass
 class MatrixPath:
-    """Ordered samples (t, matrix) with t strictly increasing from 0 to 1.
-    The recorded delta (max consecutive jump in 2-norm) is the discrete
-    stand-in for continuity."""
+    """Ordered samples (t, matrix) with t strictly increasing from 0 to 1."""
 
     samples: list
-    delta: float = field(init=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -64,27 +61,11 @@ class MatrixPath:
         if len(dims) != 1:
             raise ValueError("all path samples must share one dimension")
         self.samples = list(zip(ts, mats))
-        self.delta = max(
-            (linalg.operator_norm_2(b - a) for a, b in zip(mats, mats[1:])),
-            default=0.0)
 
 
 def sample_path(f: Callable[[float], np.ndarray], n: int = 33) -> MatrixPath:
     ts = np.linspace(0.0, 1.0, n)
     return MatrixPath([(float(t), f(float(t))) for t in ts])
-
-
-def path_component_invariance(p: MatrixPath) -> dict:
-    """Component index per sample; flags whether it is constant."""
-    indices = []
-    for t, m in p.samples:
-        clear, index = _axis_clearance(m)
-        if clear <= PATH_CLEARANCE:
-            raise EigenvalueOnAxis(
-                f"sample at t={t} has eigenvalue within {clear:.3e} "
-                "of the imaginary axis", t=t)
-        indices.append(index)
-    return {"invariant": len(set(indices)) == 1, "indices": indices}
 
 
 def spectral_flow(p: MatrixPath) -> int:

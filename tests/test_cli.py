@@ -40,7 +40,7 @@ def test_project_writes_report(tmp_path, monkeypatch, capsys):
     assert rec["pass"] is True
     assert rec["rank_estimate"] == 16
     assert "timestamp" in rec
-    assert rec["contour"]["kind"] == "sector"
+    assert rec["contour"]["R"] == 0.5
 
 
 def test_obstruction_monopole(tmp_path, monkeypatch, capsys):
@@ -120,6 +120,9 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys):
     code, _, err = _run(["project", "--preset", "no_such_operator"],
                         tmp_path, monkeypatch, capsys)
     assert code == 1
+    code, _, err = _run(["project", "--R", "nan"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 1 and "InvalidRadii" in err
 
 
 def test_load_config_merges_sections(tmp_path):

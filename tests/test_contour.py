@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sectoral import linalg
-from sectoral.contour import (make_circle_contour, make_sector_contour,
-                              point_contour_distance, quad_nodes,
-                              ray_tail_moments, sector_phi, validate_contour)
+from sectoral.contour import (make_sector_contour, point_contour_distance,
+                              quad_nodes, ray_tail_moments, sector_phi,
+                              validate_contour)
 from sectoral.errors import InvalidAngles, InvalidRadii
 from sectoral.symbol1d import _fibre_inverse
 
@@ -25,21 +25,14 @@ def test_sector_validation():
         make_sector_contour(1.0, 1.0, 0.5)  # degenerate opening
     with pytest.raises(ValueError):
         make_sector_contour(np.pi / 2, -np.pi / 2, 0.5, gauss_order=1)
-    with pytest.raises(InvalidRadii):
-        make_circle_contour(0, 0.0)
-
-
-def test_circle_rule_reproduces_residues():
-    c = make_circle_contour(1.0 + 1.0j, 2.0)
-    rule = quad_nodes(c)
-    # Cauchy: (1/2 pi i) * integral dz/(z - z0) = 1 inside, 0 outside
-    inside = np.sum(rule.weights / (rule.nodes - (1.5 + 1.0j))) / (2j * np.pi)
-    outside = np.sum(rule.weights / (rule.nodes - 10.0)) / (2j * np.pi)
-    assert inside == pytest.approx(1.0, abs=1e-12)
-    assert outside == pytest.approx(0.0, abs=1e-12)
-    # holomorphic integrand integrates to zero
-    poly = np.sum(rule.weights * rule.nodes**3)
-    assert abs(poly) <= 1e-10
+    # non-finite parameters are refused before any quadrature is built
+    for R, lambda_max in ((np.nan, None), (np.inf, None), (0.5, np.inf),
+                          (0.5, np.nan)):
+        with pytest.raises(InvalidRadii):
+            make_sector_contour(np.pi / 2, -np.pi / 2, R, lambda_max)
+    for alpha1, alpha2 in ((np.nan, -np.pi / 2), (np.pi / 2, np.inf)):
+        with pytest.raises(InvalidAngles):
+            make_sector_contour(alpha1, alpha2, 0.5)
 
 
 def test_sector_rule_matches_antiderivative():
@@ -86,17 +79,11 @@ def test_point_contour_distance_known_cases():
     assert point_contour_distance(2.0, c) == pytest.approx(1.5)
     assert point_contour_distance(-1.0, c) == pytest.approx(
         np.sqrt(1.0 + 0.25))  # nearest point is an arc endpoint
-    circ = make_circle_contour(0.0, 1.0)
-    assert point_contour_distance(3.0, circ) == pytest.approx(2.0)
-    assert point_contour_distance(0.5j, circ) == pytest.approx(0.5)
 
 
 def _scalar_contour_distance(z: complex, c) -> float:
     """Reference: distance from one point to the truncated rays
     {r e^{i alpha} : r >= R} and the arc, one case at a time."""
-    if c.kind == "closed_circle":
-        return abs(abs(z - c.center) - c.radius)
-
     def ray(alpha):
         w = z * np.exp(-1j * alpha)
         return abs(w.imag) if w.real >= c.R else abs(w - c.R)
@@ -114,24 +101,18 @@ def test_point_contour_distance_array_matches_scalar_reference():
     rng = np.random.default_rng(3)
     contours = (make_sector_contour(np.pi / 2, -np.pi / 2, 0.5),
                 make_sector_contour(2.9, 0.4, 1.3),
-                make_sector_contour(0.2, -5.5, 0.8),
-                make_circle_contour(0.3 - 0.2j, 1.5))
+                make_sector_contour(0.2, -5.5, 0.8))
     for c in contours:
         z = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
-        if c.kind == "sector":
-            inner, inner_dist = 0.0, c.R
-            on = [r * np.exp(1j * a) for a in (c.alpha1, c.alpha2)
-                  for r in (c.R, 1.5 * c.R, 3.0)]
-        else:
-            inner, inner_dist = c.center, c.radius
-            on = [c.center + c.radius, c.center - 1j * c.radius]
-        z = np.concatenate((z, [inner], on))
+        on = [r * np.exp(1j * a) for a in (c.alpha1, c.alpha2)
+              for r in (c.R, 1.5 * c.R, 3.0)]
+        z = np.concatenate((z, [0.0], on))
         d = point_contour_distance(z, c)
         assert d.shape == z.shape
         ref = np.array([_scalar_contour_distance(complex(x), c) for x in z])
         assert np.abs(d - ref).max() <= 1e-14
         assert np.all(d[-len(on):] <= 1e-14)
-        assert d[-len(on) - 1] == pytest.approx(inner_dist, abs=1e-15)
+        assert d[-len(on) - 1] == pytest.approx(c.R, abs=1e-15)
 
 
 def test_sector_phi_fibre_stack_matches_diagonal_matrix():
@@ -152,6 +133,18 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
     # Phi(a) = -2 pi i a^{-1} on the sector Re a > 0, 0 outside
     exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
     assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
+    # the node loop rewrites the diagonal of one shifted copy of X; the
+    # plain sum over k of w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
+    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    X_before = X.copy()
+    I6 = np.eye(6, dtype=complex)
+    got, rule = sector_phi(X, c, lambda B: linalg.solve(B, I6))
+    ref = np.zeros_like(X)
+    for lam, w in zip(rule.nodes, rule.weights / rule.nodes):
+        ref += w * linalg.solve(X - lam * I6, I6)
+    m2, m3 = ray_tail_moments(c)
+    assert np.array_equal(got, ref - m2 * I6 - m3 * X)
+    assert np.array_equal(X, X_before)
 
 
 def test_validate_contour_minimal_spectral_distance():
@@ -164,10 +157,9 @@ def test_validate_contour_minimal_spectral_distance():
 def test_contour_serialization_roundtrip():
     c = make_sector_contour(1.2, -0.3, 0.7, lambda_max=100.0, panels_arc=4)
     d = c.to_dict()
-    assert d["kind"] == "sector"
     assert d["alpha1"] == pytest.approx(1.2)
     assert d["panels_arc"] == 4
-    assert d["center"] == [0.0, 0.0]
+    assert type(c)(**d) == c
 
 
 def test_default_lambda_max_scales_with_radius():
@@ -188,7 +180,7 @@ def test_quad_nodes_match_uncached_leggauss(order, monkeypatch):
     from sectoral import contour
     specs = (make_sector_contour(np.pi / 2, -np.pi / 2, 0.5,
                                  gauss_order=order),
-             make_circle_contour(0.3 - 0.2j, 1.5, gauss_order=order))
+             make_sector_contour(2.9, 0.4, 1.3, gauss_order=order))
     cached = [quad_nodes(c) for c in specs]
     monkeypatch.setattr(contour, "_gauss_legendre",
                         np.polynomial.legendre.leggauss)

@@ -37,11 +37,16 @@ def test_fit_loglog_with_oscillatory_modulation():
 
 
 def test_fit_loglog_insufficient_span():
-    with pytest.raises(InsufficientSpan):
-        fit_loglog([(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)])
-    xs = np.linspace(1.0, 5.0, 10)  # half a decade
-    with pytest.raises(InsufficientSpan):
-        fit_loglog([(x, 1.0 / x) for x in xs])
+    # a two-point fit always has r^2 = 1, so an experiment refuses fewer
+    # than 4 lambda samples instead of reporting a vacuous pass
+    A = presets.op_dtheta_shift(16)
+    for n in (2, 3):
+        with pytest.raises(InsufficientSpan):
+            resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
+                                       n_samples=n)
+    rep = resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
+                                     n_samples=4)
+    assert len(rep.samples) == 4
 
 
 def test_flat_ordinate_reports_perfect_fit():
@@ -262,14 +267,10 @@ def test_report_serialization_and_pass_flag():
         samples=[(float(x), float(x**-1.0)) for x in xs],
         fitted_slope=-1.0, fitted_intercept=0.0, r_squared=1.0,
         expected_slope=-1.0, slope_tolerance=0.1)
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_json_dict()))
     assert d["pass"] is True
     assert d["fitted_slope"] == -1.0
     assert len(d["samples"]) == 8
-    csv_text = rep.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "abscissa,value"
-    assert len(lines) == 9
     # failing slope flips the flag
     rep.fitted_slope = -0.7
     assert not rep.passed

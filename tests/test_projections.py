@@ -4,35 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectoral import linalg, presets
-from sectoral.contour import make_circle_contour, quad_nodes, ray_tail_moments
+from sectoral.contour import quad_nodes, ray_tail_moments
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
                              SpectrumOnContour, TooDefective)
-from sectoral.projections import (aps_projection, bounded_spectral_projection,
-                                  complex_power, eigen_projection_oracle,
-                                  riesz_transform, sectorial_projection,
-                                  wodzicki_residual)
+from sectoral.projections import (aps_projection, complex_power,
+                                  eigen_projection_oracle, riesz_transform,
+                                  sectorial_projection, wodzicki_residual)
 from conftest import random_diagonalizable
-
-
-def test_bounded_projection_separates_eigenvalues():
-    A = np.diag([0.5, 3.0]).astype(complex)
-    res = bounded_spectral_projection(A, make_circle_contour(0.0, 1.0))
-    assert np.allclose(res.P, np.diag([1.0, 0.0]), atol=1e-10)
-    assert res.rank_estimate == 1
-    assert res.idempotency_defect <= 1e-10
-
-
-def test_bounded_projection_jordan_block():
-    J = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    res = bounded_spectral_projection(J, make_circle_contour(2.0, 0.5))
-    assert np.allclose(res.P, np.eye(2), atol=1e-10)
-
-
-def test_bounded_projection_spectrum_on_contour():
-    with pytest.raises(SpectrumOnContour):
-        bounded_spectral_projection(np.diag([1.0, 5.0]),
-                                    make_circle_contour(0.0, 1.0))
 
 
 def test_sectorial_projection_derived_2x2(imag_contour):
@@ -47,6 +26,12 @@ def test_sectorial_projection_diagonal(imag_contour):
     res = sectorial_projection(np.diag([1.0, -1.0]).astype(complex),
                                imag_contour)
     assert np.allclose(res.P, np.diag([1.0, 0.0]), atol=1e-9)
+    # defective inputs: a Jordan block lies wholly inside or outside the
+    # sector, so P is I or 0 although A has no eigenbasis
+    for lam, want in ((2.0, np.eye(2)), (-2.0, np.zeros((2, 2)))):
+        J = np.array([[lam, 1.0], [0.0, lam]], dtype=complex)
+        res = sectorial_projection(J, imag_contour)
+        assert np.allclose(res.P, want, atol=1e-10)
 
 
 def test_sectorial_projection_dtheta_modes(imag_contour):

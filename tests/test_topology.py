@@ -8,7 +8,7 @@ from sectoral.topology import (BUNDLE_PRESETS, MatrixPath,
                                bundle_from_map, chern_number, chern_rounding_residual,
                                component_index, icosphere,
                                monopole_projector, obstruction_demo,
-                               path_component_invariance, sample_path,
+                               sample_path,
                                seeley_deformation_check,
                                seeley_one_ray_deformation, spectral_flow,
                                trivial_projector)
@@ -50,21 +50,8 @@ def test_matrix_path_validation_and_delta():
         MatrixPath([(0.0, np.eye(2)), (0.5, np.eye(2)), (0.5, np.eye(2)),
                     (1.0, np.eye(2))])  # strictly increasing
     p = MatrixPath([(0.0, np.eye(2)), (1.0, 3.0 * np.eye(2))])
-    assert p.delta == pytest.approx(2.0)
-
-
-def test_path_component_invariance_reports_indices():
-    p = sample_path(lambda t: np.diag([1.0 + t, -1.0]).astype(complex), n=9)
-    out = path_component_invariance(p)
-    assert out["invariant"]
-    assert out["indices"] == [1] * 9
-
-
-def test_path_component_invariance_flags_axis_sample():
-    p = sample_path(lambda t: np.diag([t - 0.5, -1.0]).astype(complex), n=9)
-    with pytest.raises(EigenvalueOnAxis) as exc:
-        path_component_invariance(p)
-    assert exc.value.t == pytest.approx(0.5)
+    assert p.samples[1][1].dtype == complex
+    assert np.array_equal(p.samples[1][1], 3.0 * np.eye(2))
 
 
 def test_spectral_flow_single_crossing():
