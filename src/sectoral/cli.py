@@ -30,7 +30,6 @@ from .symbol1d import CutoffFunction
 COMMON_KEYS = {
     "preset": "operator/bundle preset name",
     "K": "Fourier mode cutoff (operator presets)",
-    "contour": "contour preset name (default: imag)",
     "R": "contour arc radius override",
     "lambda_max_contour": "contour ray truncation override",
     "panels_arc": "quadrature panels on the arc",
@@ -158,7 +157,6 @@ def _write_reports(record: dict, kind: str, preset: str, out_dir: str,
 
 
 def _build_contour(opt: dict):
-    name = opt.get("contour", "imag")
     kw = {}
     if opt.get("R") is not None:
         kw["R"] = opt["R"]
@@ -167,7 +165,7 @@ def _build_contour(opt: dict):
     for k in ("panels_arc", "panels_ray", "gauss_order"):
         if opt.get(k) is not None:
             kw[k] = opt[k]
-    return presets.get_contour(name, **kw)
+    return presets.contour_imag(**kw)
 
 
 def _experiment_record(rep: ExperimentReport, preset: str, extra=None) -> dict:

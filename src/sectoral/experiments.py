@@ -10,7 +10,7 @@ tolerance used for the pass flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,17 +50,7 @@ class ExperimentReport:
                 <= self.slope_tolerance and self.r_squared >= 0.98)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment_kind": self.experiment_kind,
-            "parameters": self.parameters,
-            "samples": [[float(x), float(y)] for x, y in self.samples],
-            "fitted_slope": float(self.fitted_slope),
-            "fitted_intercept": float(self.fitted_intercept),
-            "r_squared": float(self.r_squared),
-            "expected_slope": float(self.expected_slope),
-            "slope_tolerance": float(self.slope_tolerance),
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def fit_loglog(samples) -> tuple:
@@ -85,15 +75,11 @@ def _lambda_samples(lambda_range, n_samples=None) -> np.ndarray:
         raise ValueError("lambda_range must satisfy 0 < min < max")
     if n_samples is None:
         n_samples = max(4, round(12 * math.log10(hi / lo)))
-    if n_samples < 4:
-        # a log-log fit through fewer points makes the r^2 gate (nearly)
-        # vacuous: two points always fit with r^2 = 1
-        raise InsufficientSpan(f"need >= 4 lambda samples, got {n_samples}")
     return np.geomspace(lo, hi, n_samples)
 
 
-def _check_resolved_regime(A: DiscretizedOperator, lambda_range, factor=4.0):
-    ceiling = (A.K / factor) ** A.order
+def _check_resolved_regime(K: int, m: float, lambda_range, factor: float):
+    ceiling = (K / factor) ** m
     if lambda_range[1] > ceiling * (1 + 1e-12):
         raise RangeOutsideResolvedRegime(
             f"lambda_max {lambda_range[1]} exceeds the resolved-mode ceiling "
@@ -110,6 +96,10 @@ def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
 
 def _fit_report(kind, parameters, samples, expected_slope, tolerance
                 ) -> ExperimentReport:
+    if len(samples) < 4:
+        # a log-log fit through fewer points makes the r^2 gate (nearly)
+        # vacuous: two points always fit with r^2 = 1
+        raise InsufficientSpan(f"need >= 4 samples to fit, got {len(samples)}")
     scale = max((abs(y) for _, y in samples), default=0.0)
     if scale < DEGENERATE_ZERO_TOL:
         parameters = dict(parameters, degenerate_zero=True)
@@ -129,7 +119,7 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
     m = A.order
     if not 0 <= p <= m:
         raise ValueError(f"need 0 <= p <= m, got p={p}, m={m}")
-    _check_resolved_regime(A, lambda_range)
+    _check_resolved_regime(A.K, m, lambda_range, 4.0)
     _check_ray_clear(A, ray_angle)
     lams = _lambda_samples(lambda_range, n_samples)
     n = A.matrix.shape[0]
@@ -164,7 +154,7 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     m = A.order
     # the gap is supported on the cutoff modes, far from the truncation
     # boundary, so the faithful regime extends to (K/2)^m here
-    _check_resolved_regime(A, lambda_range, factor=2.0)
+    _check_resolved_regime(A.K, m, lambda_range, 2.0)
     _check_ray_clear(A, ray_angle)
     lams = _lambda_samples(lambda_range, n_samples)
     K, N = A.K, A.fiber_dim
@@ -222,9 +212,7 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     # same low-mode support argument as the parametrix gap: ceiling (K/2)^m
-    if lambda_range[1] > (K / 2.0) ** m * (1 + 1e-12):
-        raise RangeOutsideResolvedRegime(
-            f"lambda_max {lambda_range[1]} exceeds (K/2)^m")
+    _check_resolved_regime(K, m, lambda_range, 2.0)
     lams = _lambda_samples(lambda_range, n_samples)
     samples = []
     K2 = 2 * K
@@ -342,6 +330,7 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
 
     Samples whose perturbed operator loses contour clearance are rejected
     and recorded; if every epsilon is rejected, ClearanceLost is raised.
+    Fewer than 4 samples left are refused as InsufficientSpan.
     """
     if isinstance(A, DiscretizedOperator):
         M = A.matrix
@@ -371,8 +360,8 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
         x = eps * x_unit
         samples.append((x, y))
         ratios.append([eps, y / x if x > 0 else float("nan")])
-    if not samples:
-        raise ClearanceLost(rejected[0] if rejected else None)
+    if rejected and not samples:
+        raise ClearanceLost(rejected[0])
     params = {"kind_detail": "perturbation", "s": s,
               "epsilons": [float(e) for e in epsilons],
               "rejected_epsilons": rejected,

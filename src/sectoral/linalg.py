@@ -81,25 +81,21 @@ def solve(A, B) -> np.ndarray:
     if B.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between A and B")
     threshold = PIVOT_REL_THRESHOLD * max(np.abs(A).max(), 1e-300)
-    if _is_upper_triangular(A):
-        min_pivot = np.abs(A.diagonal()).min()
-        if min_pivot < threshold:
-            raise SingularMatrix(min_pivot)
-        X, info = _trtrs(A, B)
+    triangular = _is_upper_triangular(A)
+    lu = A
+    if not triangular:
+        # getrf reports an exact zero pivot via info > 0; the pivot floor
+        # below refuses it together with the nearly singular cases
+        lu, piv, info = _getrf(A)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of trtrs")
-        return X
-    # getrf reports an exact zero pivot via info > 0; the pivot floor below
-    # refuses it together with the nearly singular cases
-    lu, piv, info = _getrf(A)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
+            raise ValueError(f"illegal value in argument {-info} of getrf")
     min_pivot = np.abs(lu.diagonal()).min()
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
-    X, info = _getrs(lu, piv, B)
+    X, info = _trtrs(A, B) if triangular else _getrs(lu, piv, B)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
+        routine = "trtrs" if triangular else "getrs"
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
     return X
 
 

@@ -1,9 +1,9 @@
-"""Named preset library: operators, symbol families, perturbations,
-contours, matrix paths, and sphere-bundle maps.
+"""Named preset library: operators, symbols, perturbations, the standard
+contour, matrix paths, and sphere-bundle maps.
 
 Presets are the only way operators and symbols enter through the CLI;
-arbitrary expressions are out of scope.  Each registry maps a name to a
-factory plus a one-line description for ``list-presets``.
+arbitrary expressions are out of scope.  Each registry maps a name that a
+subcommand accepts to a factory plus a description for ``list-presets``.
 """
 from __future__ import annotations
 
@@ -25,32 +25,10 @@ def symbol_xi() -> SymbolFunction:
     return SymbolFunction(order=1, evaluate=f, principal=f, name="xi")
 
 
-def symbol_abs_xi_m(m: float) -> SymbolFunction:
-    def evaluate(theta, xi):
-        return np.full_like(np.asarray(theta, float),
-                            (1.0 + xi * xi) ** (m / 2.0), dtype=complex)
-
-    def principal(theta, xi):
-        return np.full_like(np.asarray(theta, float), abs(xi) ** m,
-                            dtype=complex)
-
-    return SymbolFunction(order=m, evaluate=evaluate, principal=principal,
-                          name=f"abs_xi_{m}")
-
-
 def symbol_c_theta_times_xi() -> SymbolFunction:
     f = lambda theta, xi: (2.0 + np.cos(theta)) * xi + 0j
     return SymbolFunction(order=1, evaluate=f, principal=f,
                           name="c_theta_times_xi")
-
-
-def symbol_shift(c: complex = 0.3) -> SymbolFunction:
-    f = lambda theta, xi: np.full_like(np.asarray(theta, float), c,
-                                       dtype=complex)
-    zero = lambda theta, xi: np.zeros_like(np.asarray(theta, float),
-                                           dtype=complex)
-    return SymbolFunction(order=0, evaluate=f, principal=zero,
-                          name=f"shift({c})")
 
 
 def symbol_pauli_monopole() -> SymbolFunction:
@@ -64,17 +42,6 @@ def symbol_pauli_monopole() -> SymbolFunction:
     return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
                           fiber_dim=2, name="pauli_monopole")
 
-
-SYMBOL_PRESETS = {
-    "xi": (symbol_xi, "the Fourier variable itself, order 1"),
-    "abs_xi_m": (symbol_abs_xi_m,
-                 "(1+xi^2)^(m/2), elliptic with principal part |xi|^m"),
-    "c_theta_times_xi": (symbol_c_theta_times_xi,
-                         "(2+cos theta) * xi, variable-coefficient order 1"),
-    "shift": (symbol_shift, "constant lower-order shift c (default 0.3)"),
-    "pauli_monopole": (symbol_pauli_monopole,
-                       "xi*(cos theta sigma_x + sin theta sigma_y), 2x2"),
-}
 
 def symbol_pair(pair: str, rho: float):
     """Lambda-dependent symbol families (f, g) for the composition gap,
@@ -195,17 +162,13 @@ PERTURBATION_PRESETS = {
 }
 
 # ---------------------------------------------------------------------------
-# contour presets
+# the standard contour
 
 def contour_imag(R: float = 0.5, **kw) -> ContourSpec:
+    """Sector contour cut along the imaginary axis (rays at +-pi/2); the
+    positive sector is the right half-plane."""
     return make_sector_contour(np.pi / 2, -np.pi / 2, R, **kw)
 
-
-CONTOUR_PRESETS = {
-    "imag": (contour_imag,
-             "sector cut along the imaginary axis (rays at +-pi/2, R=0.5); "
-             "positive sector = right half-plane"),
-}
 
 # ---------------------------------------------------------------------------
 # matrix path presets
@@ -247,19 +210,11 @@ def get_operator(name: str, K: int) -> DiscretizedOperator:
     return OPERATOR_PRESETS[name][0](K)
 
 
-def get_contour(name: str, **kw) -> ContourSpec:
-    if name not in CONTOUR_PRESETS:
-        raise ConfigInvalid("contour", f"unknown contour preset {name!r}")
-    return CONTOUR_PRESETS[name][0](**kw)
-
-
 def describe_presets() -> str:
     """Human-readable registry listing, one line per preset."""
     lines = []
     groups = [("operators", OPERATOR_PRESETS),
-              ("symbols", SYMBOL_PRESETS),
               ("perturbations", PERTURBATION_PRESETS),
-              ("contours", CONTOUR_PRESETS),
               ("paths", PATH_PRESETS),
               ("bundles", BUNDLE_PRESETS)]
     for title, registry in groups:

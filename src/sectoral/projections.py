@@ -100,10 +100,7 @@ def eigen_projection_oracle(A, sector: Callable[[complex], bool],
     on the boundary when the predicate is not constant on a small circle
     around it.
     """
-    A = _matrix_of(A)
-    dec = linalg.eig(A)
-    if dec.condition_estimate > DEFECTIVE_LIMIT:
-        raise TooDefective(dec.condition_estimate)
+    dec = _diagonalization(A)
     probes = boundary_probe * np.exp(2j * np.pi * np.arange(8) / 8)
     flags = []
     for lam in dec.values:

@@ -38,31 +38,6 @@ class SymbolFunction:
     fiber_dim: int = 1
     name: str = ""
 
-    def check_classical(self, K=8, n_theta=32, c_lower=None, rtol=1e-8):
-        """Sampled invariant check: homogeneity of the principal part and
-        order <= m-1 of the remainder.  Raises AssertionError on failure."""
-        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        for xi in (1.0, -1.0, 2.5, -2.5):
-            for r in (1.0, 2.0, 5.0):
-                lhs = np.asarray(self.principal(theta, r * xi))
-                rhs = r**self.order * np.asarray(self.principal(theta, xi))
-                scale = max(np.abs(rhs).max(), 1.0)
-                assert np.abs(lhs - rhs).max() <= rtol * scale, (
-                    f"principal part not homogeneous at xi={xi}, r={r}")
-        if c_lower is None:
-            # infer the remainder constant from moderate xi, then test growth
-            c_lower = 0.0
-            for xi in (2.0, -2.0):
-                rem = np.abs(np.asarray(self.evaluate(theta, xi))
-                             - np.asarray(self.principal(theta, xi))).max()
-                c_lower = max(c_lower, rem / (1 + abs(xi))**(self.order - 1))
-        for xi in (4.0, -4.0, float(K), -float(K)):
-            rem = np.abs(np.asarray(self.evaluate(theta, xi))
-                         - np.asarray(self.principal(theta, xi))).max()
-            bound = max(2.0 * c_lower, rtol) * (1 + abs(xi))**(self.order - 1)
-            assert rem <= bound + rtol, (
-                f"remainder exceeds order m-1 growth at xi={xi}: {rem} > {bound}")
-
 
 @dataclass
 class DiscretizedOperator:
@@ -73,13 +48,6 @@ class DiscretizedOperator:
     order: float
     symbol: Optional[SymbolFunction] = None
     fiber_dim: int = 1
-
-    @property
-    def dim(self) -> int:
-        return self.fiber_dim * (2 * self.K + 1)
-
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from sectoral import presets, topology
 from sectoral.cli import canonical_json, load_config, main
 from sectoral.errors import ConfigInvalid
 
@@ -29,6 +30,20 @@ def test_list_presets_output(capsys):
     assert len(lines) >= 8
     assert any(ln.strip().startswith("dtheta:") for ln in out.splitlines())
     assert any(ln.strip().startswith("monopole:") for ln in out.splitlines())
+    # only what a subcommand accepts is listed, each under the registry
+    # that subcommand looks it up in
+    listed = {}
+    for ln in out.splitlines():
+        if ln.startswith("["):
+            group = listed.setdefault(ln.strip("[]"), [])
+        else:
+            group.append(ln.split(":")[0].strip())
+    assert list(listed) == ["operators", "perturbations", "paths", "bundles"]
+    for name in listed["operators"]:
+        assert presets.get_operator(name, 2).K == 2
+    assert set(listed["perturbations"]) <= set(presets.PERTURBATION_PRESETS)
+    assert set(listed["paths"]) <= set(presets.PATH_PRESETS)
+    assert set(listed["bundles"]) <= set(topology.BUNDLE_PRESETS)
 
 
 def test_project_writes_report(tmp_path, monkeypatch, capsys):
@@ -123,6 +138,12 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys):
     code, _, err = _run(["project", "--R", "nan"],
                         tmp_path, monkeypatch, capsys)
     assert code == 1 and "InvalidRadii" in err
+    # a continuity fit through fewer than 4 epsilons is refused
+    for n_eps in ("2", "1", "0"):
+        code, _, err = _run(["perturb", "--preset", "dtheta_shift", "--K",
+                             "12", "--n-eps", n_eps],
+                            tmp_path, monkeypatch, capsys)
+        assert code == 1 and "InsufficientSpan" in err
 
 
 def test_load_config_merges_sections(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -228,6 +229,9 @@ def test_perturbation_rejects_clearance_loss():
     rep = perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1, 0.5, 0.2], 0.0, c)
     assert rep.parameters["rejected_epsilons"] == [0.5]
     assert len(rep.samples) == 4
+    # a rejection that leaves 3 samples leaves too few to fit
+    with pytest.raises(InsufficientSpan):
+        perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1, 0.5], 0.0, c)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,11 @@ def test_report_serialization_and_pass_flag():
     assert d["pass"] is True
     assert d["fitted_slope"] == -1.0
     assert len(d["samples"]) == 8
+    fields = {f.name for f in dataclasses.fields(ExperimentReport)}
+    assert set(d) == fields | {"pass"}
+    for sample in d["samples"]:
+        assert isinstance(sample, list) and len(sample) == 2
+        assert all(isinstance(v, float) for v in sample)
     # failing slope flips the flag
     rep.fitted_slope = -0.7
     assert not rep.passed

@@ -39,7 +39,7 @@ def test_sectorial_projection_dtheta_modes(imag_contour):
     res = sectorial_projection(A, imag_contour)
     # eigenvalue 0 sits inside the arc bulge and is excluded; modes >= 1
     # are projected onto
-    want = np.diag((A.modes() >= 1).astype(complex))
+    want = np.diag((np.arange(-16, 17) >= 1).astype(complex))
     assert np.allclose(res.P, want, atol=1e-8)
     assert res.rank_estimate == 16
 
@@ -87,7 +87,7 @@ def test_idempotency_and_commutation(imag_contour):
 
 def test_riesz_transform_eigenvalue_map():
     A = presets.op_dtheta(8)
-    H = A.matrix + 0.3 * np.eye(A.dim)
+    H = A.matrix + 0.3 * np.eye(17)
     F = riesz_transform(H)
     k = np.arange(-8, 9) + 0.3
     want = np.sort(k / np.sqrt(1 + k * k))
