@@ -148,7 +148,9 @@ def sector_phi(X, c: ContourSpec, inverse) -> tuple:
     diag = np.einsum("...ii->...i", shifted)
     base = diag.copy()
     phi = np.zeros(X.shape, dtype=complex)
-    for lam, coef in zip(rule.nodes, rule.weights / rule.nodes):
+    # plain Python complex scalars: a numpy scalar costs more per operation
+    for lam, coef in zip(rule.nodes.tolist(),
+                         (rule.weights / rule.nodes).tolist()):
         np.subtract(base, lam, out=diag)
         # scaled in place: one more n x n temporary per node made glibc trim
         # and re-fault the heap top on every node (n = 129: +146k faults)

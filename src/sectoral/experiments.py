@@ -29,6 +29,9 @@ DEGENERATE_ZERO_TOL = 1e-12
 # precision: the exponent is indistinguishable from 0 and goodness-of-fit
 # against the constant power law is reported as exact.
 FLAT_ORDINATE_TOL = 0.05
+# A log-log fit through fewer points makes the r^2 gate (nearly) vacuous:
+# two points always fit with r^2 = 1.
+MIN_FIT_SAMPLES = 4
 
 
 @dataclass
@@ -69,12 +72,19 @@ def fit_loglog(samples) -> tuple:
     return float(slope), float(intercept), float(r2)
 
 
+def _check_fit_samples(count: int):
+    if count < MIN_FIT_SAMPLES:
+        raise InsufficientSpan(
+            f"need >= {MIN_FIT_SAMPLES} samples to fit, got {count}")
+
+
 def _lambda_samples(lambda_range, n_samples=None) -> np.ndarray:
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not 0 < lo < hi:
         raise ValueError("lambda_range must satisfy 0 < min < max")
     if n_samples is None:
-        n_samples = max(4, round(12 * math.log10(hi / lo)))
+        n_samples = max(MIN_FIT_SAMPLES, round(12 * math.log10(hi / lo)))
+    _check_fit_samples(n_samples)
     return np.geomspace(lo, hi, n_samples)
 
 
@@ -96,10 +106,8 @@ def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
 
 def _fit_report(kind, parameters, samples, expected_slope, tolerance
                 ) -> ExperimentReport:
-    if len(samples) < 4:
-        # a log-log fit through fewer points makes the r^2 gate (nearly)
-        # vacuous: two points always fit with r^2 = 1
-        raise InsufficientSpan(f"need >= 4 samples to fit, got {len(samples)}")
+    # checked again after sampling: rejected epsilons can shrink a grid
+    _check_fit_samples(len(samples))
     scale = max((abs(y) for _, y in samples), default=0.0)
     if scale < DEGENERATE_ZERO_TOL:
         parameters = dict(parameters, degenerate_zero=True)
@@ -120,8 +128,8 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
     if not 0 <= p <= m:
         raise ValueError(f"need 0 <= p <= m, got p={p}, m={m}")
     _check_resolved_regime(A.K, m, lambda_range, 4.0)
-    _check_ray_clear(A, ray_angle)
     lams = _lambda_samples(lambda_range, n_samples)
+    _check_ray_clear(A, ray_angle)
     n = A.matrix.shape[0]
     I = np.eye(n, dtype=complex)
     samples = []
@@ -155,8 +163,8 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     # the gap is supported on the cutoff modes, far from the truncation
     # boundary, so the faithful regime extends to (K/2)^m here
     _check_resolved_regime(A.K, m, lambda_range, 2.0)
-    _check_ray_clear(A, ray_angle)
     lams = _lambda_samples(lambda_range, n_samples)
+    _check_ray_clear(A, ray_angle)
     K, N = A.K, A.fiber_dim
     K2 = 2 * K
     big = op_from_symbol(A.symbol, K2)
@@ -328,10 +336,13 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
     behaviour) is a desk-scale refinement of the continuity statement, not
     a claim of the underlying theory.
 
-    Samples whose perturbed operator loses contour clearance are rejected
-    and recorded; if every epsilon is rejected, ClearanceLost is raised.
-    Fewer than 4 samples left are refused as InsufficientSpan.
+    Fewer than MIN_FIT_SAMPLES epsilons are refused as InsufficientSpan
+    before any projection.  Samples whose perturbed operator loses contour
+    clearance are rejected and recorded; if every epsilon is rejected,
+    ClearanceLost is raised, and fewer than MIN_FIT_SAMPLES samples left
+    are refused as InsufficientSpan.
     """
+    _check_fit_samples(len(epsilons))
     if isinstance(A, DiscretizedOperator):
         M = A.matrix
         K, N = A.K, A.fiber_dim

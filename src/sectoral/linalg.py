@@ -9,6 +9,7 @@ boundaries.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,21 @@ _getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
     ("getrf", "getrs", "trtrs"), dtype=np.complex128)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a square complex matrix."""
-    m = np.asarray(a, dtype=complex)
+def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate and return `a` as a square complex matrix."""
+    m = _square(np.asarray(a, dtype=complex))
+    _check_finite(m)
     return m
 
 
@@ -73,23 +82,36 @@ def solve(A, B) -> np.ndarray:
     ``getrs``).  Either way raises SingularMatrix when a pivot falls below
     ``PIVOT_REL_THRESHOLD * max|A|``; the pivots of a triangular A are its
     diagonal, which is also the U that ``getrf`` would return for it.
+
+    A is validated as by `as_matrix`, but in one pass over |A|: NaN and inf
+    propagate through max|A|, so only a non-finite maximum is checked
+    entry by entry (a finite entry whose modulus overflows passes that
+    check and is refused by the pivot floor), and a triangular A's pivots
+    are read from the same |A|.
     """
-    A = as_matrix(A)
+    A = _square(np.asarray(A, dtype=complex))
     if A.size == 0:
         raise ValueError("cannot solve with an empty matrix")
+    mag = np.abs(A)
+    scale = mag.max()
+    if not math.isfinite(scale):
+        _check_finite(A)
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between A and B")
-    threshold = PIVOT_REL_THRESHOLD * max(np.abs(A).max(), 1e-300)
+    threshold = PIVOT_REL_THRESHOLD * max(scale, 1e-300)
     triangular = _is_upper_triangular(A)
-    lu = A
+    if triangular:
+        min_pivot = mag.diagonal().min()
+    # |A| is not held across LAPACK: 2 MB at n = 513
+    del mag
     if not triangular:
         # getrf reports an exact zero pivot via info > 0; the pivot floor
         # below refuses it together with the nearly singular cases
         lu, piv, info = _getrf(A)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of getrf")
-    min_pivot = np.abs(lu.diagonal()).min()
+        min_pivot = np.abs(lu.diagonal()).min()
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
     X, info = _trtrs(A, B) if triangular else _getrs(lu, piv, B)

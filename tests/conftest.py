@@ -43,6 +43,19 @@ def random_diagonalizable(rng, dim=None, cond_max=1e3, min_abs_re=0.7,
     return A, values, V
 
 
+def count_calls(monkeypatch, counts, module, name):
+    """Replace module.name by a wrapper that counts its calls in
+    counts[name]."""
+    fn = getattr(module, name)
+    counts[name] = 0
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 @pytest.fixture
 def imag_contour():
     return make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sectoral import presets
+from sectoral import experiments, linalg, presets
 from sectoral.errors import (ClearanceLost, InsufficientSpan,
                              RangeOutsideResolvedRegime, RayHitsSpectrum)
 from sectoral.experiments import (ExperimentReport, SplitOperator,
@@ -16,6 +16,7 @@ from sectoral.experiments import (ExperimentReport, SplitOperator,
 from sectoral.projections import sectorial_projection
 from sectoral.symbol1d import (CutoffFunction, cutoff_resolvent_symbol,
                                op_from_symbol, sobolev_op_norm)
+from conftest import count_calls
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +38,29 @@ def test_fit_loglog_with_oscillatory_modulation():
     assert r2 >= 0.999
 
 
-def test_fit_loglog_insufficient_span():
+@pytest.fixture
+def heavy_calls(monkeypatch):
+    """Counts of linalg.solve and sectorial_projection calls made through
+    the experiments module."""
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "solve")
+    count_calls(monkeypatch, counts, experiments, "sectorial_projection")
+    return counts
+
+
+def test_fit_loglog_insufficient_span(heavy_calls):
     # a two-point fit always has r^2 = 1, so an experiment refuses fewer
-    # than 4 lambda samples instead of reporting a vacuous pass
+    # than 4 lambda samples instead of reporting a vacuous pass, and it
+    # refuses them before it samples anything
     A = presets.op_dtheta_shift(16)
-    for n in (2, 3):
+    for n in (3, 2, 0, -1):
         with pytest.raises(InsufficientSpan):
             resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
                                        n_samples=n)
+        with pytest.raises(InsufficientSpan):
+            parametrix_gap_experiment(A, CutoffFunction(2.0), np.pi / 2, 0.0,
+                                      (1.0, 4.0), n_samples=n)
+    assert heavy_calls == {"solve": 0, "sectorial_projection": 0}
     rep = resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
                                      n_samples=4)
     assert len(rep.samples) == 4
@@ -218,13 +234,19 @@ def test_perturbation_sign_symmetry():
         assert abs(yp - ym) <= 0.2 * yp
 
 
-def test_perturbation_rejects_clearance_loss():
+def test_perturbation_rejects_clearance_loss(heavy_calls):
     A = np.diag([1.0, -1.0]).astype(complex)
     dA = np.diag([-1.0, 0.0])
     c = presets.contour_imag()  # R = 0.5
-    # eps = 0.5 moves the eigenvalue to 0.5, exactly onto the arc
+    # fewer than 4 epsilons are refused before the first projection
+    with pytest.raises(InsufficientSpan):
+        perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1], 0.0, c)
+    assert heavy_calls == {"solve": 0, "sectorial_projection": 0}
+    # eps = 0.5 moves the eigenvalue to 0.5, exactly onto the arc; every
+    # epsilon of this grid lies within 1e-6 of it
     with pytest.raises(ClearanceLost):
-        perturbation_experiment(A, dA, [0.5], 0.0, c)
+        perturbation_experiment(A, dA, np.linspace(0.5 - 5e-7, 0.5 + 5e-7, 4),
+                                0.0, c)
     # mixed case: the bad epsilon is recorded, the rest fit
     rep = perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1, 0.5, 0.2], 0.0, c)
     assert rep.parameters["rejected_epsilons"] == [0.5]

@@ -172,3 +172,53 @@ def test_solve_one_by_one_stays_on_lu(monkeypatch):
     assert X == pytest.approx(np.array([2.0 / (4.0 - 2.0j)]), rel=1e-15)
     with pytest.raises(SingularMatrix):
         linalg.solve(np.zeros((1, 1)), np.ones(1))
+
+
+def _with_entry(A, index, value):
+    A = np.array(A, dtype=complex)
+    A[index] = value
+    return A
+
+
+_UPPER = np.triu(np.arange(1.0, 10.0).reshape(3, 3)) + 0j
+_FULL = np.arange(1.0, 10.0).reshape(3, 3) + 3 * np.eye(3) + 0j
+_NONFINITE = "matrix entries must be finite"
+
+
+@pytest.mark.parametrize("A, B, error, message", [
+    (_with_entry(_FULL, (1, 2), complex(1.0, np.nan)), np.eye(3),
+     ValueError, _NONFINITE),
+    (_with_entry(_FULL, (0, 1), complex(np.inf, 2.0)), np.eye(3),
+     ValueError, _NONFINITE),
+    # a NaN below the diagonal of an otherwise triangular A
+    (_with_entry(_UPPER, (2, 0), np.nan), np.eye(3), ValueError, _NONFINITE),
+    # the finiteness check comes before the B row check
+    (_with_entry(_FULL, (0, 0), np.inf), np.eye(2), ValueError, _NONFINITE),
+    # finite entries whose modulus overflows: refused by the pivot floor
+    (_with_entry(_UPPER, (0, 2), 1e308 + 1e308j), np.eye(3),
+     SingularMatrix, None),
+    (_with_entry(_FULL, (1, 0), 1e308 + 1e308j), np.eye(3),
+     SingularMatrix, None),
+    (np.zeros((2, 3)), np.eye(2), ValueError,
+     "expected a square matrix, got shape (2, 3)"),
+    (np.ones(3), np.ones(3), ValueError,
+     "expected a square matrix, got shape (3,)"),
+    (np.zeros((0, 0)), np.zeros(0), ValueError,
+     "cannot solve with an empty matrix"),
+    (_FULL, np.ones(2), ValueError, "dimension mismatch between A and B"),
+], ids=["nan_imag", "inf_real", "nan_strict_lower", "inf_before_b_rows",
+        "overflow_triangular", "overflow_full", "non_square", "one_d",
+        "empty", "b_rows"])
+def test_solve_refusals(A, B, error, message, monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a refused matrix reached LAPACK")
+
+    if error is ValueError:
+        for routine in ("_getrf", "_getrs", "_trtrs"):
+            monkeypatch.setattr(linalg, routine, no_lapack)
+    with pytest.raises(error) as exc:
+        linalg.solve(A, B)
+    if message is not None:
+        assert str(exc.value) == message
+    else:
+        assert exc.value.pivot_magnitude < np.inf

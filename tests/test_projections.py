@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectoral import linalg, presets
-from sectoral.contour import quad_nodes, ray_tail_moments
+from sectoral import contour, linalg, presets
+from sectoral.contour import make_sector_contour, quad_nodes, ray_tail_moments
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
                              SpectrumOnContour, TooDefective)
 from sectoral.projections import (aps_projection, complex_power,
                                   eigen_projection_oracle, riesz_transform,
                                   sectorial_projection, wodzicki_residual)
-from conftest import random_diagonalizable
+from conftest import count_calls, random_diagonalizable
 
 
 def test_sectorial_projection_derived_2x2(imag_contour):
@@ -20,6 +20,22 @@ def test_sectorial_projection_derived_2x2(imag_contour):
     assert np.allclose(res.P, [[1.0, 0.5], [0.0, 0.0]], atol=1e-8)
     assert res.rank_estimate == 1
     assert res.resolved
+
+
+@pytest.mark.parametrize("c", [
+    presets.contour_imag(),
+    make_sector_contour(2.9, 0.4, 1.3, panels_ray=5, gauss_order=8),
+], ids=["imag", "sector_2.9_0.4"])
+def test_sectorial_projection_one_solve_per_node(c, monkeypatch):
+    # the contour loop makes exactly one linalg.solve per quadrature node,
+    # from one rule built once
+    nodes = len(quad_nodes(c).nodes)
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "solve")
+    count_calls(monkeypatch, counts, contour, "quad_nodes")
+    A, _, _ = random_diagonalizable(np.random.default_rng(17), dim=6)
+    sectorial_projection(A, c)
+    assert counts == {"solve": nodes, "quad_nodes": 1}
 
 
 def test_sectorial_projection_diagonal(imag_contour):
