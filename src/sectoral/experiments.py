@@ -22,7 +22,8 @@ from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
                        _fibres, choose_rho, cutoff_resolvent_symbol,
-                       op_from_symbol, parametrix_phi0, sobolev_op_norm)
+                       op_from_symbol, parametrix_phi0, sobolev_inverse_norm,
+                       sobolev_op_norm)
 
 DEGENERATE_ZERO_TOL = 1e-12
 # Below this total log-ordinate variation the data is flat to measurement
@@ -130,14 +131,12 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
     _check_resolved_regime(A.K, m, lambda_range, 4.0)
     lams = _lambda_samples(lambda_range, n_samples)
     _check_ray_clear(A, ray_angle)
-    n = A.matrix.shape[0]
-    I = np.eye(n, dtype=complex)
+    I = np.eye(A.matrix.shape[0], dtype=complex)
     samples = []
     for r in lams:
         lam = r * np.exp(1j * ray_angle)
-        R = linalg.solve(A.matrix - lam * I, I)
-        samples.append((float(r),
-                        sobolev_op_norm(R, s, s + p, K=A.K, N=A.fiber_dim)))
+        samples.append((float(r), sobolev_inverse_norm(
+            A.matrix - lam * I, s, s + p, K=A.K, N=A.fiber_dim)))
     params = {"kind_detail": "resolvent_decay", "ray_angle": ray_angle,
               "s": s, "p": p, "m": m, "K": A.K,
               "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
@@ -174,7 +173,7 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     samples = []
     for r in lams:
         lam = r * np.exp(1j * ray_angle)
-        R = linalg.solve(big.matrix - lam * I, I)
+        R = linalg.solve(big.matrix - lam * I, None)
         approx = op_from_symbol(
             cutoff_resolvent_symbol(A.symbol, psi, lam), K2)
         D = (approx.matrix - R)[lo:hi, lo:hi]

@@ -19,12 +19,14 @@ from .errors import NotHermitian, NotPositiveDefinite, SingularMatrix
 
 PIVOT_REL_THRESHOLD = 1e-13
 
-# LAPACK's LU factorization, LU solve and triangular solve, bound once and
-# called directly: solve runs once per quadrature node, where scipy's
-# wrappers around these routines cost more than the factorization of a small
-# matrix.
-_getrf, _getrs, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "trtrs"), dtype=np.complex128)
+# LAPACK's LU factorization, LU solve and inverse, triangular solve and
+# triangular inverse, bound once and called directly: solve runs once per
+# quadrature node, where scipy's wrappers around these routines cost more
+# than the factorization of a small matrix.
+_getrf, _getrs, _getri, _getri_lwork, _trtrs, _trtri = \
+    scipy.linalg.get_lapack_funcs(
+        ("getrf", "getrs", "getri", "getri_lwork", "trtrs", "trtri"),
+        dtype=np.complex128)
 
 
 def _square(m: np.ndarray) -> np.ndarray:
@@ -74,12 +76,14 @@ def _is_upper_triangular(A) -> bool:
 
 
 def solve(A, B) -> np.ndarray:
-    """Solve A X = B.
+    """Solve A X = B, or return A^{-1} when B is None.
 
     An upper-triangular A (every entry below the diagonal exactly zero, as
     for a shifted Schur factor T - lambda I) is solved by back substitution
-    (LAPACK ``trtrs``); every other A by LU with partial pivoting (``getrf``,
-    ``getrs``).  Either way raises SingularMatrix when a pivot falls below
+    (LAPACK ``trtrs``) or inverted by ``trtri``, which returns an upper
+    triangular inverse with exact zeros below the diagonal; every other A
+    goes through LU with partial pivoting (``getrf``, then ``getrs`` or
+    ``getri``).  Either way raises SingularMatrix when a pivot falls below
     ``PIVOT_REL_THRESHOLD * max|A|``; the pivots of a triangular A are its
     diagonal, which is also the U that ``getrf`` would return for it.
 
@@ -87,7 +91,8 @@ def solve(A, B) -> np.ndarray:
     propagate through max|A|, so only a non-finite maximum is checked
     entry by entry (a finite entry whose modulus overflows passes that
     check and is refused by the pivot floor), and a triangular A's pivots
-    are read from the same |A|.
+    are read from the same |A|.  B must be 1-D or 2-D with as many rows as
+    A.
     """
     A = _square(np.asarray(A, dtype=complex))
     if A.size == 0:
@@ -96,9 +101,12 @@ def solve(A, B) -> np.ndarray:
     scale = mag.max()
     if not math.isfinite(scale):
         _check_finite(A)
-    B = np.asarray(B, dtype=complex)
-    if B.shape[0] != A.shape[0]:
-        raise ValueError("dimension mismatch between A and B")
+    if B is not None:
+        B = np.asarray(B, dtype=complex)
+        if B.ndim not in (1, 2):
+            raise ValueError(f"B must be 1-D or 2-D, got shape {B.shape}")
+        if B.shape[0] != A.shape[0]:
+            raise ValueError("dimension mismatch between A and B")
     threshold = PIVOT_REL_THRESHOLD * max(scale, 1e-300)
     triangular = _is_upper_triangular(A)
     if triangular:
@@ -114,11 +122,32 @@ def solve(A, B) -> np.ndarray:
         min_pivot = np.abs(lu.diagonal()).min()
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
-    X, info = _trtrs(A, B) if triangular else _getrs(lu, piv, B)
-    if info < 0:
+    if B is not None:
         routine = "trtrs" if triangular else "getrs"
+        X, info = _trtrs(A, B) if triangular else _getrs(lu, piv, B)
+    elif triangular:
+        routine = "trtri"
+        X, info = _trtri(A)
+    else:
+        routine = "getri"
+        work, info = _getri_lwork(A.shape[0])
+        X, info = _getri(lu, piv, lwork=int(work.real), overwrite_lu=1)
+    if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
     return X
+
+
+def inverse_norm_2(A) -> float:
+    """||A^{-1}||_2 = 1 / sigma_min(A), from one values-only SVD and
+    without forming A^{-1}.  Raises SingularMatrix (carrying sigma_min)
+    when sigma_min <= PIVOT_REL_THRESHOLD * sigma_max."""
+    A = as_matrix(A)
+    if A.size == 0:
+        raise ValueError("cannot invert an empty matrix")
+    sigma = np.linalg.svd(A, compute_uv=False)
+    if sigma[-1] <= PIVOT_REL_THRESHOLD * sigma[0]:
+        raise SingularMatrix(float(sigma[-1]))
+    return float(1.0 / sigma[-1])
 
 
 def eig(A) -> EigenDecomposition:

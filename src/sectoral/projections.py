@@ -72,17 +72,16 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
 
     The integral is evaluated on the complex Schur form M = Z T Z* of A's
     matrix and transformed back once: P = Z P(T) Z*.  Each shifted
-    T - lambda I is upper triangular, so linalg.solve takes it by back
-    substitution instead of an LU factorization per node, and the
-    eigenvalues for the clearance check (a spectrum within CLEARANCE_MIN of
-    c is refused) are the diagonal of T.
+    T - lambda I is upper triangular, so linalg.solve inverts it with one
+    triangular inverse (LAPACK trtri) per node instead of an LU
+    factorization, and the eigenvalues for the clearance check (a spectrum
+    within CLEARANCE_MIN of c is refused) are the diagonal of T.
     """
     T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
     clearance = float(point_contour_distance(np.diag(T), c).min())
     if clearance <= CLEARANCE_MIN:
         raise SpectrumOnContour(clearance)
-    I = np.eye(T.shape[0], dtype=complex)
-    phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, I))
+    phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
     P_T = (-1.0 / (2j * np.pi)) * (T @ phi)
     P = Z @ P_T @ Z.conj().T
     defect = linalg.operator_norm_2(P @ P - P)

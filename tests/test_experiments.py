@@ -6,7 +6,8 @@ import pytest
 
 from sectoral import experiments, linalg, presets
 from sectoral.errors import (ClearanceLost, InsufficientSpan,
-                             RangeOutsideResolvedRegime, RayHitsSpectrum)
+                             RangeOutsideResolvedRegime, RayHitsSpectrum,
+                             SingularMatrix)
 from sectoral.experiments import (ExperimentReport, SplitOperator,
                                   aggregate_seminorm, boundedness_check,
                                   composition_gap_experiment, fit_loglog,
@@ -15,7 +16,8 @@ from sectoral.experiments import (ExperimentReport, SplitOperator,
                                   resolvent_decay_experiment, seminorm_pc)
 from sectoral.projections import sectorial_projection
 from sectoral.symbol1d import (CutoffFunction, cutoff_resolvent_symbol,
-                               op_from_symbol, sobolev_op_norm)
+                               op_from_symbol, sobolev_inverse_norm,
+                               sobolev_op_norm)
 from conftest import count_calls
 
 
@@ -40,10 +42,11 @@ def test_fit_loglog_with_oscillatory_modulation():
 
 @pytest.fixture
 def heavy_calls(monkeypatch):
-    """Counts of linalg.solve and sectorial_projection calls made through
-    the experiments module."""
+    """Counts of linalg.solve, linalg.inverse_norm_2 and
+    sectorial_projection calls made through the experiments module."""
     counts = {}
     count_calls(monkeypatch, counts, linalg, "solve")
+    count_calls(monkeypatch, counts, linalg, "inverse_norm_2")
     count_calls(monkeypatch, counts, experiments, "sectorial_projection")
     return counts
 
@@ -60,10 +63,36 @@ def test_fit_loglog_insufficient_span(heavy_calls):
         with pytest.raises(InsufficientSpan):
             parametrix_gap_experiment(A, CutoffFunction(2.0), np.pi / 2, 0.0,
                                       (1.0, 4.0), n_samples=n)
-    assert heavy_calls == {"solve": 0, "sectorial_projection": 0}
+    assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
+                           "sectorial_projection": 0}
     rep = resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
                                      n_samples=4)
     assert len(rep.samples) == 4
+    # the counter sees the resolvent decay samples: one norm per sample
+    assert heavy_calls["inverse_norm_2"] == 4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_resolvent_decay_norm_matches_formed_inverse(p):
+    # the samples come from 1/sigma_min of the weighted shifted matrix;
+    # they must equal the Sobolev norm of the explicitly formed resolvent
+    A = presets.get_operator("variable_coeff_shift", 16)
+    s = 0.5
+    rep = resolvent_decay_experiment(A, np.pi / 2, s, p, (1.0, 4.0),
+                                     n_samples=4)
+    I = np.eye(A.matrix.shape[0])
+    for r, value in rep.samples:
+        R = linalg.solve(A.matrix - r * np.exp(0.5j * np.pi) * I, None)
+        ref = sobolev_op_norm(R, s, s + p, K=A.K, N=A.fiber_dim)
+        assert value == pytest.approx(ref, rel=1e-12)
+
+
+def test_resolvent_norm_of_singular_shift_raises():
+    M = np.diag(np.arange(-8.0, 9.0)) + 0j  # modes |k| <= 8
+    with pytest.raises(SingularMatrix):
+        sobolev_inverse_norm(M - 2.0 * np.eye(17), 0.0, 1.0, K=8)
+    with pytest.raises(SingularMatrix):
+        linalg.inverse_norm_2(np.zeros((3, 3)))
 
 
 def test_flat_ordinate_reports_perfect_fit():
@@ -241,7 +270,8 @@ def test_perturbation_rejects_clearance_loss(heavy_calls):
     # fewer than 4 epsilons are refused before the first projection
     with pytest.raises(InsufficientSpan):
         perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1], 0.0, c)
-    assert heavy_calls == {"solve": 0, "sectorial_projection": 0}
+    assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
+                           "sectorial_projection": 0}
     # eps = 0.5 moves the eigenvalue to 0.5, exactly onto the arc; every
     # epsilon of this grid lies within 1e-6 of it
     with pytest.raises(ClearanceLost):

@@ -32,12 +32,14 @@ def test_solve_matches_direct_inverse():
 
 def test_solve_raises_on_singular():
     A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    # an exact zero pivot is refused, not warned about
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix) as exc:
-            linalg.solve(A, np.eye(2))
-    assert exc.value.pivot_magnitude < 1e-10
+    # an exact zero pivot is refused, not warned about, by the solve and
+    # by the inverse (B = None)
+    for B in (np.eye(2), None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix) as exc:
+                linalg.solve(A, B)
+        assert exc.value.pivot_magnitude < 1e-10
 
 
 def test_eig_values_sorted_lexicographically():
@@ -151,16 +153,17 @@ def test_solve_upper_triangular_skips_lu(monkeypatch):
 
 
 def test_solve_upper_triangular_tiny_diagonal_raises():
-    U = _upper_triangular(np.random.default_rng(9), 5)
-    U[2, 2] = 1e-15
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix) as exc:
-            linalg.solve(U, np.eye(5))
-    assert exc.value.pivot_magnitude == pytest.approx(1e-15)
-    U[2, 2] = 0.0  # an exact zero never reaches trtrs either
-    with pytest.raises(SingularMatrix):
-        linalg.solve(U, np.eye(5))
+    for B in (np.eye(5), None):  # trtrs and trtri
+        U = _upper_triangular(np.random.default_rng(9), 5)
+        U[2, 2] = 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix) as exc:
+                linalg.solve(U, B)
+        assert exc.value.pivot_magnitude == pytest.approx(1e-15)
+        U[2, 2] = 0.0  # an exact zero never reaches LAPACK either
+        with pytest.raises(SingularMatrix):
+            linalg.solve(U, B)
 
 
 def test_solve_one_by_one_stays_on_lu(monkeypatch):
@@ -206,15 +209,18 @@ _NONFINITE = "matrix entries must be finite"
     (np.zeros((0, 0)), np.zeros(0), ValueError,
      "cannot solve with an empty matrix"),
     (_FULL, np.ones(2), ValueError, "dimension mismatch between A and B"),
+    (np.eye(2), 1.0, ValueError, "B must be 1-D or 2-D, got shape ()"),
+    (np.eye(2), np.ones((2, 2, 2)), ValueError,
+     "B must be 1-D or 2-D, got shape (2, 2, 2)"),
 ], ids=["nan_imag", "inf_real", "nan_strict_lower", "inf_before_b_rows",
         "overflow_triangular", "overflow_full", "non_square", "one_d",
-        "empty", "b_rows"])
+        "empty", "b_rows", "b_scalar", "b_three_d"])
 def test_solve_refusals(A, B, error, message, monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("a refused matrix reached LAPACK")
 
     if error is ValueError:
-        for routine in ("_getrf", "_getrs", "_trtrs"):
+        for routine in ("_getrf", "_getrs", "_getri", "_trtrs", "_trtri"):
             monkeypatch.setattr(linalg, routine, no_lapack)
     with pytest.raises(error) as exc:
         linalg.solve(A, B)
@@ -222,3 +228,44 @@ def test_solve_refusals(A, B, error, message, monkeypatch):
         assert str(exc.value) == message
     else:
         assert exc.value.pivot_magnitude < np.inf
+
+
+def _general(rng, n):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return A + n * np.eye(n)  # diagonally dominant: well conditioned
+
+
+@pytest.mark.parametrize("n, make", [
+    (2, _upper_triangular), (7, _upper_triangular), (20, _upper_triangular),
+    (65, _upper_triangular), (1, _general), (7, _general), (20, _general)])
+def test_solve_without_b_is_the_inverse(n, make):
+    A = make(np.random.default_rng(300 + n), n)
+    for M in (A, np.asfortranarray(A)):
+        X = linalg.solve(M, None)
+        ref = linalg.solve(M, np.eye(n))
+        assert X.shape == (n, n)
+        assert np.linalg.norm(X - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_solve_upper_triangular_inverse_uses_trtri(monkeypatch):
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called for a triangular inverse")
+        return call
+
+    calls = []
+    trtri = linalg._trtri
+
+    def counted_trtri(*args, **kwargs):
+        calls.append(args)
+        return trtri(*args, **kwargs)
+
+    for name in ("_getrf", "_getri", "_trtrs"):
+        monkeypatch.setattr(linalg, name, forbidden(name))
+    monkeypatch.setattr(linalg, "_trtri", counted_trtri)
+    U = _upper_triangular(np.random.default_rng(12), 9)
+    X = linalg.solve(U, None)
+    assert len(calls) == 1
+    assert np.linalg.norm(U @ X - np.eye(9)) <= 1e-13
+    # the inverse of an upper-triangular matrix is exactly upper triangular
+    assert not X[np.tril_indices(9, -1)].any()
