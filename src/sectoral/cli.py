@@ -2,10 +2,11 @@
 run it, and emit JSON (full record) plus CSV (samples) reports.
 
 Exit codes: 0 all pass flags true, 2 a computed pass flag is false,
-1 configuration or numerical error.  Config files are flat INI-style
-key=value files; section names are ignored and keys are merged.  CLI
-flags override config-file keys.  The SECTORAL_OUT environment variable
-overrides the output directory.
+1 usage, configuration or numerical error.  Each subcommand accepts only
+the keys it reads (COMMANDS), as flags or in a config file.  Config files
+are flat INI-style key=value files; section names are ignored and keys
+are merged.  CLI flags override config-file keys.  The SECTORAL_OUT
+environment variable overrides the output directory.
 """
 from __future__ import annotations
 
@@ -26,69 +27,51 @@ from .experiments import (ExperimentReport, composition_gap_experiment,
 from .projections import (sectorial_projection, wodzicki_residual)
 from .symbol1d import CutoffFunction
 
-# keys understood by every subcommand
-COMMON_KEYS = {
-    "preset": "operator/bundle preset name",
-    "K": "Fourier mode cutoff (operator presets)",
-    "R": "contour arc radius override",
-    "lambda_max_contour": "contour ray truncation override",
-    "panels_arc": "quadrature panels on the arc",
-    "panels_ray": "quadrature panels per ray",
-    "gauss_order": "Gauss-Legendre order per panel",
-    "out": "output directory for reports",
-}
 
-COMMAND_KEYS = {
-    "project": {"include_matrix": "embed the projection matrix in the JSON"},
-    "perturb": {"perturbation": "perturbation preset name",
-                "s": "Sobolev index", "eps_min": "smallest epsilon",
-                "eps_max": "largest epsilon", "n_eps": "epsilon sample count"},
-    "resolvent-decay": {"s": "Sobolev index", "p": "norm offset in [0, m]",
-                        "ray_angle": "ray angle in radians",
-                        "lambda_min": "smallest |lambda|",
-                        "lambda_max": "largest |lambda|",
-                        "n_samples": "lambda sample count"},
-    "parametrix": {"s": "Sobolev index", "rho": "cutoff radius",
-                   "ray_angle": "ray angle in radians",
-                   "lambda_min": "smallest |lambda|",
-                   "lambda_max": "largest |lambda|",
-                   "n_samples": "lambda sample count"},
-    "compose-gap": {"pair": "symbol pair preset: resolvent_pair, "
-                            "multiplier_pair, or order_zero_pair",
-                    "s": "Sobolev index", "rho": "cutoff radius",
-                    "lambda_min": "smallest |lambda|",
-                    "lambda_max": "largest |lambda|",
-                    "n_samples": "lambda sample count"},
-    "obstruction": {"level": "icosphere refinement level"},
-    "wodzicki": {"exponent": "power s (real part; purely real here)",
-                 "alpha1": "first branch-cut angle",
-                 "alpha2": "second branch-cut angle"},
-    "spectral-flow": {"path": "matrix path preset name",
-                      "n_path_samples": "path sample count"},
-    "list-presets": {},
-}
+def _boolean(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
-_FLOAT_KEYS = {"R", "lambda_max_contour", "s", "p", "ray_angle",
-               "lambda_min", "lambda_max", "eps_min", "eps_max", "rho",
-               "exponent", "alpha1", "alpha2"}
-_INT_KEYS = {"K", "panels_arc", "panels_ray", "gauss_order", "n_eps",
-             "n_samples", "level", "n_path_samples"}
-_BOOL_KEYS = {"include_matrix"}
+
+# every settable key: the parser of its string value and its help text
+KEYS = {
+    "out": (str, "output directory for reports"),
+    "preset": (str, "operator/bundle preset name"),
+    "K": (int, "Fourier mode cutoff"),
+    "R": (float, "contour arc radius override"),
+    "lambda_max_contour": (float, "contour ray truncation override"),
+    "panels_arc": (int, "quadrature panels on the arc"),
+    "panels_ray": (int, "quadrature panels per ray"),
+    "gauss_order": (int, "Gauss-Legendre order per panel"),
+    "include_matrix": (_boolean, "embed the projection matrix in the JSON"),
+    "perturbation": (str, "perturbation preset name"),
+    "eps_min": (float, "smallest epsilon"),
+    "eps_max": (float, "largest epsilon"),
+    "n_eps": (int, "epsilon sample count"),
+    "pair": (str, "symbol pair preset: resolvent_pair, multiplier_pair, "
+                  "or order_zero_pair"),
+    "s": (float, "Sobolev index"),
+    "p": (float, "norm offset in [0, m]"),
+    "rho": (float, "cutoff radius"),
+    "ray_angle": (float, "ray angle in radians"),
+    "lambda_min": (float, "smallest |lambda|"),
+    "lambda_max": (float, "largest |lambda|"),
+    "n_samples": (int, "lambda sample count"),
+    "level": (int, "icosphere refinement level"),
+    "exponent": (float, "power s (real part; purely real here)"),
+    "alpha1": (float, "first branch-cut angle"),
+    "alpha2": (float, "second branch-cut angle"),
+    "path": (str, "matrix path preset name"),
+    "n_path_samples": (int, "path sample count"),
+}
 
 
 def _coerce(key: str, raw: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw
+        return KEYS[key][0](raw)
     except ValueError:
         raise ConfigInvalid(key, f"cannot parse value {raw!r}")
 
@@ -103,8 +86,7 @@ def load_config(path: str, command: str) -> dict:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigInvalid("config", f"unparsable config: {exc}")
-    known = dict(COMMON_KEYS)
-    known.update(COMMAND_KEYS[command])
+    known = COMMANDS[command][1]
     out = {}
     sections = [parser[s] for s in parser.sections()]
     if parser.defaults():
@@ -249,8 +231,6 @@ def _cmd_compose(opt: dict) -> tuple:
 
 def _cmd_obstruction(opt: dict) -> tuple:
     preset = opt.get("preset", "monopole")
-    if preset not in topology.BUNDLE_PRESETS:
-        raise ConfigInvalid("preset", f"unknown bundle preset {preset!r}")
     rec = topology.obstruction_demo(preset, opt.get("level", 3))
     rec = dict(rec, experiment_kind="obstruction", preset=preset,
                **{"pass": bool(rec["rounding_residual"] < 0.05
@@ -291,71 +271,79 @@ def _cmd_spectral_flow(opt: dict) -> tuple:
     return rec, "spectral_flow", name, None
 
 
-_HANDLERS = {
-    "project": _cmd_project,
-    "perturb": _cmd_perturb,
-    "resolvent-decay": _cmd_resolvent,
-    "parametrix": _cmd_parametrix,
-    "compose-gap": _cmd_compose,
-    "obstruction": _cmd_obstruction,
-    "wodzicki": _cmd_wodzicki,
-    "spectral-flow": _cmd_spectral_flow,
+_CONTOUR = ("R", "lambda_max_contour", "panels_arc", "panels_ray",
+            "gauss_order")
+_SAMPLES = ("s", "lambda_min", "lambda_max", "n_samples")
+
+# each subcommand's handler and the keys it reads
+COMMANDS = {
+    "project": (_cmd_project,
+                ("out", "preset", "K", *_CONTOUR, "include_matrix")),
+    "perturb": (_cmd_perturb,
+                ("out", "preset", "K", *_CONTOUR, "perturbation", "s",
+                 "eps_min", "eps_max", "n_eps")),
+    "resolvent-decay": (_cmd_resolvent,
+                        ("out", "preset", "K", "p", "ray_angle", *_SAMPLES)),
+    "parametrix": (_cmd_parametrix,
+                   ("out", "preset", "K", "rho", "ray_angle", *_SAMPLES)),
+    "compose-gap": (_cmd_compose, ("out", "pair", "K", "rho", *_SAMPLES)),
+    "obstruction": (_cmd_obstruction, ("out", "preset", "level")),
+    "wodzicki": (_cmd_wodzicki,
+                 ("out", "preset", "K", *_CONTOUR, "exponent", "alpha1",
+                  "alpha2")),
+    "spectral-flow": (_cmd_spectral_flow, ("out", "path", "n_path_samples")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ConfigInvalid, so that it exits 1."""
+
+    def error(self, message):
+        raise ConfigInvalid("command line", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sectoral",
         description="Sectorial spectral projections and decay-law "
                     "experiments for matrices and 1-D periodic operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in list(_HANDLERS) + ["list-presets"]:
-        keys = dict(COMMON_KEYS)
-        keys.update(COMMAND_KEYS[command])
-        p = sub.add_parser(command, help=f"run {command}")
-        if command != "list-presets":
-            p.add_argument("--config", help="key=value config file")
-            for key, doc in sorted(keys.items()):
-                flag = "--" + key.replace("_", "-")
-                p.add_argument(flag, dest=key, default=None, help=doc)
+    sub.add_parser("list-presets", help="list every preset name")
+    for command, (_, keys) in COMMANDS.items():
+        # no abbreviations: --lambda-max must not stand for another key
+        p = sub.add_parser(command, help=f"run {command}",
+                           allow_abbrev=False)
+        p.add_argument("--config", help="key=value config file")
+        for key in sorted(keys):
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=KEYS[key][1])
     return parser
 
 
-def run(command: str, opt: dict) -> int:
-    if command == "list-presets":
-        sys.stdout.write(presets.describe_presets())
-        return 0
-    rec, kind, preset, samples = _HANDLERS[command](opt)
-    out_dir = os.environ.get("SECTORAL_OUT") or opt.get("out") or "."
-    path = _write_reports(rec, kind, preset, out_dir, samples)
-    ok = bool(rec.get("pass", True))
-    print(f"{kind} [{preset}]: {'pass' if ok else 'FAIL'} -> {path}")
-    return 0 if ok else 2
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
     try:
-        opt = {}
-        if command != "list-presets":
-            if getattr(args, "config", None):
-                opt.update(load_config(args.config, command))
-            known = dict(COMMON_KEYS)
-            known.update(COMMAND_KEYS[command])
-            for key in known:
-                raw = getattr(args, key, None)
-                if raw is not None:
-                    opt[key] = _coerce(key, raw) if isinstance(raw, str) \
-                        else raw
-        return run(command, opt)
-    except (SectoralError, ConfigInvalid) as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "list-presets":
+            sys.stdout.write(presets.describe_presets())
+            return 0
+        handler, keys = COMMANDS[args.command]
+        opt = load_config(args.config, args.command) if args.config else {}
+        for key in keys:
+            raw = getattr(args, key)
+            if raw is not None:
+                opt[key] = _coerce(key, raw)
+        rec, kind, preset, samples = handler(opt)
+        out_dir = os.environ.get("SECTORAL_OUT") or opt.get("out") or "."
+        path = _write_reports(rec, kind, preset, out_dir, samples)
+    except SectoralError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    ok = bool(rec.get("pass", True))
+    print(f"{kind} [{preset}]: {'pass' if ok else 'FAIL'} -> {path}")
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -173,10 +173,11 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     samples = []
     for r in lams:
         lam = r * np.exp(1j * ray_angle)
-        R = linalg.solve(big.matrix - lam * I, None)
+        # only the window's columns of the resolvent are solved for
+        R = linalg.solve(big.matrix - lam * I, I[:, lo:hi])[lo:hi]
         approx = op_from_symbol(
             cutoff_resolvent_symbol(A.symbol, psi, lam), K2)
-        D = (approx.matrix - R)[lo:hi, lo:hi]
+        D = approx.matrix[lo:hi, lo:hi] - R
         samples.append((float(r), sobolev_op_norm(D, s, s + m, K=K, N=N)))
     params = {"kind_detail": "parametrix_gap", "ray_angle": ray_angle,
               "s": s, "m": m, "K": A.K, "rho": psi.rho,

@@ -19,14 +19,12 @@ from .errors import NotHermitian, NotPositiveDefinite, SingularMatrix
 
 PIVOT_REL_THRESHOLD = 1e-13
 
-# LAPACK's LU factorization, LU solve and inverse, triangular solve and
-# triangular inverse, bound once and called directly: solve runs once per
-# quadrature node, where scipy's wrappers around these routines cost more
-# than the factorization of a small matrix.
-_getrf, _getrs, _getri, _getri_lwork, _trtrs, _trtri = \
-    scipy.linalg.get_lapack_funcs(
-        ("getrf", "getrs", "getri", "getri_lwork", "trtrs", "trtri"),
-        dtype=np.complex128)
+# LAPACK's LU factorization and LU solve, and the triangular inverse, bound
+# once and called directly: solve runs once per quadrature node, where
+# scipy's wrappers around these routines cost more than the factorization
+# of a small matrix.
+_getrf, _getrs, _trtri = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "trtri"), dtype=np.complex128)
 
 
 def _square(m: np.ndarray) -> np.ndarray:
@@ -78,14 +76,14 @@ def _is_upper_triangular(A) -> bool:
 def solve(A, B) -> np.ndarray:
     """Solve A X = B, or return A^{-1} when B is None.
 
-    An upper-triangular A (every entry below the diagonal exactly zero, as
-    for a shifted Schur factor T - lambda I) is solved by back substitution
-    (LAPACK ``trtrs``) or inverted by ``trtri``, which returns an upper
-    triangular inverse with exact zeros below the diagonal; every other A
-    goes through LU with partial pivoting (``getrf``, then ``getrs`` or
-    ``getri``).  Either way raises SingularMatrix when a pivot falls below
-    ``PIVOT_REL_THRESHOLD * max|A|``; the pivots of a triangular A are its
-    diagonal, which is also the U that ``getrf`` would return for it.
+    The inverse of an upper-triangular A (every entry below the diagonal
+    exactly zero, as for a shifted Schur factor T - lambda I) comes from
+    LAPACK ``trtri``, with exact zeros below the diagonal; everything else
+    goes through LU with partial pivoting (``getrf``, then ``getrs``,
+    against I when B is None).  Either way raises SingularMatrix when a
+    pivot falls below ``PIVOT_REL_THRESHOLD * max|A|``; the pivots of a
+    triangular A are its diagonal, which is also the U that ``getrf``
+    would return for it.
 
     A is validated as by `as_matrix`, but in one pass over |A|: NaN and inf
     propagate through max|A|, so only a non-finite maximum is checked
@@ -108,7 +106,7 @@ def solve(A, B) -> np.ndarray:
         if B.shape[0] != A.shape[0]:
             raise ValueError("dimension mismatch between A and B")
     threshold = PIVOT_REL_THRESHOLD * max(scale, 1e-300)
-    triangular = _is_upper_triangular(A)
+    triangular = B is None and _is_upper_triangular(A)
     if triangular:
         min_pivot = mag.diagonal().min()
     # |A| is not held across LAPACK: 2 MB at n = 513
@@ -122,16 +120,14 @@ def solve(A, B) -> np.ndarray:
         min_pivot = np.abs(lu.diagonal()).min()
     if min_pivot < threshold:
         raise SingularMatrix(min_pivot)
-    if B is not None:
-        routine = "trtrs" if triangular else "getrs"
-        X, info = _trtrs(A, B) if triangular else _getrs(lu, piv, B)
-    elif triangular:
+    if triangular:
         routine = "trtri"
         X, info = _trtri(A)
     else:
-        routine = "getri"
-        work, info = _getri_lwork(A.shape[0])
-        X, info = _getri(lu, piv, lwork=int(work.real), overwrite_lu=1)
+        routine = "getrs"
+        if B is None:
+            B = np.eye(A.shape[0], dtype=complex)
+        X, info = _getrs(lu, piv, B)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
     return X

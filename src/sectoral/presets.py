@@ -1,5 +1,6 @@
 """Named preset library: operators, symbols, perturbations, the standard
-contour, matrix paths, and sphere-bundle maps.
+contour and matrix paths; ``list-presets`` also lists the sphere bundles
+of ``topology.BUNDLE_PRESETS``.
 
 Presets are the only way operators and symbols enter through the CLI;
 arbitrary expressions are out of scope.  Each registry maps a name that a
@@ -193,17 +194,6 @@ PATH_PRESETS = {
              "closed loop diag(1 + 0.5 e^{2 pi i t}, -1); flow 0"),
 }
 
-_BUNDLE_DESC = {
-    "monopole": "P(xi) = (I + xi.sigma)/2; Chern number +1, obstructed",
-    "antimonopole": "P(xi) = (I - xi.sigma)/2; Chern number -1, obstructed",
-    "trivial": "constant rank-1 projector; Chern number 0, extendable",
-}
-BUNDLE_PRESETS = {
-    name: (fn, _BUNDLE_DESC.get(name, f"fiber dim {N}"))
-    for name, (fn, N) in topology.BUNDLE_PRESETS.items()
-}
-
-
 def get_operator(name: str, K: int) -> DiscretizedOperator:
     if name not in OPERATOR_PRESETS:
         raise ConfigInvalid("preset", f"unknown operator preset {name!r}")
@@ -216,7 +206,7 @@ def describe_presets() -> str:
     groups = [("operators", OPERATOR_PRESETS),
               ("perturbations", PERTURBATION_PRESETS),
               ("paths", PATH_PRESETS),
-              ("bundles", BUNDLE_PRESETS)]
+              ("bundles", topology.BUNDLE_PRESETS)]
     for title, registry in groups:
         lines.append(f"[{title}]")
         for name, (_, desc) in sorted(registry.items()):

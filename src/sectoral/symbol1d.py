@@ -136,29 +136,20 @@ def _weight_vector(K: int, s: float, N: int = 1) -> np.ndarray:
     return np.repeat((1.0 + k.astype(float)**2) ** (s / 2.0), N)
 
 
-def _sobolev_weighted(T, s: float, t: float, K: int, N: int) -> np.ndarray:
-    """W_t T W_s^{-1} for a DiscretizedOperator or a matrix on modes
-    |k| <= K with fibre dimension N."""
-    if isinstance(T, DiscretizedOperator):
-        M, K, N = T.matrix, T.K, T.fiber_dim
-    else:
-        M = np.asarray(T, dtype=complex)
-        if K is None:
-            if M.shape[0] % N:
-                raise ValueError("matrix dimension incompatible with fiber dim")
-            K = (M.shape[0] // N - 1) // 2
+def _sobolev_weighted(M, s: float, t: float, K: int, N: int) -> np.ndarray:
+    """W_t M W_s^{-1} for a matrix on modes |k| <= K with fibre dimension
+    N."""
     wt = _weight_vector(K, t, N)
     ws = _weight_vector(K, s, N)
-    return M * wt[:, None] / ws[None, :]
+    return np.asarray(M, dtype=complex) * wt[:, None] / ws[None, :]
 
 
-def sobolev_op_norm(T, s: float, t: float, K: int = None, N: int = 1) -> float:
+def sobolev_op_norm(T, s: float, t: float, K: int, N: int = 1) -> float:
     """The discrete ||T||_{s,t} = ||W_t T W_s^{-1}||_2."""
     return linalg.operator_norm_2(_sobolev_weighted(T, s, t, K, N))
 
 
-def sobolev_inverse_norm(T, s: float, t: float, K: int = None,
-                         N: int = 1) -> float:
+def sobolev_inverse_norm(T, s: float, t: float, K: int, N: int = 1) -> float:
     """The discrete ||T^{-1}||_{s,t} = 1 / sigma_min(W_s T W_t^{-1}),
     without forming T^{-1}; a numerically singular T is refused by
     linalg.inverse_norm_2."""

@@ -239,9 +239,12 @@ def trivial_projector(xi: np.ndarray) -> np.ndarray:
 
 
 BUNDLE_PRESETS = {
-    "monopole": (monopole_projector, 2),
-    "antimonopole": (antimonopole_projector, 2),
-    "trivial": (trivial_projector, 2),
+    "monopole": (monopole_projector,
+                 "P(xi) = (I + xi.sigma)/2; Chern number +1, obstructed"),
+    "antimonopole": (antimonopole_projector,
+                     "P(xi) = (I - xi.sigma)/2; Chern number -1, obstructed"),
+    "trivial": (trivial_projector,
+                "constant rank-1 projector; Chern number 0, extendable"),
 }
 
 
@@ -254,8 +257,8 @@ def obstruction_demo(preset: str, level: int = 3) -> dict:
     if preset not in BUNDLE_PRESETS:
         raise ValueError(f"unknown bundle preset {preset!r}; "
                          f"choose from {sorted(BUNDLE_PRESETS)}")
-    proj, N = BUNDLE_PRESETS[preset]
-    sample = bundle_from_map(proj, level)
+    sample = bundle_from_map(BUNDLE_PRESETS[preset][0], level)
+    N = sample.projectors.shape[-1]
     values = np.linalg.eigvals(2.0 * sample.projectors - np.eye(N))
     spec_ok = bool(np.allclose(np.abs(values), 1.0, atol=1e-9)
                    and np.abs(values.real).min() >= 0.5)

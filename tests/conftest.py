@@ -2,8 +2,9 @@
 import os
 
 # One BLAS thread, set before numpy loads its BLAS: the contour quadrature
-# makes hundreds of tiny LU solves per projection, which a threaded BLAS
-# slows down, the more so when other jobs share the cores.
+# runs one small triangular inverse (trtri) per node, hundreds per
+# projection, which a threaded BLAS slows down, the more so when other jobs
+# share the cores.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -1,10 +1,14 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sectoral import presets, topology
-from sectoral.cli import canonical_json, load_config, main
+from sectoral.cli import (COMMANDS, KEYS, build_parser, canonical_json,
+                          load_config, main)
 from sectoral.errors import ConfigInvalid
 
 
@@ -184,3 +188,53 @@ def test_canonical_json_deterministic(tmp_path, monkeypatch, capsys):
     assert canonical_json(recs[0]) == canonical_json(recs[1])
     # the timestamps themselves may differ and are excluded on purpose
     assert "timestamp" not in json.loads(canonical_json(recs[0]))
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_exactly_the_command_keys(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", out))
+    keys = COMMANDS[command][1]
+    assert listed == {"--help", "--config"} | {_flag(k) for k in keys}
+    # every other key is a usage error, refused before anything runs
+    for key in sorted(set(KEYS) - set(keys)):
+        assert main([command, _flag(key), "1"]) == 1
+        assert "ConfigInvalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("resolvent-decay", "R", "1"), ("spectral-flow", "K", "5"),
+    ("compose-gap", "preset", "x")])
+def test_ignored_key_exits_1(command, key, value, tmp_path, monkeypatch,
+                             capsys):
+    code, _, err = _run([command, _flag(key), value], tmp_path, monkeypatch,
+                        capsys)
+    assert code == 1 and "ConfigInvalid" in err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key} = {value}\n")
+    code, _, err = _run([command, "--config", str(cfg)], tmp_path,
+                        monkeypatch, capsys)
+    assert code == 1 and "ConfigInvalid" in err and key in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
+    for argv in (["project", "--bogus", "1"], [], ["no-such-command"],
+                 ["project", "--K"], ["project", "--lambda-max", "5"]):
+        code, _, err = _run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 1 and "ConfigInvalid" in err, argv
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = {build_parser().parse_args(shlex.split(line)[1:]).command
+                for line in block.splitlines() if line.startswith("sectoral ")}
+    assert commands == set(COMMANDS) | {"list-presets"}

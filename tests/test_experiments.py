@@ -87,6 +87,26 @@ def test_resolvent_decay_norm_matches_formed_inverse(p):
         assert value == pytest.approx(ref, rel=1e-12)
 
 
+def test_parametrix_gap_matches_formed_inverse():
+    # the samples solve only for the window's columns of the resolvent;
+    # they must equal the gap computed from the full formed inverse
+    A = presets.get_operator("variable_coeff_shift", 16)
+    psi = CutoffFunction(2.0)
+    rep = parametrix_gap_experiment(A, psi, np.pi / 2, 0.0, (1.0, 4.0),
+                                    n_samples=4)
+    K2, m = 2 * A.K, A.order
+    big = op_from_symbol(A.symbol, K2).matrix
+    I = np.eye(big.shape[0])
+    lo, hi = K2 - A.K, K2 + A.K + 1
+    for r, value in rep.samples:
+        lam = r * np.exp(0.5j * np.pi)
+        R = np.linalg.inv(big - lam * I)
+        approx = op_from_symbol(cutoff_resolvent_symbol(A.symbol, psi, lam),
+                                K2).matrix
+        ref = sobolev_op_norm((approx - R)[lo:hi, lo:hi], 0.0, m, K=A.K)
+        assert value == pytest.approx(ref, rel=1e-12)
+
+
 def test_resolvent_norm_of_singular_shift_raises():
     M = np.diag(np.arange(-8.0, 9.0)) + 0j  # modes |k| <= 8
     with pytest.raises(SingularMatrix):

@@ -145,15 +145,15 @@ def test_solve_upper_triangular_skips_lu(monkeypatch):
 
     monkeypatch.setattr(linalg, "_getrf", no_lu)
     U = _upper_triangular(np.random.default_rng(5), 6)
-    X = linalg.solve(U, np.eye(6))
+    X = linalg.solve(U, None)
     assert np.linalg.norm(U @ X - np.eye(6)) <= 1e-13
     # lower triangular input is not mistaken for upper triangular
     with pytest.raises(AssertionError):
-        linalg.solve(U.T, np.eye(6))
+        linalg.solve(U.T, None)
 
 
 def test_solve_upper_triangular_tiny_diagonal_raises():
-    for B in (np.eye(5), None):  # trtrs and trtri
+    for B in (np.eye(5), None):  # getrf and trtri
         U = _upper_triangular(np.random.default_rng(9), 5)
         U[2, 2] = 1e-15
         with warnings.catch_warnings():
@@ -161,18 +161,20 @@ def test_solve_upper_triangular_tiny_diagonal_raises():
             with pytest.raises(SingularMatrix) as exc:
                 linalg.solve(U, B)
         assert exc.value.pivot_magnitude == pytest.approx(1e-15)
-        U[2, 2] = 0.0  # an exact zero never reaches LAPACK either
+        U[2, 2] = 0.0  # an exact zero is refused as well
         with pytest.raises(SingularMatrix):
             linalg.solve(U, B)
 
 
 def test_solve_one_by_one_stays_on_lu(monkeypatch):
-    def no_trtrs(*args, **kwargs):
-        raise AssertionError("trtrs called on a 1 x 1 matrix")
+    def no_trtri(*args, **kwargs):
+        raise AssertionError("trtri called on a 1 x 1 matrix")
 
-    monkeypatch.setattr(linalg, "_trtrs", no_trtrs)
+    monkeypatch.setattr(linalg, "_trtri", no_trtri)
     X = linalg.solve(np.array([[4.0 - 2.0j]]), np.array([2.0]))
     assert X == pytest.approx(np.array([2.0 / (4.0 - 2.0j)]), rel=1e-15)
+    X = linalg.solve(np.array([[4.0 - 2.0j]]), None)
+    assert X == pytest.approx(np.array([[1.0 / (4.0 - 2.0j)]]), rel=1e-15)
     with pytest.raises(SingularMatrix):
         linalg.solve(np.zeros((1, 1)), np.ones(1))
 
@@ -220,7 +222,7 @@ def test_solve_refusals(A, B, error, message, monkeypatch):
         raise AssertionError("a refused matrix reached LAPACK")
 
     if error is ValueError:
-        for routine in ("_getrf", "_getrs", "_getri", "_trtrs", "_trtri"):
+        for routine in ("_getrf", "_getrs", "_trtri"):
             monkeypatch.setattr(linalg, routine, no_lapack)
     with pytest.raises(error) as exc:
         linalg.solve(A, B)
@@ -260,7 +262,7 @@ def test_solve_upper_triangular_inverse_uses_trtri(monkeypatch):
         calls.append(args)
         return trtri(*args, **kwargs)
 
-    for name in ("_getrf", "_getri", "_trtrs"):
+    for name in ("_getrf", "_getrs"):
         monkeypatch.setattr(linalg, name, forbidden(name))
     monkeypatch.setattr(linalg, "_trtri", counted_trtri)
     U = _upper_triangular(np.random.default_rng(12), 9)
