@@ -51,8 +51,7 @@ KEYS = {
     "eps_min": (float, "smallest epsilon"),
     "eps_max": (float, "largest epsilon"),
     "n_eps": (int, "epsilon sample count"),
-    "pair": (str, "symbol pair preset: resolvent_pair, multiplier_pair, "
-                  "or order_zero_pair"),
+    "pair": (str, "composition-gap symbol pair preset name"),
     "s": (float, "Sobolev index"),
     "p": (float, "norm offset in [0, m]"),
     "rho": (float, "cutoff radius"),
@@ -65,7 +64,6 @@ KEYS = {
     "alpha1": (float, "first branch-cut angle"),
     "alpha2": (float, "second branch-cut angle"),
     "path": (str, "matrix path preset name"),
-    "n_path_samples": (int, "path sample count"),
 }
 
 
@@ -177,9 +175,7 @@ def _cmd_perturb(opt: dict) -> tuple:
     pert = opt.get("perturbation", "cos_theta_lower")
     K = opt.get("K", 32)
     A = presets.get_operator(preset, K)
-    if pert not in presets.PERTURBATION_PRESETS:
-        raise ConfigInvalid("perturbation", f"unknown preset {pert!r}")
-    dA = presets.PERTURBATION_PRESETS[pert][0](K)
+    dA = presets.lookup("perturbations", "perturbation", pert)(K)
     eps = np.geomspace(opt.get("eps_min", 1e-4), opt.get("eps_max", 1e-1),
                        opt.get("n_eps", 13))
     c = _build_contour(opt)
@@ -219,8 +215,8 @@ def _cmd_parametrix(opt: dict) -> tuple:
 def _cmd_compose(opt: dict) -> tuple:
     pair = opt.get("pair", "resolvent_pair")
     K = opt.get("K", 128)
-    f_family, g_family, r, m, tol = presets.symbol_pair(pair,
-                                                        opt.get("rho", 1.0))
+    f_family, g_family, r, m, tol = presets.lookup("pairs", "pair", pair)(
+        opt.get("rho", 1.0))
     rep = composition_gap_experiment(
         f_family, g_family, r, m, opt.get("s", 0.0),
         (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
@@ -231,10 +227,12 @@ def _cmd_compose(opt: dict) -> tuple:
 
 def _cmd_obstruction(opt: dict) -> tuple:
     preset = opt.get("preset", "monopole")
-    rec = topology.obstruction_demo(preset, opt.get("level", 3))
+    proj = presets.lookup("bundles", "preset", preset)
+    rec = topology.obstruction_demo(proj, opt.get("level", 3))
+    ok = (rec["rounding_residual"] < topology.ROUNDING_LIMIT
+          and rec["hyperbolic_everywhere"])
     rec = dict(rec, experiment_kind="obstruction", preset=preset,
-               **{"pass": bool(rec["rounding_residual"] < 0.05
-                               and rec["hyperbolic_everywhere"])})
+               **{"pass": bool(ok)})
     return rec, "obstruction", preset, None
 
 
@@ -261,13 +259,9 @@ def _cmd_wodzicki(opt: dict) -> tuple:
 
 def _cmd_spectral_flow(opt: dict) -> tuple:
     name = opt.get("path", "crossing")
-    if name not in presets.PATH_PRESETS:
-        raise ConfigInvalid("path", f"unknown path preset {name!r}")
-    f = presets.PATH_PRESETS[name][0]
-    path = topology.sample_path(f, opt.get("n_path_samples", 33))
-    flow = topology.spectral_flow(path)
+    flow = topology.spectral_flow(presets.lookup("paths", "path", name))
     rec = {"experiment_kind": "spectral_flow", "preset": name,
-           "flow": int(flow), "n_samples": len(path.samples), "pass": True}
+           "flow": int(flow), "pass": True}
     return rec, "spectral_flow", name, None
 
 
@@ -291,7 +285,7 @@ COMMANDS = {
     "wodzicki": (_cmd_wodzicki,
                  ("out", "preset", "K", *_CONTOUR, "exponent", "alpha1",
                   "alpha2")),
-    "spectral-flow": (_cmd_spectral_flow, ("out", "path", "n_path_samples")),
+    "spectral-flow": (_cmd_spectral_flow, ("out", "path")),
 }
 
 

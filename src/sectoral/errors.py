@@ -63,10 +63,6 @@ class EigenvalueOnAxis(SectoralError):
     pass
 
 
-class EndpointOnAxis(SectoralError):
-    pass
-
-
 class SymbolSingular(SectoralError):
     def __init__(self, theta, xi):
         self.theta = theta

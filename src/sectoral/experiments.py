@@ -319,11 +319,10 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
     return {"p": p, "lower_norm": lower_norms}
 
 
-def aggregate_seminorm(D: SplitOperator, j_max: int = 2,
-                       k_list: Sequence[int] = (0,)) -> float:
-    """Max over the configured finite seminorm family; one abscissa for the
-    continuity experiment."""
-    sem = seminorm_pc(D, k_list, j_max)
+def aggregate_seminorm(D: SplitOperator) -> float:
+    """Max over the finite seminorm family p_0..p_2 and the lower-part norm
+    at k = 0; one abscissa for the continuity experiment."""
+    sem = seminorm_pc(D, (0,), 2)
     vals = list(sem["p"].values()) + list(sem["lower_norm"].values())
     return max(vals) if vals else 0.0
 

@@ -1,10 +1,11 @@
-"""Named preset library: operators, symbols, perturbations, the standard
-contour and matrix paths; ``list-presets`` also lists the sphere bundles
-of ``topology.BUNDLE_PRESETS``.
+"""Named preset library: operators, symbols, perturbations, composition-gap
+symbol pairs, the standard contour and matrix paths.
 
 Presets are the only way operators and symbols enter through the CLI;
 arbitrary expressions are out of scope.  Each registry maps a name that a
-subcommand accepts to a factory plus a description for ``list-presets``.
+subcommand accepts to a factory plus a description for ``list-presets``;
+``REGISTRIES`` holds them all, the sphere bundles of
+``topology.BUNDLE_PRESETS`` included, and ``lookup`` resolves a name.
 """
 from __future__ import annotations
 
@@ -42,50 +43,6 @@ def symbol_pauli_monopole() -> SymbolFunction:
 
     return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
                           fiber_dim=2, name="pauli_monopole")
-
-
-def symbol_pair(pair: str, rho: float):
-    """Lambda-dependent symbol families (f, g) for the composition gap,
-    with the order r of f, the order m of the resolvent, and the slope
-    tolerance: returns (f_family, g_family, r, m, tolerance)."""
-    am = symbol_c_theta_times_xi()
-    psi = CutoffFunction(rho)
-
-    def g_family(lam):
-        return cutoff_resolvent_symbol(am, psi, lam)
-
-    if pair == "resolvent_pair":
-        def f_family(lam):
-            ev = lambda theta, xi: np.asarray(am.evaluate(theta, xi)) - lam
-            return SymbolFunction(order=1, evaluate=ev,
-                                  principal=am.principal, name="a_m-lam")
-        return f_family, g_family, 1.0, 1.0, 0.15
-    if pair == "multiplier_pair":
-        def f_family(lam):
-            ev = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                                xi - lam, dtype=complex)
-            pr = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                                xi, dtype=complex)
-            return SymbolFunction(order=1, evaluate=ev, principal=pr,
-                                  name="xi-lam")
-
-        def g2_family(lam):
-            ev = lambda theta, xi: np.full_like(
-                np.asarray(theta, float), psi(xi) / (xi - lam),
-                dtype=complex)
-            return SymbolFunction(order=-1, evaluate=ev, principal=ev,
-                                  name="psi/(xi-lam)")
-        return f_family, g2_family, 1.0, 1.0, 0.15
-    if pair == "order_zero_pair":
-        def f_family(lam):
-            g = cutoff_resolvent_symbol(am, psi, lam)
-            phase = lambda theta: np.exp(1j * np.asarray(theta, float))
-            ev = lambda theta, xi: g.evaluate(theta, xi) * phase(theta) * xi
-            pr = lambda theta, xi: g.principal(theta, xi) * phase(theta) * xi
-            return SymbolFunction(order=0, evaluate=ev, principal=pr,
-                                  name="r_psi*b")
-        return f_family, g_family, 0.0, 1.0, 0.2
-    raise ConfigInvalid("pair", f"unknown symbol pair {pair!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +120,71 @@ PERTURBATION_PRESETS = {
 }
 
 # ---------------------------------------------------------------------------
+# composition-gap symbol pairs (factories take the cutoff radius rho and
+# return the lambda-dependent families f and g, the order r of f, the order
+# m of the resolvent and the slope tolerance: (f, g, r, m, tolerance))
+
+def _cutoff_resolvent_family(rho: float):
+    am = symbol_c_theta_times_xi()
+    psi = CutoffFunction(rho)
+    return lambda lam: cutoff_resolvent_symbol(am, psi, lam)
+
+
+def pair_resolvent(rho: float) -> tuple:
+    am = symbol_c_theta_times_xi()
+
+    def f_family(lam):
+        ev = lambda theta, xi: np.asarray(am.evaluate(theta, xi)) - lam
+        return SymbolFunction(order=1, evaluate=ev, principal=am.principal,
+                              name="a_m-lam")
+    return f_family, _cutoff_resolvent_family(rho), 1.0, 1.0, 0.15
+
+
+def pair_multiplier(rho: float) -> tuple:
+    psi = CutoffFunction(rho)
+
+    def f_family(lam):
+        ev = lambda theta, xi: np.full_like(np.asarray(theta, float),
+                                            xi - lam, dtype=complex)
+        pr = lambda theta, xi: np.full_like(np.asarray(theta, float),
+                                            xi, dtype=complex)
+        return SymbolFunction(order=1, evaluate=ev, principal=pr,
+                              name="xi-lam")
+
+    def g_family(lam):
+        ev = lambda theta, xi: np.full_like(
+            np.asarray(theta, float), psi(xi) / (xi - lam), dtype=complex)
+        return SymbolFunction(order=-1, evaluate=ev, principal=ev,
+                              name="psi/(xi-lam)")
+    return f_family, g_family, 1.0, 1.0, 0.15
+
+
+def pair_order_zero(rho: float) -> tuple:
+    g_family = _cutoff_resolvent_family(rho)
+    phase = lambda theta: np.exp(1j * np.asarray(theta, float))
+
+    def f_family(lam):
+        g = g_family(lam)
+        ev = lambda theta, xi: g.evaluate(theta, xi) * phase(theta) * xi
+        pr = lambda theta, xi: g.principal(theta, xi) * phase(theta) * xi
+        return SymbolFunction(order=0, evaluate=ev, principal=pr,
+                              name="r_psi*b")
+    return f_family, g_family, 0.0, 1.0, 0.2
+
+
+PAIR_PRESETS = {
+    "resolvent_pair": (pair_resolvent,
+                       "f = (2+cos theta) xi - lambda, g = its cutoff "
+                       "resolvent symbol; gap slope -1"),
+    "multiplier_pair": (pair_multiplier,
+                        "f = xi - lambda, g = psi(xi)/(xi - lambda): "
+                        "commuting multipliers, gap identically 0"),
+    "order_zero_pair": (pair_order_zero,
+                        "f = g e^{i theta} xi of order 0, g = the cutoff "
+                        "resolvent symbol; gap slope -1"),
+}
+
+# ---------------------------------------------------------------------------
 # the standard contour
 
 def contour_imag(R: float = 0.5, **kw) -> ContourSpec:
@@ -194,20 +216,34 @@ PATH_PRESETS = {
              "closed loop diag(1 + 0.5 e^{2 pi i t}, -1); flow 0"),
 }
 
+# every name a subcommand accepts, by the registry it is looked up in
+REGISTRIES = {
+    "operators": OPERATOR_PRESETS,
+    "perturbations": PERTURBATION_PRESETS,
+    "pairs": PAIR_PRESETS,
+    "paths": PATH_PRESETS,
+    "bundles": topology.BUNDLE_PRESETS,
+}
+
+
+def lookup(title: str, key: str, name: str):
+    """The factory registered as `name` in REGISTRIES[title]; an unknown
+    name is refused as ConfigInvalid on the configuration key `key`."""
+    registry = REGISTRIES[title]
+    if name not in registry:
+        raise ConfigInvalid(key, f"unknown name {name!r} in {title}; "
+                                 f"choose from {sorted(registry)}")
+    return registry[name][0]
+
+
 def get_operator(name: str, K: int) -> DiscretizedOperator:
-    if name not in OPERATOR_PRESETS:
-        raise ConfigInvalid("preset", f"unknown operator preset {name!r}")
-    return OPERATOR_PRESETS[name][0](K)
+    return lookup("operators", "preset", name)(K)
 
 
 def describe_presets() -> str:
     """Human-readable registry listing, one line per preset."""
     lines = []
-    groups = [("operators", OPERATOR_PRESETS),
-              ("perturbations", PERTURBATION_PRESETS),
-              ("paths", PATH_PRESETS),
-              ("bundles", topology.BUNDLE_PRESETS)]
-    for title, registry in groups:
+    for title, registry in REGISTRIES.items():
         lines.append(f"[{title}]")
         for name, (_, desc) in sorted(registry.items()):
             lines.append(f"  {name}: {desc}")

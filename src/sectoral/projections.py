@@ -27,6 +27,7 @@ from .symbol1d import DiscretizedOperator
 TWO_PI = 2.0 * math.pi
 CLEARANCE_MIN = 1e-6
 DEFECTIVE_LIMIT = 1e8
+BOUNDARY_PROBE = 1e-6
 
 
 @dataclass
@@ -90,24 +91,24 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
                             float(rule.truncation_error_estimate))
 
 
-def eigen_projection_oracle(A, sector: Callable[[complex], bool],
-                            boundary_probe: float = 1e-6) -> ProjectionResult:
+def eigen_projection_oracle(A, sector: Callable[[complex], bool]
+                            ) -> ProjectionResult:
     """Brute-force spectral projection P = V 1_sector(D) V^{-1}.
 
     Independent of all contour machinery; serves as the oracle for it.
     The sector is given as a membership predicate; an eigenvalue is deemed
     on the boundary when the predicate is not constant on a small circle
-    around it.
+    around it (radius BOUNDARY_PROBE).
     """
     dec = _diagonalization(A)
-    probes = boundary_probe * np.exp(2j * np.pi * np.arange(8) / 8)
+    probes = BOUNDARY_PROBE * np.exp(2j * np.pi * np.arange(8) / 8)
     flags = []
     for lam in dec.values:
         inside = bool(sector(complex(lam)))
         ring = {bool(sector(complex(lam + p))) for p in probes}
         if ring != {inside}:
             raise EigenvalueOnBoundary(f"eigenvalue {lam} within "
-                                       f"{boundary_probe} of sector boundary")
+                                       f"{BOUNDARY_PROBE} of sector boundary")
         flags.append(inside)
     V = dec.right_vectors
     D = np.diag(np.array(flags, dtype=complex))

@@ -16,70 +16,30 @@ import numpy as np
 
 from . import linalg
 from .contour import ray_distance
-from .errors import (EigenvalueOnAxis, EndpointOnAxis, RoundingUnsafe)
+from .errors import EigenvalueOnAxis, RoundingUnsafe
 
-AXIS_CLEARANCE = 1e-8
-PATH_CLEARANCE = 1e-6
+AXIS_CLEARANCE = 1e-6
 ROUNDING_LIMIT = 0.05
-
-
-def _axis_clearance(a) -> tuple:
-    """(min |Re lambda|, number of eigenvalues with Re lambda > 0) from one
-    eigenvalue computation."""
-    values = np.linalg.eigvals(linalg.as_matrix(a))
-    return (float(np.abs(values.real).min()),
-            int(np.count_nonzero(values.real > 0)))
 
 
 def component_index(a) -> int:
     """Number of eigenvalues with positive real part (with algebraic
     multiplicity); labels the connected component of the space of
     hyperbolic matrices."""
-    min_clear, index = _axis_clearance(a)
+    values = np.linalg.eigvals(linalg.as_matrix(a))
+    min_clear = float(np.abs(values.real).min())
     if min_clear <= AXIS_CLEARANCE:
         raise EigenvalueOnAxis(
             f"eigenvalue within {min_clear:.3e} of the imaginary axis")
-    return index
+    return int(np.count_nonzero(values.real > 0))
 
 
-@dataclass
-class MatrixPath:
-    """Ordered samples (t, matrix) with t strictly increasing from 0 to 1."""
-
-    samples: list
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("empty path")
-        ts = [t for t, _ in self.samples]
-        if ts[0] != 0.0 or ts[-1] != 1.0:
-            raise ValueError("path parameter must run from 0 to 1")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("path parameter must be strictly increasing")
-        mats = [linalg.as_matrix(m) for t, m in self.samples]
-        dims = {m.shape[0] for m in mats}
-        if len(dims) != 1:
-            raise ValueError("all path samples must share one dimension")
-        self.samples = list(zip(ts, mats))
-
-
-def sample_path(f: Callable[[float], np.ndarray], n: int = 33) -> MatrixPath:
-    ts = np.linspace(0.0, 1.0, n)
-    return MatrixPath([(float(t), f(float(t))) for t in ts])
-
-
-def spectral_flow(p: MatrixPath) -> int:
-    """Net rightward eigenvalue flow across the imaginary axis: the
-    endpoint difference of component indices.  Interior samples may touch
-    the axis; the endpoints must clear it."""
-    indices = []
-    for label, (t, m) in (("start", p.samples[0]), ("end", p.samples[-1])):
-        clear, index = _axis_clearance(m)
-        if clear <= PATH_CLEARANCE:
-            raise EndpointOnAxis(f"{label}point (t={t}) has spectrum on the "
-                                 "imaginary axis")
-        indices.append(index)
-    return indices[1] - indices[0]
+def spectral_flow(path: Callable[[float], np.ndarray]) -> int:
+    """Net rightward eigenvalue flow across the imaginary axis along the
+    matrix path t -> path(t), 0 <= t <= 1: the endpoint difference of
+    component indices.  Only the endpoints are read; each must clear the
+    axis."""
+    return component_index(path(1.0)) - component_index(path(0.0))
 
 
 def seeley_one_ray_deformation(xi):
@@ -248,23 +208,21 @@ BUNDLE_PRESETS = {
 }
 
 
-def obstruction_demo(preset: str, level: int = 3) -> dict:
-    """Appendix-style obstruction report: build a(xi) = 2 P(xi) - I on the
-    sphere grid, confirm it is hyperbolic everywhere (spec = {-1, +1},
-    both imaginary half-axes clear), compute the Chern number of the
-    positive spectral bundle, and flag the extension obstruction when the
-    Chern number is nonzero."""
-    if preset not in BUNDLE_PRESETS:
-        raise ValueError(f"unknown bundle preset {preset!r}; "
-                         f"choose from {sorted(BUNDLE_PRESETS)}")
-    sample = bundle_from_map(BUNDLE_PRESETS[preset][0], level)
+def obstruction_demo(proj: Callable[[np.ndarray], np.ndarray],
+                     level: int = 3) -> dict:
+    """Appendix-style obstruction report for the projector map xi -> P(xi)
+    (a BUNDLE_PRESETS entry): build a(xi) = 2 P(xi) - I on the sphere grid,
+    confirm it is hyperbolic everywhere (spec = {-1, +1}, both imaginary
+    half-axes clear), compute the Chern number of the positive spectral
+    bundle, and flag the extension obstruction when the Chern number is
+    nonzero."""
+    sample = bundle_from_map(proj, level)
     N = sample.projectors.shape[-1]
     values = np.linalg.eigvals(2.0 * sample.projectors - np.eye(N))
     spec_ok = bool(np.allclose(np.abs(values), 1.0, atol=1e-9)
                    and np.abs(values.real).min() >= 0.5)
     chern, residual = _plaquette_chern(sample)
     return {
-        "preset": preset,
         "fiber_dim": N,
         "grid_level": level,
         "hyperbolic_everywhere": spec_ok,

@@ -86,10 +86,10 @@ def _run_suite():
                                   and rep.r_squared >= 0.98)}
 
     # -- criterion 5: composition gap -------------------------------------
-    f_fam, g_fam, r, m, tol = presets.symbol_pair("resolvent_pair", 1.0)
+    f_fam, g_fam, r, m, tol = presets.pair_resolvent(1.0)
     rep = composition_gap_experiment(f_fam, g_fam, r, m, 0.0, (10.0, 50.0),
                                      K=128, tolerance=tol)
-    f2, g2, r2_, m2_, _ = presets.symbol_pair("multiplier_pair", 1.0)
+    f2, g2, r2_, m2_, _ = presets.pair_multiplier(1.0)
     rep0 = composition_gap_experiment(f2, g2, r2_, m2_, 0.0, (10.0, 50.0),
                                       K=128)
     max_gap0 = max(y for _, y in rep0.samples)
@@ -167,10 +167,8 @@ def _run_suite():
         A, values, _ = random_diagonalizable(rng, dim=10)
         index_ok &= topology.component_index(A) == int(
             np.sum(values.real > 0))
-    flow_cross = topology.spectral_flow(
-        topology.sample_path(presets.path_crossing, 33))
-    flow_loop = topology.spectral_flow(
-        topology.sample_path(presets.path_loop, 65))
+    flow_cross = topology.spectral_flow(presets.path_crossing)
+    flow_loop = topology.spectral_flow(presets.path_loop)
     grid = np.linspace(-5.0, 5.0, 2001)
     seeley_one = topology.seeley_deformation_check(grid, "single_ray")
     seeley_two = topology.seeley_deformation_check(grid, "imaginary_axis")

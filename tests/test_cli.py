@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from sectoral import presets, topology
-from sectoral.cli import (COMMANDS, KEYS, build_parser, canonical_json,
-                          load_config, main)
+from sectoral import presets
+from sectoral.cli import (_CONTOUR, _SAMPLES, COMMANDS, KEYS, build_parser,
+                          canonical_json, load_config, main)
 from sectoral.errors import ConfigInvalid
 
 
@@ -42,12 +42,27 @@ def test_list_presets_output(capsys):
             group = listed.setdefault(ln.strip("[]"), [])
         else:
             group.append(ln.split(":")[0].strip())
-    assert list(listed) == ["operators", "perturbations", "paths", "bundles"]
+    assert list(listed) == ["operators", "perturbations", "pairs", "paths",
+                            "bundles"]
+    for title, names in listed.items():
+        assert names == sorted(presets.REGISTRIES[title])
+        for name in names:
+            assert callable(presets.lookup(title, "preset", name))
     for name in listed["operators"]:
         assert presets.get_operator(name, 2).K == 2
-    assert set(listed["perturbations"]) <= set(presets.PERTURBATION_PRESETS)
-    assert set(listed["paths"]) <= set(presets.PATH_PRESETS)
-    assert set(listed["bundles"]) <= set(topology.BUNDLE_PRESETS)
+
+
+@pytest.mark.parametrize("command, key", [
+    *[(c, "preset") for c in ("project", "perturb", "resolvent-decay",
+                              "parametrix", "wodzicki", "obstruction")],
+    ("perturb", "perturbation"), ("compose-gap", "pair"),
+    ("spectral-flow", "path")])
+def test_unknown_name_exits_1(command, key, tmp_path, monkeypatch, capsys):
+    code, _, err = _run([command, "--" + key, "nope"], tmp_path, monkeypatch,
+                        capsys)
+    assert code == 1
+    assert f"ConfigInvalid: invalid configuration: {key}:" in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_project_writes_report(tmp_path, monkeypatch, capsys):
@@ -80,6 +95,16 @@ def test_spectral_flow_presets(tmp_path, monkeypatch, capsys):
                       tmp_path, monkeypatch, capsys)
     assert code == 0
     assert _latest_json(tmp_path, "spectral_flow-loop-")["flow"] == 0
+
+
+def test_compose_gap_order_zero_pair(tmp_path, monkeypatch, capsys):
+    code, out, _ = _run(["compose-gap", "--pair", "order_zero_pair",
+                         "--K", "40", "--lambda-max", "20"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 0 and "pass" in out
+    rec = _latest_json(tmp_path, "composition_gap-order_zero_pair-")
+    assert abs(rec["fitted_slope"] + 1.0) <= 0.2
+    assert rec["r_squared"] >= 0.98
 
 
 def test_wodzicki_pass_and_deliberate_fail(tmp_path, monkeypatch, capsys):
@@ -238,3 +263,24 @@ def test_readme_command_lines_parse():
     commands = {build_parser().parse_args(shlex.split(line)[1:]).command
                 for line in block.splitlines() if line.startswith("sectoral ")}
     assert commands == set(COMMANDS) | {"list-presets"}
+
+
+def test_readme_key_table_matches_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    flags = lambda text: re.findall(r"`--([A-Za-z][A-Za-z0-9-]*)`", text)
+    groups = {
+        "the contour keys": flags(
+            re.search(r"The contour keys(.*?)\.\s", readme, re.S).group(1)),
+        "the sample keys": flags(
+            re.search(r"The sample keys(.*?)\.\s", readme, re.S).group(1)),
+    }
+    assert groups == {"the contour keys": [_flag(k)[2:] for k in _CONTOUR],
+                      "the sample keys": [_flag(k)[2:] for k in _SAMPLES]}
+    table = {}
+    for command, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme,
+                                    re.M):
+        keys = []
+        for item in cell.split(", "):
+            keys += groups.get(item, flags(item))
+        table[command] = {k.replace("-", "_") for k in keys} | {"out"}
+    assert table == {c: set(keys) for c, (_, keys) in COMMANDS.items()}

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from sectoral.errors import (EigenvalueOnAxis, EndpointOnAxis,
-                             RoundingUnsafe)
-from sectoral.topology import (BUNDLE_PRESETS, MatrixPath,
+from sectoral.errors import EigenvalueOnAxis, RoundingUnsafe
+from sectoral.topology import (BUNDLE_PRESETS,
                                SphereBundleSample, antimonopole_projector,
                                bundle_from_map, chern_number, chern_rounding_residual,
                                component_index, icosphere,
                                monopole_projector, obstruction_demo,
-                               sample_path,
                                seeley_deformation_check,
                                seeley_one_ray_deformation, spectral_flow,
                                trivial_projector)
@@ -41,41 +39,26 @@ def test_component_index_rejects_axis_spectrum():
         component_index(np.diag([1.0j, 2.0]))
 
 
-def test_matrix_path_validation_and_delta():
-    with pytest.raises(ValueError):
-        MatrixPath([])
-    with pytest.raises(ValueError):
-        MatrixPath([(0.0, np.eye(2)), (0.5, np.eye(2))])  # must end at 1
-    with pytest.raises(ValueError):
-        MatrixPath([(0.0, np.eye(2)), (0.5, np.eye(2)), (0.5, np.eye(2)),
-                    (1.0, np.eye(2))])  # strictly increasing
-    p = MatrixPath([(0.0, np.eye(2)), (1.0, 3.0 * np.eye(2))])
-    assert p.samples[1][1].dtype == complex
-    assert np.array_equal(p.samples[1][1], 3.0 * np.eye(2))
-
-
 def test_spectral_flow_single_crossing():
-    p = sample_path(lambda t: np.diag([t - 0.4, -1.0]).astype(complex), n=33)
+    p = lambda t: np.diag([t - 0.4, -1.0]).astype(complex)
     assert spectral_flow(p) == 1
-    back = sample_path(lambda t: np.diag([0.6 - t, -1.0]).astype(complex),
-                       n=33)
+    back = lambda t: np.diag([0.6 - t, -1.0]).astype(complex)
     assert spectral_flow(back) == -1
 
 
 def test_spectral_flow_constant_and_loop():
-    const = sample_path(lambda t: np.diag([1.0, -1.0]).astype(complex), n=9)
+    const = lambda t: np.diag([1.0, -1.0]).astype(complex)
     assert spectral_flow(const) == 0
     # eigenvalue loops around 1 without ever leaving the right half-plane
-    loop = sample_path(
-        lambda t: np.diag([1.0 + 0.5 * np.exp(2j * np.pi * t), -1.0]), n=65)
+    loop = lambda t: np.diag([1.0 + 0.5 * np.exp(2j * np.pi * t), -1.0])
     assert spectral_flow(loop) == 0
 
 
 def test_spectral_flow_rejects_axis_endpoint():
-    p = MatrixPath([(0.0, np.diag([0.0, -1.0]).astype(complex)),
-                    (1.0, np.diag([1.0, -1.0]).astype(complex))])
-    with pytest.raises(EndpointOnAxis):
-        spectral_flow(p)
+    for start in (0.0, 1e-6):  # on the axis, and within AXIS_CLEARANCE
+        p = lambda t: np.diag([start + t, -1.0]).astype(complex)
+        with pytest.raises(EigenvalueOnAxis):
+            spectral_flow(p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +255,11 @@ def test_bundle_validate_errors():
 
 
 def test_obstruction_demo_flags():
-    mono = obstruction_demo("monopole", level=3)
+    mono = obstruction_demo(monopole_projector, level=3)
     assert mono["hyperbolic_everywhere"]
     assert mono["chern_number"] == 1
     assert mono["obstructed"]
     assert mono["rounding_residual"] < 0.05
-    triv = obstruction_demo("trivial", level=2)
+    triv = obstruction_demo(trivial_projector, level=2)
     assert triv["hyperbolic_everywhere"]
     assert not triv["obstructed"]
-    with pytest.raises(ValueError):
-        obstruction_demo("nonsense")
