@@ -192,8 +192,8 @@ def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
     N = g.fiber_dim
 
     def product(gv, fv):
-        gv = np.asarray(gv, dtype=complex)
-        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(gv.shape)
+        shape = np.broadcast_shapes(np.shape(gv), np.shape(fv))
+        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(shape)
 
     return SymbolFunction(
         order=g.order + f.order,

@@ -21,9 +21,14 @@ from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
 # ---------------------------------------------------------------------------
 # symbol library
 
+def _over_theta(theta, values):
+    """Values that depend on xi alone, broadcast against the theta samples."""
+    values = np.asarray(values, dtype=complex)
+    return np.full(np.broadcast_shapes(np.shape(theta), values.shape), values)
+
+
 def symbol_xi() -> SymbolFunction:
-    f = lambda theta, xi: np.full_like(np.asarray(theta, float), xi,
-                                       dtype=complex)
+    f = lambda theta, xi: _over_theta(theta, xi)
     return SymbolFunction(order=1, evaluate=f, principal=f, name="xi")
 
 
@@ -37,9 +42,9 @@ def symbol_pauli_monopole() -> SymbolFunction:
     sx, sy = topology.PAULI[0], topology.PAULI[1]
 
     def evaluate(theta, xi):
-        theta = np.asarray(theta, float)
-        return xi * (np.cos(theta)[:, None, None] * sx
-                     + np.sin(theta)[:, None, None] * sy) + 0j
+        theta = np.asarray(theta, float)[..., None, None]
+        return np.asarray(xi, float)[..., None, None] * (
+            np.cos(theta) * sx + np.sin(theta) * sy) + 0j
 
     return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
                           fiber_dim=2, name="pauli_monopole")
@@ -144,16 +149,13 @@ def pair_multiplier(rho: float) -> tuple:
     psi = CutoffFunction(rho)
 
     def f_family(lam):
-        ev = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                            xi - lam, dtype=complex)
-        pr = lambda theta, xi: np.full_like(np.asarray(theta, float),
-                                            xi, dtype=complex)
+        ev = lambda theta, xi: _over_theta(theta, xi - lam)
+        pr = lambda theta, xi: _over_theta(theta, xi)
         return SymbolFunction(order=1, evaluate=ev, principal=pr,
                               name="xi-lam")
 
     def g_family(lam):
-        ev = lambda theta, xi: np.full_like(
-            np.asarray(theta, float), psi(xi) / (xi - lam), dtype=complex)
+        ev = lambda theta, xi: _over_theta(theta, psi(xi) / (xi - lam))
         return SymbolFunction(order=-1, evaluate=ev, principal=ev,
                               name="psi/(xi-lam)")
     return f_family, g_family, 1.0, 1.0, 0.15

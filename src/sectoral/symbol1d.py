@@ -6,6 +6,11 @@ k = -K..K, blocks of size N per mode for fiber dimension N.  The matrix of
 Op(a) is M[(j,.),(k,.)] = a-hat_{j-k}(k), the (j-k)-th Fourier coefficient
 in theta of a(., k), computed by FFT on a 4(2K+1)-point grid so that
 trigonometric-polynomial coefficients up to degree 2K are exact.
+
+A symbol is evaluated like a ufunc: theta broadcasts against xi, and the
+result has the broadcast shape (plus (N, N) for systems).  Op(a) is
+assembled in blocks of columns, each tabulated by one call on a grid of a
+(columns, 1) column of xi against the 1-D theta samples.
 """
 from __future__ import annotations
 
@@ -20,16 +25,22 @@ from .contour import ContourSpec, quad_nodes, sector_phi
 from .errors import AliasingRisk, SymbolSingular
 
 ALIASING_TOL = 1e-10
+# Symbol samples tabulated per evaluate call of op_from_symbol: 16 columns
+# at K = 256.  Half of it made a K = 256 matrix 7-19% slower to assemble;
+# twice of it raised the peak memory of c3-c5 by 0.8 MB.
+BLOCK_SAMPLES = 2 ** 15
 
 
 @dataclass
 class SymbolFunction:
     """A tabulatable symbol with declared order and principal part.
 
-    ``evaluate(theta, xi)`` takes a 1-D array of angles and a scalar xi and
-    returns an array of shape (len(theta),) for scalar symbols or
-    (len(theta), N, N) for systems.  ``principal`` has the same signature
-    and must be positively homogeneous of degree ``order`` for |xi| >= 1.
+    ``evaluate(theta, xi)`` broadcasts theta against xi like a ufunc: a 1-D
+    array of angles with a scalar xi gives shape (len(theta),), and with a
+    (B, 1) column of xi gives (B, len(theta)); systems append (N, N).  A
+    result that does not depend on xi (a theta row) is broadcast over the
+    xi column.  ``principal`` has the same signature and must be positively
+    homogeneous of degree ``order`` for |xi| >= 1.
     """
 
     order: float
@@ -64,9 +75,10 @@ class CutoffFunction:
 
 
 def _fibres(values, N: int) -> np.ndarray:
-    """Symbol values as a stack of N x N fibre matrices: a scalar symbol's
-    (G,) samples become (G, 1, 1)."""
-    return np.asarray(values, dtype=complex).reshape(-1, N, N)
+    """Symbol values as N x N fibre matrices over the sample grid: a scalar
+    symbol's samples gain two unit axes."""
+    values = np.asarray(values, dtype=complex)
+    return values[..., None, None] if N == 1 else values
 
 
 def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
@@ -83,26 +95,33 @@ def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
         try:
             return np.linalg.inv(fibres)
         except np.linalg.LinAlgError:
-            i = 0
+            pass
+        # the stacked inverse does not say which fibre failed
+        for i, fibre in enumerate(fibres.reshape(-1, N, N)):
+            try:
+                np.linalg.inv(fibre)
+            except np.linalg.LinAlgError:
+                break
     raise SymbolSingular(
         float(np.broadcast_to(theta, fibres.shape[:-2]).flat[i]),
         float(np.broadcast_to(xi, fibres.shape[:-2]).flat[i]))
 
 
-def _coefficient_columns(samples: np.ndarray) -> np.ndarray:
-    """FFT of theta-samples -> Fourier coefficients indexed mod G."""
-    return np.fft.fft(samples, axis=0) / samples.shape[0]
-
-
-def _write_column(M: np.ndarray, col: int, coeffs: np.ndarray) -> None:
-    """Block column `col` of Op(a), seen as an (n_modes, N, n_modes, N)
-    array, from the (G, N, N) coefficients of a(., k): block (j, k) is
-    a-hat_{j-k}(k), read at index (j - k) mod G."""
-    M[:, :, col, :] = coeffs[(np.arange(M.shape[0]) - col) % len(coeffs)]
+def _write_columns(M: np.ndarray, cols: np.ndarray,
+                   coeffs: np.ndarray) -> None:
+    """Block columns `cols` of Op(a), seen as an (n_modes, N, n_modes, N)
+    array, from the (len(cols), G, N, N) theta-coefficients of a(., k) at
+    those columns: block (j, k) is a-hat_{j-k}(k), read at index
+    (j - k) mod G."""
+    rows = np.arange(M.shape[0])[:, None]
+    blocks = coeffs[np.arange(cols.size), (rows - cols) % coeffs.shape[1]]
+    M[:, :, cols, :] = blocks.transpose(0, 2, 1, 3)
 
 
 def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
-    """Matrix of Op(a) on modes -K..K.
+    """Matrix of Op(a) on modes -K..K, assembled in blocks of columns of
+    about BLOCK_SAMPLES samples: one evaluate call, one FFT along theta and
+    one gather per block.
 
     Warns with AliasingRisk if the coefficient tail beyond degree 2K
     exceeds 1e-10 relative to the largest coefficient.
@@ -113,16 +132,21 @@ def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
     G = 4 * n_modes
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
+    width = -(-BLOCK_SAMPLES // (G * N * N))
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
     max_coeff = 0.0
     max_tail = 0.0
-    for col, k in enumerate(range(-K, K + 1)):
-        coeffs = _coefficient_columns(_fibres(a.evaluate(theta, float(k)), N))
-        mags = np.abs(coeffs).max(axis=(1, 2))
+    for start in range(0, n_modes, width):
+        cols = np.arange(start, min(start + width, n_modes))
+        xi = (cols - K)[:, None].astype(float)
+        samples = np.broadcast_to(_fibres(a.evaluate(theta, xi), N),
+                                  (cols.size, G, N, N))
+        coeffs = np.fft.fft(samples, axis=1) / G
+        mags = np.abs(coeffs)
         max_coeff = max(max_coeff, mags.max())
         # indices 2K+1 .. G-2K-1 hold the degrees beyond 2K
-        max_tail = max(max_tail, mags[2 * K + 1:G - 2 * K].max())
-        _write_column(M, col, coeffs)
+        max_tail = max(max_tail, mags[:, 2 * K + 1:G - 2 * K].max())
+        _write_columns(M, cols, coeffs)
     if max_coeff > 0 and max_tail > ALIASING_TOL * max_coeff:
         warnings.warn(AliasingRisk(
             f"coefficient tail beyond degree {2 * K} is "
@@ -163,25 +187,31 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
     lam = complex(lam)
     N = a.fiber_dim
 
-    def _resolvent(theta, xi, shift, weight=1.0):
-        """weight * (a_m - shift)^{-1}, not inverted where weight is 0."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        vals = np.asarray(a.principal(theta, xi), dtype=complex)
-        if weight == 0.0:
-            return np.zeros_like(vals)
-        inv = _fibre_inverse(_fibres(vals, N) - shift * np.eye(N), theta, xi)
-        return weight * inv.reshape(vals.shape)
+    def _resolvent(theta, xi, shift, weight):
+        """weight(xi) * (a_m - shift)^{-1}.  The weight depends on xi alone,
+        so only the xi rows where it is non-zero are inverted."""
+        xi = np.asarray(xi, dtype=float)
+        w = np.ravel(weight(xi))
+        shape = np.broadcast_shapes(np.shape(theta), xi.shape)
+        rows = np.broadcast_to(_fibres(a.principal(theta, xi), N),
+                               shape + (N, N)).reshape(xi.size, -1, N, N)
+        live = np.flatnonzero(w)
+        out = np.zeros(rows.shape, dtype=complex)
+        inv = _fibre_inverse(rows[live] - shift * np.eye(N), theta,
+                             xi.ravel()[live, None])
+        out[live] = w[live, None, None, None] * inv
+        return out.reshape(shape if N == 1 else shape + (N, N))
 
     def evaluate(theta, xi):
-        return _resolvent(theta, xi, lam, float(psi(xi)))
+        return _resolvent(theta, xi, lam, psi)
 
     def principal(theta, xi):
-        return _resolvent(theta, xi, 0.0)
+        return _resolvent(theta, xi, 0.0, np.ones_like)
 
     # precondition: invertibility where the cutoff is active
     theta_probe = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     for xi in (psi.rho, -psi.rho, 2 * psi.rho, -2 * psi.rho, 4 * psi.rho):
-        _resolvent(theta_probe, xi, lam)
+        _resolvent(theta_probe, xi, lam, np.ones_like)
 
     return SymbolFunction(order=-a.order, evaluate=evaluate,
                           principal=principal, fiber_dim=N,
@@ -202,21 +232,17 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     G = 4 * n_modes
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
-    modes = np.arange(-K, K + 1)
-    psi_vals = np.array([float(psi(float(k))) for k in modes])
+    psi_vals = psi(np.arange(-K, K + 1, dtype=float))
     cols = np.flatnonzero(psi_vals)
+    xi = (cols - K)[:, None].astype(float)
 
-    # principal-symbol samples (G, columns, N, N)
-    P = np.empty((G, cols.size, N, N), dtype=complex)
-    for j, col in enumerate(cols):
-        P[:, j] = _fibres(a.principal(theta, float(modes[col])), N)
-    phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta[:, None],
-                                                       modes[cols]))
-    sigma = psi_vals[cols, None, None] * phi
-    coeffs = _coefficient_columns(sigma)
+    # principal-symbol samples (columns, G, N, N)
+    P = np.broadcast_to(_fibres(a.principal(theta, xi), N),
+                        (cols.size, G, N, N))
+    phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta, xi))
+    sigma = psi_vals[cols, None, None, None] * phi
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    for j, col in enumerate(cols):
-        _write_column(M, col, coeffs[:, j])
+    _write_columns(M, cols, np.fft.fft(sigma, axis=1) / G)
     return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
                                -a.order, symbol=None, fiber_dim=N)
 
@@ -226,7 +252,9 @@ def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
     invertible for all |xi| >= rho on a probe grid over the contour."""
     rule = quad_nodes(c)
     # probe a thinned set of nodes plus the arc corners
-    probe = rule.nodes[:: max(1, len(rule.nodes) // 40)]
+    corners = c.R * np.exp(1j * np.array([c.alpha1, c.alpha2]))
+    probe = np.concatenate((rule.nodes[:: max(1, len(rule.nodes) // 40)],
+                            corners))
     tol = 1e-8 * np.maximum(1.0, np.abs(probe))
     theta = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sectoral import presets
+from sectoral import presets, symbol1d
 from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
 from sectoral.symbol1d import (CutoffFunction, SymbolFunction, choose_rho,
@@ -180,3 +182,135 @@ def test_op_from_symbol_system_blocks():
     # theta-dependence of the Pauli symbol only couples adjacent modes
     blk = A.matrix[0:2, 4:6]  # modes -3 <- -1
     assert np.allclose(blk, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# block assembly of Op(a)
+
+def _op_by_columns(a, K):
+    """Op(a) one Fourier column at a time, one evaluate call and one FFT
+    per mode: the reference for the block assembly."""
+    n_modes = 2 * K + 1
+    G = 4 * n_modes
+    theta = 2.0 * np.pi * np.arange(G) / G
+    N = a.fiber_dim
+    M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
+    for col, k in enumerate(range(-K, K + 1)):
+        samples = np.asarray(a.evaluate(theta, float(k)),
+                             dtype=complex).reshape(G, N, N)
+        coeffs = np.fft.fft(samples, axis=0) / G
+        M[:, :, col, :] = coeffs[(np.arange(n_modes) - col) % G]
+    return M.reshape(N * n_modes, N * n_modes)
+
+
+def _block_widths(K, N):
+    """Column counts of the evaluate calls op_from_symbol makes."""
+    n_modes = 2 * K + 1
+    width = -(-symbol1d.BLOCK_SAMPLES // (4 * n_modes * N * N))
+    return [min(width, n_modes - start) for start in range(0, n_modes, width)]
+
+
+def _block_case_symbols():
+    from sectoral.experiments import _pointwise_product
+    psi = CutoffFunction(2.5)
+    cases = {name: presets.get_operator(name, 2).symbol
+             for name in presets.OPERATOR_PRESETS}
+    cases["pauli_monopole"] = presets.symbol_pauli_monopole()
+    cases["cos_theta"] = _const_symbol(
+        lambda th, xi: np.cos(np.asarray(th)) + 0j)
+    cases["resolvent_xi"] = cutoff_resolvent_symbol(
+        presets.symbol_xi(), psi, 7.5j)
+    cases["resolvent_pauli"] = cutoff_resolvent_symbol(
+        presets.symbol_pauli_monopole(), psi, 3.0 + 4.5j)
+    for name, (factory, _) in presets.PAIR_PRESETS.items():
+        f_family, g_family = factory(4.0)[:2]
+        f, g = f_family(20j), g_family(20j)
+        cases[f"{name}.f"] = f
+        cases[f"{name}.g"] = g
+        cases[f"{name}.gf"] = _pointwise_product(g, f)
+    return cases
+
+
+# K = 4 fits in one block; K = 64 spans three, the last one partial
+BLOCK_KS = (4, 64)
+
+
+def test_block_ks_cover_one_and_several_partial_blocks():
+    assert _block_widths(BLOCK_KS[0], 1) == [2 * BLOCK_KS[0] + 1]
+    widths = _block_widths(BLOCK_KS[1], 1)
+    assert len(widths) >= 3 and widths[-1] < widths[0]
+
+
+@pytest.mark.parametrize("name", sorted(_block_case_symbols()))
+@pytest.mark.parametrize("K", BLOCK_KS)
+def test_op_from_symbol_equals_column_assembly(name, K):
+    a = _block_case_symbols()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingRisk)
+        got = op_from_symbol(a, K).matrix
+    assert np.array_equal(got, _op_by_columns(a, K))
+
+
+def test_op_from_symbol_evaluates_once_per_block():
+    K = 256
+    base = presets.symbol_c_theta_times_xi()
+    calls = []
+
+    def evaluate(theta, xi):
+        calls.append(np.shape(xi))
+        return base.evaluate(theta, xi)
+
+    op_from_symbol(SymbolFunction(order=1, evaluate=evaluate,
+                                  principal=base.principal), K)
+    widths = _block_widths(K, 1)
+    assert len(calls) <= len(widths) < 2 * K + 1
+    assert calls == [(w, 1) for w in widths]
+
+
+def test_aliasing_warning_from_the_last_block_only():
+    # the square wave sits in the column xi = K alone, the last block
+    K = BLOCK_KS[1]
+    assert _block_widths(K, 1)[-1] == 1
+
+    def rough_at(k):
+        return _const_symbol(lambda th, xi: np.where(
+            np.asarray(xi) == k, np.sign(np.sin(np.asarray(th))),
+            np.cos(np.asarray(th))) + 0j)
+
+    with pytest.warns(AliasingRisk):
+        op_from_symbol(rough_at(K), K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasingRisk)
+        op_from_symbol(rough_at(K + 1), K)
+
+
+@pytest.mark.parametrize("a, lam, xi", [
+    # (2 + cos theta) xi = 14 on the grid only at theta = pi/2, xi = 7
+    (presets.symbol_c_theta_times_xi(), 14.0, 7.0),
+    # eigenvalues +-xi of the Pauli symbol hit 5 first at xi = -5
+    (presets.symbol_pauli_monopole(), 5.0, -5.0),
+])
+def test_singular_fibre_in_a_block_named_as_on_the_scalar_path(a, lam, xi):
+    K = BLOCK_KS[1]
+    G = 4 * (2 * K + 1)
+    theta = 2.0 * np.pi * np.arange(G) / G
+    r = cutoff_resolvent_symbol(a, CutoffFunction(1.0), lam)
+    with pytest.raises(SymbolSingular) as scalar:
+        r.evaluate(theta, xi)
+    with pytest.raises(SymbolSingular) as block:
+        op_from_symbol(r, K)
+    assert (block.value.theta, block.value.xi) == (scalar.value.theta, xi)
+    assert scalar.value.xi == xi
+    # the singular column is not the first of its block
+    starts = np.cumsum([0] + _block_widths(K, a.fiber_dim))
+    assert xi + K not in starts
+
+
+def test_choose_rho_probes_the_arc_corners():
+    # the principal symbol 0.5i sign(xi) lies exactly on the arc corners
+    # R e^{+-i pi/2} of the contour, between its thinned probe nodes
+    c = presets.contour_imag()
+    sym = _const_symbol(lambda th, xi: 0.5j * np.sign(xi)
+                        + np.zeros(np.shape(th)), order=0)
+    with pytest.raises(SymbolSingular):
+        choose_rho(sym, c, 16)
