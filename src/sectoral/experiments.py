@@ -300,8 +300,10 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
             for beta in range(min(j_max, 2) + 1):
                 acc = None
                 for dx, w in stencils[beta]:
-                    v = np.asarray(D.principal.evaluate(theta, xi0 + dx),
-                                   dtype=complex) * w
+                    # a theta-independent value is spread over the grid
+                    v = np.broadcast_to(np.asarray(
+                        D.principal.evaluate(theta, xi0 + dx),
+                        dtype=complex), theta.shape) * w
                     acc = v if acc is None else acc + v
                 for alpha, deriv in enumerate(
                         _theta_spectral_derivs(acc, j_max - beta)):

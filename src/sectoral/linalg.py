@@ -73,6 +73,16 @@ def _is_upper_triangular(A) -> bool:
     return n > 1 and A[-1, 0] == 0 and not A.any(where=_strict_lower(n))
 
 
+def _singular_values(A) -> np.ndarray:
+    """Singular values of a validated square A in descending order.  A
+    diagonal A (every off-diagonal entry exactly zero, as for Op(a) of a
+    Fourier multiplier) has the moduli of its diagonal as singular values;
+    anything else goes through one values-only SVD."""
+    if _is_upper_triangular(A) and _is_upper_triangular(A.T):
+        return np.sort(np.abs(A.diagonal()))[::-1]
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def solve(A, B) -> np.ndarray:
     """Solve A X = B, or return A^{-1} when B is None.
 
@@ -134,13 +144,14 @@ def solve(A, B) -> np.ndarray:
 
 
 def inverse_norm_2(A) -> float:
-    """||A^{-1}||_2 = 1 / sigma_min(A), from one values-only SVD and
-    without forming A^{-1}.  Raises SingularMatrix (carrying sigma_min)
-    when sigma_min <= PIVOT_REL_THRESHOLD * sigma_max."""
+    """||A^{-1}||_2 = 1 / sigma_min(A), from the singular values of
+    `_singular_values` and without forming A^{-1}.  Raises SingularMatrix
+    (carrying sigma_min) when sigma_min <= PIVOT_REL_THRESHOLD *
+    sigma_max."""
     A = as_matrix(A)
     if A.size == 0:
         raise ValueError("cannot invert an empty matrix")
-    sigma = np.linalg.svd(A, compute_uv=False)
+    sigma = _singular_values(A)
     if sigma[-1] <= PIVOT_REL_THRESHOLD * sigma[0]:
         raise SingularMatrix(float(sigma[-1]))
     return float(1.0 / sigma[-1])
@@ -165,11 +176,11 @@ def eig(A) -> EigenDecomposition:
 
 
 def operator_norm_2(A) -> float:
-    """Largest singular value."""
+    """Largest singular value (`_singular_values`); 0 for an empty A."""
     A = as_matrix(A)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(_singular_values(A)[0])
 
 
 def inv_sqrt_hpd(H) -> np.ndarray:

@@ -21,14 +21,9 @@ from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
 # ---------------------------------------------------------------------------
 # symbol library
 
-def _over_theta(theta, values):
-    """Values that depend on xi alone, broadcast against the theta samples."""
-    values = np.asarray(values, dtype=complex)
-    return np.full(np.broadcast_shapes(np.shape(theta), values.shape), values)
-
-
 def symbol_xi() -> SymbolFunction:
-    f = lambda theta, xi: _over_theta(theta, xi)
+    # independent of theta: the xi column itself, a Fourier multiplier
+    f = lambda theta, xi: xi
     return SymbolFunction(order=1, evaluate=f, principal=f, name="xi")
 
 
@@ -149,13 +144,13 @@ def pair_multiplier(rho: float) -> tuple:
     psi = CutoffFunction(rho)
 
     def f_family(lam):
-        ev = lambda theta, xi: _over_theta(theta, xi - lam)
-        pr = lambda theta, xi: _over_theta(theta, xi)
+        ev = lambda theta, xi: xi - lam
+        pr = lambda theta, xi: xi
         return SymbolFunction(order=1, evaluate=ev, principal=pr,
                               name="xi-lam")
 
     def g_family(lam):
-        ev = lambda theta, xi: _over_theta(theta, psi(xi) / (xi - lam))
+        ev = lambda theta, xi: psi(xi) / (xi - lam)
         return SymbolFunction(order=-1, evaluate=ev, principal=ev,
                               name="psi/(xi-lam)")
     return f_family, g_family, 1.0, 1.0, 0.15

@@ -8,9 +8,13 @@ in theta of a(., k), computed by FFT on a 4(2K+1)-point grid so that
 trigonometric-polynomial coefficients up to degree 2K are exact.
 
 A symbol is evaluated like a ufunc: theta broadcasts against xi, and the
-result has the broadcast shape (plus (N, N) for systems).  Op(a) is
-assembled in blocks of columns, each tabulated by one call on a grid of a
-(columns, 1) column of xi against the 1-D theta samples.
+result has the broadcast shape (plus (N, N) for systems), except that a
+value independent of theta may keep theta-extent 1.  Op(a) is assembled in
+blocks of columns, each tabulated by one call on a grid of a (columns, 1)
+column of xi against the 1-D theta samples.  A symbol whose value on the
+first block has theta-extent 1 is a Fourier multiplier: Op(a) is then the
+block diagonal of a(k), written without an FFT, with exact zeros off the
+diagonal, from at most one more call for the remaining columns.
 """
 from __future__ import annotations
 
@@ -39,8 +43,10 @@ class SymbolFunction:
     array of angles with a scalar xi gives shape (len(theta),), and with a
     (B, 1) column of xi gives (B, len(theta)); systems append (N, N).  A
     result that does not depend on xi (a theta row) is broadcast over the
-    xi column.  ``principal`` has the same signature and must be positively
-    homogeneous of degree ``order`` for |xi| >= 1.
+    xi column, and one that does not depend on theta may keep theta-extent
+    1 (the xi column itself, shape (B, 1)): op_from_symbol assembles such a
+    symbol as a Fourier multiplier.  ``principal`` has the same signature
+    and must be positively homogeneous of degree ``order`` for |xi| >= 1.
     """
 
     order: float
@@ -69,9 +75,11 @@ class CutoffFunction:
     rho: float
 
     def __call__(self, xi):
-        u = (np.abs(xi) - self.rho) / self.rho
+        # a scalar goes through numpy's array ** as a 1-element array: its
+        # scalar ** differs from the array one in the last bit
+        u = (np.abs(np.atleast_1d(xi)) - self.rho) / self.rho
         u = np.clip(u, 0.0, 1.0)
-        return 3.0 * u**2 - 2.0 * u**3
+        return (3.0 * u**2 - 2.0 * u**3).reshape(np.shape(xi))[()]
 
 
 def _fibres(values, N: int) -> np.ndarray:
@@ -118,10 +126,23 @@ def _write_columns(M: np.ndarray, cols: np.ndarray,
     M[:, :, cols, :] = blocks.transpose(0, 2, 1, 3)
 
 
+def _write_diagonal(M: np.ndarray, cols: np.ndarray,
+                    fibres: np.ndarray) -> None:
+    """Diagonal blocks `cols` of Op(a) of a Fourier multiplier, seen as an
+    (n_modes, N, n_modes, N) array, from its theta-extent-1 values a(k) at
+    those columns."""
+    N = M.shape[1]
+    M[cols, :, cols, :] = np.broadcast_to(fibres,
+                                          (cols.size, 1, N, N))[:, 0]
+
+
 def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
     """Matrix of Op(a) on modes -K..K, assembled in blocks of columns of
     about BLOCK_SAMPLES samples: one evaluate call, one FFT along theta and
-    one gather per block.
+    one gather per block.  When the values on the first block have
+    theta-extent 1, a is a Fourier multiplier and Op(a) is the block
+    diagonal of a(k), the other columns read from one more evaluate call:
+    no FFT, exact zeros off the diagonal and no aliasing tail.
 
     Warns with AliasingRisk if the coefficient tail beyond degree 2K
     exceeds 1e-10 relative to the largest coefficient.
@@ -134,23 +155,37 @@ def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
     N = a.fiber_dim
     width = -(-BLOCK_SAMPLES // (G * N * N))
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    max_coeff = 0.0
-    max_tail = 0.0
-    for start in range(0, n_modes, width):
-        cols = np.arange(start, min(start + width, n_modes))
+
+    def values(cols):
         xi = (cols - K)[:, None].astype(float)
-        samples = np.broadcast_to(_fibres(a.evaluate(theta, xi), N),
-                                  (cols.size, G, N, N))
-        coeffs = np.fft.fft(samples, axis=1) / G
-        mags = np.abs(coeffs)
-        max_coeff = max(max_coeff, mags.max())
-        # indices 2K+1 .. G-2K-1 hold the degrees beyond 2K
-        max_tail = max(max_tail, mags[:, 2 * K + 1:G - 2 * K].max())
-        _write_columns(M, cols, coeffs)
-    if max_coeff > 0 and max_tail > ALIASING_TOL * max_coeff:
-        warnings.warn(AliasingRisk(
-            f"coefficient tail beyond degree {2 * K} is "
-            f"{max_tail / max_coeff:.2e} of the largest coefficient"))
+        return _fibres(a.evaluate(theta, xi), N)
+
+    first = np.arange(min(width, n_modes))
+    fibres = values(first)
+    # theta-extent 1: the values do not depend on theta
+    if np.broadcast_shapes(fibres.shape[:-2], (first.size, 1))[1] == 1:
+        _write_diagonal(M, first, fibres)
+        rest = np.arange(first.size, n_modes)
+        if rest.size:
+            _write_diagonal(M, rest, values(rest))
+    else:
+        max_coeff = 0.0
+        max_tail = 0.0
+        for start in range(0, n_modes, width):
+            cols = np.arange(start, min(start + width, n_modes))
+            if start > 0:
+                fibres = values(cols)
+            samples = np.broadcast_to(fibres, (cols.size, G, N, N))
+            coeffs = np.fft.fft(samples, axis=1) / G
+            mags = np.abs(coeffs)
+            max_coeff = max(max_coeff, mags.max())
+            # indices 2K+1 .. G-2K-1 hold the degrees beyond 2K
+            max_tail = max(max_tail, mags[:, 2 * K + 1:G - 2 * K].max())
+            _write_columns(M, cols, coeffs)
+        if max_coeff > 0 and max_tail > ALIASING_TOL * max_coeff:
+            warnings.warn(AliasingRisk(
+                f"coefficient tail beyond degree {2 * K} is "
+                f"{max_tail / max_coeff:.2e} of the largest coefficient"))
     return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
                                a.order, symbol=a, fiber_dim=N)
 
@@ -189,15 +224,20 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
 
     def _resolvent(theta, xi, shift, weight):
         """weight(xi) * (a_m - shift)^{-1}.  The weight depends on xi alone,
-        so only the xi rows where it is non-zero are inverted."""
+        so only the xi rows where it is non-zero are inverted.  The shape
+        is that of the principal symbol's values broadcast against xi, so
+        the resolvent of a multiplier is a multiplier; its singular fibres
+        are named at the first theta sample."""
         xi = np.asarray(xi, dtype=float)
         w = np.ravel(weight(xi))
-        shape = np.broadcast_shapes(np.shape(theta), xi.shape)
-        rows = np.broadcast_to(_fibres(a.principal(theta, xi), N),
+        principal_values = _fibres(a.principal(theta, xi), N)
+        shape = np.broadcast_shapes(principal_values.shape[:-2], xi.shape)
+        rows = np.broadcast_to(principal_values,
                                shape + (N, N)).reshape(xi.size, -1, N, N)
         live = np.flatnonzero(w)
         out = np.zeros(rows.shape, dtype=complex)
-        inv = _fibre_inverse(rows[live] - shift * np.eye(N), theta,
+        theta_at = theta if rows.shape[1] > 1 else np.ravel(theta)[:1]
+        inv = _fibre_inverse(rows[live] - shift * np.eye(N), theta_at,
                              xi.ravel()[live, None])
         out[live] = w[live, None, None, None] * inv
         return out.reshape(shape if N == 1 else shape + (N, N))

@@ -182,6 +182,8 @@ def test_composition_gap_degenerate_for_commuting_multipliers():
                                      (4.0, 45.0), K=96)
     assert rep.parameters["degenerate_zero"]
     assert rep.passed
+    # both are multipliers, so both matrices are exactly diagonal
+    assert all(gap == 0.0 for _, gap in rep.samples)
 
 
 def test_composition_gap_range_guard():

@@ -81,6 +81,46 @@ def test_operator_norm_known_values():
         np.sqrt(5.0) * 5.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_singular_values_of_a_diagonal_match_svd(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        * np.logspace(0, -6, n)
+    want = np.linalg.svd(np.diag(d), compute_uv=False)
+    svd_calls = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svd_calls.append(1))
+    got = linalg._singular_values(np.diag(d))
+    assert not svd_calls
+    ulp = np.spacing(want)
+    assert np.all(np.abs(got - want) <= 4 * ulp)
+    assert linalg.operator_norm_2(np.diag(d)) == got[0]
+    assert linalg.inverse_norm_2(np.diag(d)) == 1.0 / got[-1]
+
+
+def test_singular_values_diagonal_refusals():
+    with pytest.raises(SingularMatrix):
+        linalg.inverse_norm_2(np.diag([1.0, 1e-14]))
+    for f in (linalg.operator_norm_2, linalg.inverse_norm_2):
+        with pytest.raises(ValueError, match="finite"):
+            f(np.diag([1.0, np.nan]))
+    # max|diag| of an empty matrix would raise; the norm is 0
+    assert linalg.operator_norm_2(np.zeros((0, 0))) == 0.0
+    with pytest.raises(ValueError, match="empty"):
+        linalg.inverse_norm_2(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("i, j", [(0, 5), (5, 0), (2, 3), (4, 1)])
+def test_singular_values_one_off_diagonal_entry_takes_the_svd(i, j):
+    rng = np.random.default_rng(i + 7 * j)
+    A = np.diag(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    A[i, j] = 0.5 - 0.25j
+    sigma = np.linalg.svd(A, compute_uv=False)
+    assert np.array_equal(linalg._singular_values(A), sigma)
+    assert linalg.operator_norm_2(A) == float(sigma[0])
+    assert linalg.inverse_norm_2(A) == float(1.0 / sigma[-1])
+
+
 def test_inv_sqrt_hpd():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

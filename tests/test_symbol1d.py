@@ -97,6 +97,31 @@ def test_cutoff_function_profile():
     assert psi(100.0) == 1.0
 
 
+@pytest.mark.parametrize("rho", [1.0, 1.3, 2.0, 2.5, 3.7, 4.0])
+def test_cutoff_function_scalar_equals_array(rho):
+    psi = CutoffFunction(rho)
+    x = np.linspace(-2.5 * rho, 2.5 * rho, 41202)
+    column = psi(x[:, None])[:, 0]
+    assert np.array_equal(psi(x), column)
+    assert np.array_equal([psi(float(v)) for v in x], column)
+
+
+def test_cutoff_resolvent_of_a_multiplier_is_a_multiplier():
+    psi = CutoffFunction(2.0)
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    # a_m^{-1}, the principal part, is singular at xi = 0
+    xi = np.array([-6.0, -3.5, -1.0, 1.0, 2.5, 4.0, 6.0])[:, None]
+    r = cutoff_resolvent_symbol(presets.symbol_xi(), psi, 5.0j)
+    got = r.evaluate(theta, xi)
+    assert got.shape == (7, 1)
+    assert np.array_equal(got, psi(xi) * (1.0 / (xi - 5.0j)))
+    assert np.array_equal(r.principal(theta, xi), 1.0 / (xi + 0j))
+    # theta-dependent principal symbols keep the full grid
+    r = cutoff_resolvent_symbol(presets.symbol_c_theta_times_xi(), psi,
+                                5.0j)
+    assert r.evaluate(theta, xi).shape == (7, 8)
+
+
 def test_cutoff_resolvent_symbol_values_and_order():
     a = presets.symbol_c_theta_times_xi()
     psi = CutoffFunction(2.0)
@@ -196,8 +221,10 @@ def _op_by_columns(a, K):
     N = a.fiber_dim
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
     for col, k in enumerate(range(-K, K + 1)):
-        samples = np.asarray(a.evaluate(theta, float(k)),
-                             dtype=complex).reshape(G, N, N)
+        # a theta-independent value is spread over the theta grid
+        samples = np.broadcast_to(np.asarray(
+            a.evaluate(theta, float(k)), dtype=complex).reshape(-1, N, N),
+            (G, N, N))
         coeffs = np.fft.fft(samples, axis=0) / G
         M[:, :, col, :] = coeffs[(np.arange(n_modes) - col) % G]
     return M.reshape(N * n_modes, N * n_modes)
@@ -231,6 +258,27 @@ def _block_case_symbols():
     return cases
 
 
+def _multiplier_diagonal(a, K):
+    """The exact Op(a) of a theta-independent symbol: a(k) in the diagonal
+    blocks, zeros elsewhere, from one evaluation on the xi column."""
+    n_modes = 2 * K + 1
+    N = a.fiber_dim
+    G = 4 * n_modes
+    theta = 2.0 * np.pi * np.arange(G) / G
+    xi = np.arange(-K, K + 1, dtype=float)[:, None]
+    values = np.asarray(a.evaluate(theta, xi), dtype=complex)
+    values = np.broadcast_to(values.reshape(-1, N, N), (n_modes, N, N))
+    M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
+    for col in range(n_modes):
+        M[col, :, col, :] = values[col]
+    return M.reshape(N * n_modes, N * n_modes)
+
+
+# the block cases whose symbols do not depend on theta
+MULTIPLIER_CASES = {"dtheta", "dtheta_shift", "resolvent_xi",
+                    "multiplier_pair.f", "multiplier_pair.g",
+                    "multiplier_pair.gf"}
+
 # K = 4 fits in one block; K = 64 spans three, the last one partial
 BLOCK_KS = (4, 64)
 
@@ -248,23 +296,34 @@ def test_op_from_symbol_equals_column_assembly(name, K):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingRisk)
         got = op_from_symbol(a, K).matrix
-    assert np.array_equal(got, _op_by_columns(a, K))
+    reference = _op_by_columns(a, K)
+    if name in MULTIPLIER_CASES:
+        # exactly diagonal, and the FFT's round-off off the diagonal gone
+        assert np.array_equal(got, _multiplier_diagonal(a, K))
+        assert np.abs(got - reference).max() <= 1e-13 * np.abs(got).max()
+    else:
+        assert np.array_equal(got, reference)
 
 
 def test_op_from_symbol_evaluates_once_per_block():
     K = 256
-    base = presets.symbol_c_theta_times_xi()
-    calls = []
-
-    def evaluate(theta, xi):
-        calls.append(np.shape(xi))
-        return base.evaluate(theta, xi)
-
-    op_from_symbol(SymbolFunction(order=1, evaluate=evaluate,
-                                  principal=base.principal), K)
     widths = _block_widths(K, 1)
-    assert len(calls) <= len(widths) < 2 * K + 1
-    assert calls == [(w, 1) for w in widths]
+    for base in (presets.symbol_c_theta_times_xi(), presets.symbol_xi()):
+        calls = []
+
+        def evaluate(theta, xi):
+            calls.append(np.shape(xi))
+            return base.evaluate(theta, xi)
+
+        op_from_symbol(SymbolFunction(order=1, evaluate=evaluate,
+                                      principal=base.principal), K)
+        assert len(calls) <= len(widths) < 2 * K + 1
+        if base.name == "xi":
+            # a multiplier is known from the first block; the other
+            # columns take one more call
+            assert calls == [(widths[0], 1), (2 * K + 1 - widths[0], 1)]
+        else:
+            assert calls == [(w, 1) for w in widths]
 
 
 def test_aliasing_warning_from_the_last_block_only():
