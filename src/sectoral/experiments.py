@@ -21,9 +21,9 @@ from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime
                      RayHitsSpectrum, SpectrumOnContour)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _fibres, choose_rho, cutoff_resolvent_symbol,
-                       op_from_symbol, parametrix_phi0, sobolev_inverse_norm,
-                       sobolev_op_norm)
+                       _fibres, _op_columns, choose_rho,
+                       cutoff_resolvent_symbol, op_from_symbol,
+                       parametrix_phi0, sobolev_inverse_norm, sobolev_op_norm)
 
 DEGENERATE_ZERO_TOL = 1e-12
 # Below this total log-ordinate variation the data is flat to measurement
@@ -155,7 +155,9 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     Both operators are built at doubled mode resolution and the difference
     is windowed back to modes |k| <= K: inverting the truncated matrix
     perturbs the resolvent at the boundary modes by a lambda-independent
-    amount that the H^{s+m} weight amplifies to O(1)."""
+    amount that the H^{s+m} weight amplifies to O(1).  Only the window's
+    columns of the resolvent are solved for and only the window's columns
+    of Op(psi (a_m - lambda)^{-1}) are assembled."""
     if A.symbol is None:
         raise ValueError("parametrix gap needs an operator with symbol provenance")
     m = A.order
@@ -170,14 +172,14 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     n = big.matrix.shape[0]
     I = np.eye(n, dtype=complex)
     lo, hi = N * (K2 - K), N * (K2 + K + 1)
+    window = np.arange(K2 - K, K2 + K + 1)
     samples = []
     for r in lams:
         lam = r * np.exp(1j * ray_angle)
-        # only the window's columns of the resolvent are solved for
         R = linalg.solve(big.matrix - lam * I, I[:, lo:hi])[lo:hi]
-        approx = op_from_symbol(
-            cutoff_resolvent_symbol(A.symbol, psi, lam), K2)
-        D = approx.matrix[lo:hi, lo:hi] - R
+        approx = _op_columns(
+            cutoff_resolvent_symbol(A.symbol, psi, lam), K2, window)
+        D = approx[lo:hi] - R
         samples.append((float(r), sobolev_op_norm(D, s, s + m, K=K, N=N)))
     params = {"kind_detail": "parametrix_gap", "ray_angle": ray_angle,
               "s": s, "m": m, "K": A.K, "rho": psi.rho,
@@ -216,7 +218,9 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
     The matrices are composed at doubled mode resolution and the difference
     is windowed back to modes |k| <= K before the norm is taken: truncating
     the order-r factor at the boundary modes introduces a lambda-independent
-    O(1/K) artifact there that is not part of the composition error."""
+    O(1/K) artifact there that is not part of the composition error.  The
+    window of Op(g)Op(f) needs all columns of Op(g) but only the window's
+    columns of Op(f), so Op(f) and Op(g f) are assembled on those alone."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     # same low-mode support argument as the parametrix gap: ceiling (K/2)^m
@@ -224,17 +228,18 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
     lams = _lambda_samples(lambda_range, n_samples)
     samples = []
     K2 = 2 * K
+    window = np.arange(K2 - K, K2 + K + 1)
     for rr in lams:
         lam = complex(rr * np.exp(1j * np.pi / 2))
         f = f_family(lam)
         g = g_family(lam)
         N = f.fiber_dim
-        Mf = op_from_symbol(f, K2).matrix
-        Mg = op_from_symbol(g, K2).matrix
-        Mgf = op_from_symbol(_pointwise_product(g, f), K2).matrix
-        D = Mg @ Mf - Mgf
         lo, hi = N * (K2 - K), N * (K2 + K + 1)
-        gap = sobolev_op_norm(D[lo:hi, lo:hi], s, s + m - r, K=K, N=N)
+        Mg = op_from_symbol(g, K2).matrix
+        Mf = _op_columns(f, K2, window)
+        Mgf = _op_columns(_pointwise_product(g, f), K2, window)
+        D = Mg[lo:hi] @ Mf - Mgf[lo:hi]
+        gap = sobolev_op_norm(D, s, s + m - r, K=K, N=N)
         samples.append((float(rr), gap))
     params = {"kind_detail": "composition_gap", "r": r, "m": m, "s": s,
               "K": K,
@@ -269,9 +274,9 @@ class SplitOperator:
 
 
 def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
-    """samples over a uniform theta grid -> [d^0, d^1, ..., d^j_max]."""
+    """(G, N, N) samples over a uniform theta grid -> [d^0, ..., d^j_max]."""
     G = samples.shape[0]
-    freqs = np.fft.fftfreq(G, d=1.0 / G)  # integer mode numbers
+    freqs = np.fft.fftfreq(G, d=1.0 / G)[:, None, None]  # integer modes
     out = [samples]
     coeffs = np.fft.fft(samples, axis=0)
     for a in range(1, j_max + 1):
@@ -279,16 +284,26 @@ def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
     return out
 
 
+def _max_fibre_norm(fibres: np.ndarray) -> float:
+    """Largest spectral norm in a (..., N, N) stack; |a| for 1 x 1 fibres,
+    whose norm through the SVD differs from |a| in the last bit."""
+    if fibres.shape[-1] == 1:
+        return float(np.abs(fibres).max())
+    return float(np.linalg.norm(fibres, ord=2, axis=(-2, -1)).max())
+
+
 def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
     """Seminorms of the locally convex operator topology, realized
     discretely: p_j = sup of theta- and xi-derivatives of the principal
     symbol up to total order j on |xi| = 1 (theta derivatives spectral,
-    xi derivatives by central finite differences), and the Sobolev norms
+    xi derivatives by central finite differences), each measured by the
+    spectral norm of its fibre, and the Sobolev norms
     ||lower part||_{k+m-1,k} for k in k_list."""
     p = {}
     if D.principal is not None:
         G = 256
         theta = 2.0 * np.pi * np.arange(G) / G
+        N = D.principal.fiber_dim
         h = 1e-3
         sup = {}
         for xi0 in (1.0, -1.0):
@@ -301,15 +316,14 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
                 acc = None
                 for dx, w in stencils[beta]:
                     # a theta-independent value is spread over the grid
-                    v = np.broadcast_to(np.asarray(
-                        D.principal.evaluate(theta, xi0 + dx),
-                        dtype=complex), theta.shape) * w
+                    v = np.broadcast_to(_fibres(
+                        D.principal.evaluate(theta, xi0 + dx), N),
+                        (G, N, N)) * w
                     acc = v if acc is None else acc + v
                 for alpha, deriv in enumerate(
                         _theta_spectral_derivs(acc, j_max - beta)):
                     key = (alpha, beta)
-                    mag = float(np.abs(deriv).max())
-                    sup[key] = max(sup.get(key, 0.0), mag)
+                    sup[key] = max(sup.get(key, 0.0), _max_fibre_norm(deriv))
         for j in range(j_max + 1):
             p[j] = max(v for (a, b), v in sup.items() if a + b <= j)
     lower_norms = {}

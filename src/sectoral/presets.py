@@ -16,7 +16,7 @@ from .contour import ContourSpec, make_sector_contour
 from .errors import ConfigInvalid
 from .experiments import SplitOperator
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       cutoff_resolvent_symbol, op_from_symbol)
+                       _fibres, cutoff_resolvent_symbol, op_from_symbol)
 
 # ---------------------------------------------------------------------------
 # symbol library
@@ -49,8 +49,13 @@ def symbol_pauli_monopole() -> SymbolFunction:
 # operator presets (factories take the mode cutoff K)
 
 def _combine(principal: SymbolFunction, shift: complex) -> SymbolFunction:
+    """principal + shift, the shift taken as shift * I on a system's
+    fibres."""
+    N = principal.fiber_dim
+
     def evaluate(theta, xi):
-        return np.asarray(principal.evaluate(theta, xi)) + shift
+        value = principal.evaluate(theta, xi)
+        return (_fibres(value, N) + shift * np.eye(N)).reshape(np.shape(value))
 
     return SymbolFunction(order=principal.order, evaluate=evaluate,
                           principal=principal.principal,

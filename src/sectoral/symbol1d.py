@@ -9,12 +9,13 @@ trigonometric-polynomial coefficients up to degree 2K are exact.
 
 A symbol is evaluated like a ufunc: theta broadcasts against xi, and the
 result has the broadcast shape (plus (N, N) for systems), except that a
-value independent of theta may keep theta-extent 1.  Op(a) is assembled in
-blocks of columns, each tabulated by one call on a grid of a (columns, 1)
-column of xi against the 1-D theta samples.  A symbol whose value on the
-first block has theta-extent 1 is a Fourier multiplier: Op(a) is then the
-block diagonal of a(k), written without an FFT, with exact zeros off the
-diagonal, from at most one more call for the remaining columns.
+value independent of theta may keep theta-extent 1.  Op(a), or any set of
+its columns, is assembled in blocks of columns, each tabulated by one call
+on a grid of a (columns, 1) column of xi against the 1-D theta samples.  A
+symbol whose value on the first block has theta-extent 1 is a Fourier
+multiplier: Op(a) is then the block diagonal of a(k), written without an
+FFT, with exact zeros off the diagonal, from at most one more call for the
+remaining columns.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .contour import ContourSpec, quad_nodes, sector_phi
 from .errors import AliasingRisk, SymbolSingular
 
 ALIASING_TOL = 1e-10
-# Symbol samples tabulated per evaluate call of op_from_symbol: 16 columns
+# Symbol samples tabulated per evaluate call of _op_columns: 16 columns
 # at K = 256.  Half of it made a K = 256 matrix 7-19% slower to assemble;
 # twice of it raised the peak memory of c3-c5 by 0.8 MB.
 BLOCK_SAMPLES = 2 ** 15
@@ -115,37 +116,39 @@ def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
         float(np.broadcast_to(xi, fibres.shape[:-2]).flat[i]))
 
 
-def _write_columns(M: np.ndarray, cols: np.ndarray,
+def _write_columns(M: np.ndarray, cols: np.ndarray, pos: np.ndarray,
                    coeffs: np.ndarray) -> None:
-    """Block columns `cols` of Op(a), seen as an (n_modes, N, n_modes, N)
-    array, from the (len(cols), G, N, N) theta-coefficients of a(., k) at
-    those columns: block (j, k) is a-hat_{j-k}(k), read at index
-    (j - k) mod G."""
+    """Block columns `cols` of Op(a) into positions `pos` of M, seen as an
+    (n_modes, N, n_positions, N) array, from the (len(cols), G, N, N)
+    theta-coefficients of a(., k) at those columns: block (j, k) is
+    a-hat_{j-k}(k), read at index (j - k) mod G."""
     rows = np.arange(M.shape[0])[:, None]
     blocks = coeffs[np.arange(cols.size), (rows - cols) % coeffs.shape[1]]
-    M[:, :, cols, :] = blocks.transpose(0, 2, 1, 3)
+    M[:, :, pos, :] = blocks.transpose(0, 2, 1, 3)
 
 
-def _write_diagonal(M: np.ndarray, cols: np.ndarray,
+def _write_diagonal(M: np.ndarray, cols: np.ndarray, pos: np.ndarray,
                     fibres: np.ndarray) -> None:
-    """Diagonal blocks `cols` of Op(a) of a Fourier multiplier, seen as an
-    (n_modes, N, n_modes, N) array, from its theta-extent-1 values a(k) at
-    those columns."""
+    """Diagonal blocks `cols` of Op(a) of a Fourier multiplier into
+    positions `pos` of M, seen as an (n_modes, N, n_positions, N) array,
+    from its theta-extent-1 values a(k) at those columns."""
     N = M.shape[1]
-    M[cols, :, cols, :] = np.broadcast_to(fibres,
-                                          (cols.size, 1, N, N))[:, 0]
+    M[cols, :, pos, :] = np.broadcast_to(fibres,
+                                         (cols.size, 1, N, N))[:, 0]
 
 
-def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
-    """Matrix of Op(a) on modes -K..K, assembled in blocks of columns of
-    about BLOCK_SAMPLES samples: one evaluate call, one FFT along theta and
-    one gather per block.  When the values on the first block have
-    theta-extent 1, a is a Fourier multiplier and Op(a) is the block
-    diagonal of a(k), the other columns read from one more evaluate call:
-    no FFT, exact zeros off the diagonal and no aliasing tail.
+def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
+    """Block columns `cols` (indices 0..2K into the modes -K..K) of Op(a):
+    the N(2K+1) x N len(cols) matrix, assembled in blocks of about
+    BLOCK_SAMPLES samples of the selected columns: one evaluate call, one
+    FFT along theta and one gather per block.  When the values on the first
+    block have theta-extent 1, a is a Fourier multiplier and its columns
+    are the block diagonal of a(k), the other columns read from one more
+    evaluate call: no FFT, exact zeros off the diagonal and no aliasing
+    tail.
 
-    Warns with AliasingRisk if the coefficient tail beyond degree 2K
-    exceeds 1e-10 relative to the largest coefficient.
+    Warns with AliasingRisk if the coefficient tail beyond degree 2K of the
+    assembled columns exceeds 1e-10 relative to their largest coefficient.
     """
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
@@ -154,40 +157,51 @@ def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
     width = -(-BLOCK_SAMPLES // (G * N * N))
-    M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
+    M = np.zeros((n_modes, N, cols.size, N), dtype=complex)
 
-    def values(cols):
-        xi = (cols - K)[:, None].astype(float)
+    def values(pos):
+        xi = (cols[pos] - K)[:, None].astype(float)
         return _fibres(a.evaluate(theta, xi), N)
 
-    first = np.arange(min(width, n_modes))
+    first = np.arange(min(width, cols.size))
     fibres = values(first)
     # theta-extent 1: the values do not depend on theta
     if np.broadcast_shapes(fibres.shape[:-2], (first.size, 1))[1] == 1:
-        _write_diagonal(M, first, fibres)
-        rest = np.arange(first.size, n_modes)
+        _write_diagonal(M, cols[first], first, fibres)
+        rest = np.arange(first.size, cols.size)
         if rest.size:
-            _write_diagonal(M, rest, values(rest))
+            _write_diagonal(M, cols[rest], rest, values(rest))
     else:
         max_coeff = 0.0
         max_tail = 0.0
-        for start in range(0, n_modes, width):
-            cols = np.arange(start, min(start + width, n_modes))
+        for start in range(0, cols.size, width):
+            pos = np.arange(start, min(start + width, cols.size))
             if start > 0:
-                fibres = values(cols)
-            samples = np.broadcast_to(fibres, (cols.size, G, N, N))
+                fibres = values(pos)
+            samples = np.broadcast_to(fibres, (pos.size, G, N, N))
             coeffs = np.fft.fft(samples, axis=1) / G
             mags = np.abs(coeffs)
             max_coeff = max(max_coeff, mags.max())
             # indices 2K+1 .. G-2K-1 hold the degrees beyond 2K
             max_tail = max(max_tail, mags[:, 2 * K + 1:G - 2 * K].max())
-            _write_columns(M, cols, coeffs)
+            _write_columns(M, cols[pos], pos, coeffs)
         if max_coeff > 0 and max_tail > ALIASING_TOL * max_coeff:
             warnings.warn(AliasingRisk(
                 f"coefficient tail beyond degree {2 * K} is "
                 f"{max_tail / max_coeff:.2e} of the largest coefficient"))
-    return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
-                               a.order, symbol=a, fiber_dim=N)
+    return M.reshape(N * n_modes, N * cols.size)
+
+
+def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
+    """Matrix of Op(a) on modes -K..K: _op_columns over all 2K+1 columns,
+    in blocks of about BLOCK_SAMPLES samples, a Fourier multiplier as its
+    exact block diagonal.
+
+    Warns with AliasingRisk if the coefficient tail beyond degree 2K
+    exceeds 1e-10 relative to the largest coefficient.
+    """
+    M = _op_columns(a, K, np.arange(2 * K + 1))
+    return DiscretizedOperator(M, K, a.order, symbol=a, fiber_dim=a.fiber_dim)
 
 
 def _weight_vector(K: int, s: float, N: int = 1) -> np.ndarray:
@@ -282,7 +296,7 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta, xi))
     sigma = psi_vals[cols, None, None, None] * phi
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    _write_columns(M, cols, np.fft.fft(sigma, axis=1) / G)
+    _write_columns(M, cols, cols, np.fft.fft(sigma, axis=1) / G)
     return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
                                -a.order, symbol=None, fiber_dim=N)
 

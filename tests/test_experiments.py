@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sectoral import experiments, linalg, presets
+from sectoral import experiments, linalg, presets, symbol1d
 from sectoral.errors import (ClearanceLost, InsufficientSpan,
                              RangeOutsideResolvedRegime, RayHitsSpectrum,
                              SingularMatrix)
@@ -186,6 +186,60 @@ def test_composition_gap_degenerate_for_commuting_multipliers():
     assert all(gap == 0.0 for _, gap in rep.samples)
 
 
+@pytest.fixture
+def assembled_columns(monkeypatch):
+    """(symbol, K, number of columns) of every Op(a) assembly, whether
+    through op_from_symbol or on a set of columns."""
+    calls = []
+    op_columns = symbol1d._op_columns
+
+    def recorded(a, K, cols):
+        calls.append((a, K, len(cols)))
+        return op_columns(a, K, cols)
+
+    monkeypatch.setattr(symbol1d, "_op_columns", recorded)
+    monkeypatch.setattr(experiments, "_op_columns", recorded)
+    return calls
+
+
+def test_composition_gap_assembles_f_and_gf_on_the_window_only(
+        assembled_columns):
+    K, K2 = 16, 32
+    f_family, g_family, r, m, tol = presets.pair_resolvent(1.0)
+    made = {"f": [], "g": []}
+
+    def f_fam(lam):
+        made["f"].append(f_family(lam))
+        return made["f"][-1]
+
+    def g_fam(lam):
+        made["g"].append(g_family(lam))
+        return made["g"][-1]
+
+    def kind(a):
+        return next((k for k, syms in made.items()
+                     if any(a is b for b in syms)), "gf")
+
+    rep = composition_gap_experiment(f_fam, g_fam, r, m, 0.0, (2.0, 8.0),
+                                     K=K, n_samples=4, tolerance=tol)
+    assert len(rep.samples) == len(made["f"]) == 4
+    # per lambda: Op(g) on all 2K2+1 columns, Op(f) and Op(g f) on 2K+1
+    got = sorted((kind(a), KK, n) for a, KK, n in assembled_columns)
+    assert got == ([("f", K2, 2 * K + 1)] * 4 + [("g", K2, 2 * K2 + 1)] * 4
+                   + [("gf", K2, 2 * K + 1)] * 4)
+
+
+def test_parametrix_gap_assembles_the_window_only(assembled_columns):
+    A = presets.get_operator("variable_coeff_shift", 16)
+    K2 = 2 * A.K
+    assembled_columns.clear()
+    parametrix_gap_experiment(A, CutoffFunction(2.0), np.pi / 2, 0.0,
+                              (1.0, 4.0), n_samples=4)
+    # Op(a) once at doubled resolution, then 2K+1 columns per lambda
+    assert [(a is A.symbol, K, n) for a, K, n in assembled_columns] == (
+        [(True, K2, 2 * K2 + 1)] + [(False, K2, 2 * A.K + 1)] * 4)
+
+
 def test_composition_gap_range_guard():
     def fam(lam):
         return presets.symbol_xi()
@@ -219,6 +273,18 @@ def test_seminorm_principal_scaling():
     assert sem["p"][0] == pytest.approx(eps, rel=1e-6)
     assert sem["p"][1] == pytest.approx(eps, rel=1e-4)
     assert sem["p"][2] == pytest.approx(eps, rel=1e-4)
+
+
+def test_seminorm_system_principal_is_the_fibre_spectral_norm():
+    # xi (cos theta sx + sin theta sy) and its theta- and first
+    # xi-derivatives have spectral norm 1 on |xi| = 1; its second
+    # xi-derivative vanishes
+    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole(),
+                      fiber_dim=2)
+    sem = seminorm_pc(D, k_list=(), j_max=2)
+    assert sem["p"][0] == pytest.approx(1.0, rel=1e-12)
+    assert sem["p"][1] == pytest.approx(1.0, rel=1e-9)
+    assert sem["p"][2] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_seminorm_lower_part_matches_direct_norm():

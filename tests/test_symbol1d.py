@@ -209,6 +209,19 @@ def test_op_from_symbol_system_blocks():
     assert np.allclose(blk, 0.0)
 
 
+def test_shift_of_a_system_is_shift_times_identity():
+    sym = presets._combine(presets.symbol_pauli_monopole(), 0.3)
+    assert np.array_equal(sym.evaluate(0.0, 2.0), [[0.3, 2.0], [2.0, 0.3]])
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    xi = np.arange(-3.0, 4.0)[:, None]
+    pauli = presets.symbol_pauli_monopole().evaluate(theta, xi)
+    assert np.array_equal(sym.evaluate(theta, xi), pauli + 0.3 * np.eye(2))
+    # a scalar symbol keeps its shape, a multiplier its theta-extent 1
+    scalar = presets._combine(presets.symbol_xi(), 0.3).evaluate(theta, xi)
+    assert scalar.shape == xi.shape
+    assert np.array_equal(scalar, xi + 0.3)
+
+
 # ---------------------------------------------------------------------------
 # block assembly of Op(a)
 
@@ -303,6 +316,39 @@ def test_op_from_symbol_equals_column_assembly(name, K):
         assert np.abs(got - reference).max() <= 1e-13 * np.abs(got).max()
     else:
         assert np.array_equal(got, reference)
+
+
+def _windows(K):
+    """Column sets for _op_columns: K + 1 columns in the middle, as the gap
+    experiments take them, and a set that ends at the last column."""
+    return {"middle": np.arange(K // 2 + 1, 3 * K // 2 + 2),
+            "tail": np.arange(K // 2 + 3, 2 * K + 1)}
+
+
+def test_windows_start_mid_block_and_end_in_a_partial_block():
+    K = BLOCK_KS[1]
+    for N in (1, 2):
+        width = _block_widths(K, N)[0]
+        for cols in _windows(K).values():
+            assert cols[0] % width != 0
+            assert cols.size > width and cols.size % width != 0
+
+
+@pytest.mark.parametrize("name", sorted(_block_case_symbols()))
+@pytest.mark.parametrize("K", BLOCK_KS)
+@pytest.mark.parametrize("window", ["middle", "tail"])
+def test_op_columns_equal_the_columns_of_op_from_symbol(name, K, window):
+    a = _block_case_symbols()[name]
+    N = a.fiber_dim
+    cols = _windows(K)[window]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingRisk)
+        got = symbol1d._op_columns(a, K, cols)
+        full = op_from_symbol(a, K).matrix
+    n = N * (2 * K + 1)
+    want = full.reshape(n, 2 * K + 1, N)[:, cols].reshape(n, N * cols.size)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_op_from_symbol_evaluates_once_per_block():
