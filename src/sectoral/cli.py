@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -60,7 +61,7 @@ KEYS = {
     "lambda_max": (float, "largest |lambda|"),
     "n_samples": (int, "lambda sample count"),
     "level": (int, "icosphere refinement level"),
-    "exponent": (float, "power s (real part; purely real here)"),
+    "exponent": (float, "real exponent s of the power"),
     "alpha1": (float, "first branch-cut angle"),
     "alpha2": (float, "second branch-cut angle"),
     "path": (str, "matrix path preset name"),
@@ -120,16 +121,23 @@ def canonical_json(record: dict) -> str:
 
 def _write_reports(record: dict, kind: str, preset: str, out_dir: str,
                    samples=None) -> str:
+    """Write <kind>-<preset>-<stamp>-<n>.json (and .csv for samples) as new
+    files; n counts the runs in that second, so names sort by creation."""
     os.makedirs(out_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    base = os.path.join(out_dir, f"{kind}-{preset}-{stamp}")
     record = dict(record, timestamp=stamp)
-    with open(base + ".json", "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2,
-                  default=_json_default)
-        fh.write("\n")
+    for n in itertools.count():
+        base = os.path.join(out_dir, f"{kind}-{preset}-{stamp}-{n:04d}")
+        try:
+            with open(base + ".json", "x") as fh:
+                json.dump(record, fh, sort_keys=True, indent=2,
+                          default=_json_default)
+                fh.write("\n")
+            break
+        except FileExistsError:
+            pass
     if samples is not None:
-        with open(base + ".csv", "w") as fh:
+        with open(base + ".csv", "x") as fh:
             fh.write("abscissa,value\n")
             for x, y in samples:
                 fh.write(f"{float(x)!r},{float(y)!r}\n")
@@ -148,12 +156,8 @@ def _build_contour(opt: dict):
     return presets.contour_imag(**kw)
 
 
-def _experiment_record(rep: ExperimentReport, preset: str, extra=None) -> dict:
-    rec = rep.to_json_dict()
-    rec["preset"] = preset
-    if extra:
-        rec.update(extra)
-    return rec
+def _experiment_record(rep: ExperimentReport, preset: str, extra) -> dict:
+    return {**rep.to_json_dict(), "preset": preset, **extra}
 
 
 def _cmd_project(opt: dict) -> tuple:

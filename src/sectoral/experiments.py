@@ -21,7 +21,7 @@ from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime
                      RayHitsSpectrum, SpectrumOnContour)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _fibres, _op_columns, choose_rho,
+                       _fibres, _op_columns, _pointwise_product, choose_rho,
                        cutoff_resolvent_symbol, op_from_symbol,
                        parametrix_phi0, sobolev_inverse_norm, sobolev_op_norm)
 
@@ -188,22 +188,6 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
               "n_samples": len(lams)}
     return _fit_report("parametrix_gap", params, samples,
                        expected_slope=-min(1.0 / m, 1.0), tolerance=tolerance)
-
-
-def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
-    N = g.fiber_dim
-
-    def product(gv, fv):
-        shape = np.broadcast_shapes(np.shape(gv), np.shape(fv))
-        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(shape)
-
-    return SymbolFunction(
-        order=g.order + f.order,
-        evaluate=lambda theta, xi: product(g.evaluate(theta, xi),
-                                           f.evaluate(theta, xi)),
-        principal=lambda theta, xi: product(g.principal(theta, xi),
-                                            f.principal(theta, xi)),
-        fiber_dim=N, name=f"({g.name})*({f.name})")
 
 
 def composition_gap_experiment(f_family, g_family, r: float, m: float,

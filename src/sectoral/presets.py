@@ -16,7 +16,8 @@ from .contour import ContourSpec, make_sector_contour
 from .errors import ConfigInvalid
 from .experiments import SplitOperator
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _fibres, cutoff_resolvent_symbol, op_from_symbol)
+                       _combine, _pointwise_product, cutoff_resolvent_symbol,
+                       op_from_symbol)
 
 # ---------------------------------------------------------------------------
 # symbol library
@@ -48,21 +49,6 @@ def symbol_pauli_monopole() -> SymbolFunction:
 # ---------------------------------------------------------------------------
 # operator presets (factories take the mode cutoff K)
 
-def _combine(principal: SymbolFunction, shift: complex) -> SymbolFunction:
-    """principal + shift, the shift taken as shift * I on a system's
-    fibres."""
-    N = principal.fiber_dim
-
-    def evaluate(theta, xi):
-        value = principal.evaluate(theta, xi)
-        return (_fibres(value, N) + shift * np.eye(N)).reshape(np.shape(value))
-
-    return SymbolFunction(order=principal.order, evaluate=evaluate,
-                          principal=principal.principal,
-                          fiber_dim=principal.fiber_dim,
-                          name=f"{principal.name}+{shift}")
-
-
 def op_dtheta(K: int) -> DiscretizedOperator:
     return op_from_symbol(symbol_xi(), K)
 
@@ -80,15 +66,11 @@ def op_variable_coeff_shift(K: int) -> DiscretizedOperator:
 
 
 def op_variable_coeff_m2(K: int) -> DiscretizedOperator:
-    def evaluate(theta, xi):
-        return (2.0 + np.cos(np.asarray(theta, float))) * xi * xi + 1.0 + 0j
-
-    def principal(theta, xi):
-        return (2.0 + np.cos(np.asarray(theta, float))) * xi * xi + 0j
-
-    sym = SymbolFunction(order=2, evaluate=evaluate, principal=principal,
-                         name="c_theta_times_xi2_plus_1")
-    return op_from_symbol(sym, K)
+    f = lambda theta, xi: ((2.0 + np.cos(np.asarray(theta, float)))
+                           * xi * xi + 0j)
+    sym = SymbolFunction(order=2, evaluate=f, principal=f,
+                         name="c_theta_times_xi2")
+    return op_from_symbol(_combine(sym, 1.0), K)
 
 
 OPERATOR_PRESETS = {
@@ -108,14 +90,9 @@ OPERATOR_PRESETS = {
 # perturbation presets (split form)
 
 def perturbation_cos_theta_lower(K: int, m: float = 1.0) -> SplitOperator:
-    sym = SymbolFunction(order=0,
-                         evaluate=lambda theta, xi: np.cos(
-                             np.asarray(theta, float)) + 0j,
-                         principal=lambda theta, xi: np.cos(
-                             np.asarray(theta, float)) + 0j,
-                         name="cos_theta")
-    lower = op_from_symbol(sym, K).matrix
-    return SplitOperator(m=m, K=K, principal=None, lower=lower)
+    f = lambda theta, xi: np.cos(np.asarray(theta, float)) + 0j
+    sym = SymbolFunction(order=0, evaluate=f, principal=f, name="cos_theta")
+    return SplitOperator(m=m, K=K, lower=op_from_symbol(sym, K).matrix)
 
 
 PERTURBATION_PRESETS = {
@@ -129,48 +106,29 @@ PERTURBATION_PRESETS = {
 # return the lambda-dependent families f and g, the order r of f, the order
 # m of the resolvent and the slope tolerance: (f, g, r, m, tolerance))
 
-def _cutoff_resolvent_family(rho: float):
-    am = symbol_c_theta_times_xi()
+def _cutoff_resolvent_family(a: SymbolFunction, rho: float):
     psi = CutoffFunction(rho)
-    return lambda lam: cutoff_resolvent_symbol(am, psi, lam)
+    return lambda lam: cutoff_resolvent_symbol(a, psi, lam)
 
 
 def pair_resolvent(rho: float) -> tuple:
     am = symbol_c_theta_times_xi()
-
-    def f_family(lam):
-        ev = lambda theta, xi: np.asarray(am.evaluate(theta, xi)) - lam
-        return SymbolFunction(order=1, evaluate=ev, principal=am.principal,
-                              name="a_m-lam")
-    return f_family, _cutoff_resolvent_family(rho), 1.0, 1.0, 0.15
+    f_family = lambda lam: _combine(am, -lam)
+    return f_family, _cutoff_resolvent_family(am, rho), 1.0, 1.0, 0.15
 
 
 def pair_multiplier(rho: float) -> tuple:
-    psi = CutoffFunction(rho)
-
-    def f_family(lam):
-        ev = lambda theta, xi: xi - lam
-        pr = lambda theta, xi: xi
-        return SymbolFunction(order=1, evaluate=ev, principal=pr,
-                              name="xi-lam")
-
-    def g_family(lam):
-        ev = lambda theta, xi: psi(xi) / (xi - lam)
-        return SymbolFunction(order=-1, evaluate=ev, principal=ev,
-                              name="psi/(xi-lam)")
-    return f_family, g_family, 1.0, 1.0, 0.15
+    xi = symbol_xi()
+    f_family = lambda lam: _combine(xi, -lam)
+    return f_family, _cutoff_resolvent_family(xi, rho), 1.0, 1.0, 0.15
 
 
 def pair_order_zero(rho: float) -> tuple:
-    g_family = _cutoff_resolvent_family(rho)
-    phase = lambda theta: np.exp(1j * np.asarray(theta, float))
-
-    def f_family(lam):
-        g = g_family(lam)
-        ev = lambda theta, xi: g.evaluate(theta, xi) * phase(theta) * xi
-        pr = lambda theta, xi: g.principal(theta, xi) * phase(theta) * xi
-        return SymbolFunction(order=0, evaluate=ev, principal=pr,
-                              name="r_psi*b")
+    g_family = _cutoff_resolvent_family(symbol_c_theta_times_xi(), rho)
+    b = lambda theta, xi: np.exp(1j * np.asarray(theta, float)) * xi
+    phase_xi = SymbolFunction(order=1, evaluate=b, principal=b,
+                              name="e^{i theta} xi")
+    f_family = lambda lam: _pointwise_product(g_family(lam), phase_xi)
     return f_family, g_family, 0.0, 1.0, 0.2
 
 

@@ -229,6 +229,37 @@ def sobolev_inverse_norm(T, s: float, t: float, K: int, N: int = 1) -> float:
     return linalg.inverse_norm_2(_sobolev_weighted(T, t, s, K, N))
 
 
+def _combine(principal: SymbolFunction, shift: complex) -> SymbolFunction:
+    """principal + shift, the shift taken as shift * I on a system's
+    fibres; the principal part is unchanged."""
+    N = principal.fiber_dim
+
+    def evaluate(theta, xi):
+        value = principal.evaluate(theta, xi)
+        return (_fibres(value, N) + shift * np.eye(N)).reshape(np.shape(value))
+
+    return SymbolFunction(order=principal.order, evaluate=evaluate,
+                          principal=principal.principal, fiber_dim=N,
+                          name=f"{principal.name}+{shift}")
+
+
+def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
+    """The symbol g f, the fibre product g @ f in that order."""
+    N = g.fiber_dim
+
+    def product(gv, fv):
+        shape = np.broadcast_shapes(np.shape(gv), np.shape(fv))
+        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(shape)
+
+    return SymbolFunction(
+        order=g.order + f.order,
+        evaluate=lambda theta, xi: product(g.evaluate(theta, xi),
+                                           f.evaluate(theta, xi)),
+        principal=lambda theta, xi: product(g.principal(theta, xi),
+                                            f.principal(theta, xi)),
+        fiber_dim=N, name=f"({g.name})*({f.name})")
+
+
 def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
                             lam: complex) -> SymbolFunction:
     """The smoothed resolvent symbol psi(xi) (a_m(theta,xi) - lambda)^{-1},

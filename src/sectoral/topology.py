@@ -93,27 +93,23 @@ def icosphere(level: int):
     """Subdivided icosahedron projected to the unit sphere.
 
     Returns (vertices, triangles) with consistently outward-oriented
-    triangles; no coordinate poles, uniform triangle quality.
+    triangles; no coordinate poles, uniform triangle quality.  Each level
+    appends the edge midpoints in the order of their sorted edges.
     """
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
+    faces = np.array(_ICO_FACES)
     for _ in range(level):
-        midpoint_cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint_cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint_cache[key] = len(verts) - 1
-            return midpoint_cache[key]
-
-        for (i, j, k) in faces:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = new_faces
-    return np.array(verts), np.array(faces, dtype=int)
+        V = len(verts)
+        # edges (i, j), (j, k), (k, i) of every face, keyed lo * V + hi
+        ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)]), axis=0)
+        keys, mid = np.unique(ends[0] * V + ends[1], return_inverse=True)
+        m = verts[keys // V] + verts[keys % V]
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        verts = np.vstack([verts, m])
+        (i, j, k), (a, b, c) = faces.T, (V + mid.reshape(faces.shape)).T
+        faces = np.stack([i, a, c, j, b, a, k, c, b, a, b, c],
+                         axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 @dataclass

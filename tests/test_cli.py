@@ -3,10 +3,11 @@ import os
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from sectoral import presets
+from sectoral import cli, presets
 from sectoral.cli import (_CONTOUR, _SAMPLES, COMMANDS, KEYS, build_parser,
                           canonical_json, load_config, main)
 from sectoral.errors import ConfigInvalid
@@ -107,6 +108,46 @@ def test_compose_gap_order_zero_pair(tmp_path, monkeypatch, capsys):
     assert rec["r_squared"] >= 0.98
 
 
+@pytest.mark.parametrize("argv, kind, tolerance", [
+    (["resolvent-decay", "--K", "64", "--lambda-min", "1.6",
+      "--lambda-max", "16"], "resolvent_decay-dtheta_shift-", 0.1),
+    (["parametrix", "--K", "64", "--rho", "2", "--lambda-min", "8",
+      "--lambda-max", "32"], "parametrix_gap-variable_coeff_shift-", 0.15),
+])
+def test_decay_runs_meet_the_criterion(argv, kind, tolerance, tmp_path,
+                                       monkeypatch, capsys):
+    # c3 and c4 at a small K: slope -1 within the criterion's tolerance
+    code, out, _ = _run(argv, tmp_path, monkeypatch, capsys)
+    assert code == 0 and "pass" in out
+    rec = _latest_json(tmp_path, kind)
+    assert rec["pass"] is True and rec["K"] == 64
+    assert rec["expected_slope"] == -1.0
+    assert abs(rec["fitted_slope"] + 1.0) <= tolerance
+    assert rec["r_squared"] >= 0.98
+    # the samples go to the CSV of the same base name
+    csv, record = sorted(os.listdir(tmp_path))
+    assert csv == record[:-len(".json")] + ".csv"
+
+
+def test_reports_of_one_second_are_all_kept(tmp_path, monkeypatch, capsys):
+    # every run in the same second gets new files, named in run order
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        gmtime=lambda: None, strftime=lambda fmt, t: "20250101T000000"))
+    for K in ("4", "6", "8"):
+        code, _, _ = _run(["project", "--preset", "dtheta", "--K", K],
+                          tmp_path, monkeypatch, capsys)
+        assert code == 0
+    names = sorted(os.listdir(tmp_path))
+    assert names == [f"project-dtheta-20250101T000000-{n:04d}.json"
+                     for n in range(3)]
+    Ks = []
+    for name in names:
+        with open(tmp_path / name) as fh:
+            Ks.append(json.load(fh)["K"])
+    assert Ks == [4, 6, 8]
+    assert _latest_json(tmp_path, "project-dtheta-")["K"] == 8
+
+
 def test_wodzicki_pass_and_deliberate_fail(tmp_path, monkeypatch, capsys):
     code, out, _ = _run(["wodzicki", "--preset", "dtheta_shift", "--K", "8"],
                         tmp_path, monkeypatch, capsys)
@@ -198,18 +239,15 @@ def test_load_config_rejects_removed_keys(tmp_path):
 
 
 def test_canonical_json_deterministic(tmp_path, monkeypatch, capsys):
-    recs = []
     for _ in range(2):
         code, _, _ = _run(["project", "--preset", "dtheta", "--K", "8"],
                           tmp_path, monkeypatch, capsys)
         assert code == 0
-        names = sorted(p for p in os.listdir(tmp_path)
-                       if p.startswith("project-dtheta-")
-                       and p.endswith(".json"))
-        with open(tmp_path / names[-1]) as fh:
+    recs = []
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name) as fh:
             recs.append(json.load(fh))
-        for p in names:
-            os.remove(tmp_path / p)
+    assert len(recs) == 2
     assert canonical_json(recs[0]) == canonical_json(recs[1])
     # the timestamps themselves may differ and are excluded on purpose
     assert "timestamp" not in json.loads(canonical_json(recs[0]))

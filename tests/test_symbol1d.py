@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sectoral import presets, symbol1d
+from sectoral import presets, symbol1d, topology
 from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
 from sectoral.symbol1d import (CutoffFunction, SymbolFunction, choose_rho,
@@ -210,16 +210,36 @@ def test_op_from_symbol_system_blocks():
 
 
 def test_shift_of_a_system_is_shift_times_identity():
-    sym = presets._combine(presets.symbol_pauli_monopole(), 0.3)
+    sym = symbol1d._combine(presets.symbol_pauli_monopole(), 0.3)
     assert np.array_equal(sym.evaluate(0.0, 2.0), [[0.3, 2.0], [2.0, 0.3]])
     theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     xi = np.arange(-3.0, 4.0)[:, None]
     pauli = presets.symbol_pauli_monopole().evaluate(theta, xi)
     assert np.array_equal(sym.evaluate(theta, xi), pauli + 0.3 * np.eye(2))
     # a scalar symbol keeps its shape, a multiplier its theta-extent 1
-    scalar = presets._combine(presets.symbol_xi(), 0.3).evaluate(theta, xi)
+    scalar = symbol1d._combine(presets.symbol_xi(), 0.3).evaluate(theta, xi)
     assert scalar.shape == xi.shape
     assert np.array_equal(scalar, xi + 0.3)
+
+
+def test_product_of_systems_is_the_fibre_product_g_f():
+    sx, sy, sz = topology.PAULI
+    # g = xi sigma_x (a multiplier) and f = cos(theta) sigma_y, of orders
+    # 1 and 0: g f = i xi cos(theta) sigma_z, and f g is its negative
+    gv = lambda theta, xi: np.asarray(xi)[..., None, None] * sx
+    fv = lambda theta, xi: np.cos(theta)[..., None, None] * sy
+    g = SymbolFunction(order=1, evaluate=gv, principal=gv, fiber_dim=2)
+    f = SymbolFunction(order=0, evaluate=fv, principal=fv, fiber_dim=2)
+    gf = symbol1d._pointwise_product(g, f)
+    assert gf.order == 1 and gf.fiber_dim == 2
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    xi = np.arange(-3.0, 4.0)[:, None]
+    want = 1j * (xi * np.cos(theta))[..., None, None] * sz
+    for value in (gf.evaluate(theta, xi), gf.principal(theta, xi)):
+        assert value.shape == (7, 8, 2, 2)
+        assert np.allclose(value, want, rtol=0, atol=1e-15)
+    fg = symbol1d._pointwise_product(f, g).evaluate(theta, xi)
+    assert np.allclose(fg, -want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +271,7 @@ def _block_widths(K, N):
 
 
 def _block_case_symbols():
-    from sectoral.experiments import _pointwise_product
+    from sectoral.symbol1d import _pointwise_product
     psi = CutoffFunction(2.5)
     cases = {name: presets.get_operator(name, 2).symbol
              for name in presets.OPERATOR_PRESETS}

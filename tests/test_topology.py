@@ -121,6 +121,43 @@ def test_icosphere_triangle_closure():
     assert set(edges.values()) == {2}
 
 
+def _icosphere_face_by_face(level):
+    """Reference: subdivide one face at a time, appending each edge
+    midpoint at its first use."""
+    verts, faces = icosphere(0)
+    verts, faces = list(verts), faces.tolist()
+    for _ in range(level):
+        cache, new_faces = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for (i, j, k) in faces:
+            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
+        faces = new_faces
+    return np.array(verts), np.array(faces)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_icosphere_matches_face_by_face_reference(level):
+    # the same points and the same oriented triangles, in the same order;
+    # only the numbering of the midpoints differs
+    verts, faces = icosphere(level)
+    ref_verts, ref_faces = _icosphere_face_by_face(level)
+    order = np.lexsort(np.round(verts, 12).T)
+    ref_order = np.lexsort(np.round(ref_verts, 12).T)
+    assert np.abs(verts[order] - ref_verts[ref_order]).max() <= 1e-15
+    relabel = np.empty(len(verts), dtype=int)
+    relabel[ref_order] = order
+    assert np.array_equal(relabel[ref_faces], faces)
+
+
 # ---------------------------------------------------------------------------
 # Chern numbers
 
