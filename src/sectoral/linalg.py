@@ -183,12 +183,18 @@ def operator_norm_2(A) -> float:
     return float(_singular_values(A)[0])
 
 
+def check_hermitian(A) -> np.ndarray:
+    """Return A, a validated square matrix, or raise NotHermitian when the
+    Frobenius norm of A - A* exceeds 1e-10 * max(||A||_2, 1e-300)."""
+    scale = max(operator_norm_2(A), 1e-300)
+    if np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
+        raise NotHermitian("input deviates from Hermitian beyond tolerance")
+    return A
+
+
 def inv_sqrt_hpd(H) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix."""
-    H = as_matrix(H)
-    scale = operator_norm_2(H)
-    if np.linalg.norm(H - H.conj().T) > 1e-10 * max(scale, 1e-300):
-        raise NotHermitian("input deviates from Hermitian beyond tolerance")
+    H = check_hermitian(as_matrix(H))
     w, U = np.linalg.eigh(H)
     if w.min() <= 0:
         raise NotPositiveDefinite(float(w.min()))

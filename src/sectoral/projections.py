@@ -20,8 +20,7 @@ from . import linalg
 from .contour import (ContourSpec, point_contour_distance, ray_distance,
                       sector_phi)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
-                     EigenvalueZero, NotHermitian, SpectrumOnContour,
-                     TooDefective)
+                     EigenvalueZero, SpectrumOnContour, TooDefective)
 from .symbol1d import DiscretizedOperator
 
 TWO_PI = 2.0 * math.pi
@@ -118,27 +117,18 @@ def eigen_projection_oracle(A, sector: Callable[[complex], bool]
                             int(sum(flags)), clearance, 0.0)
 
 
-def _check_hermitian(A, rtol=1e-10):
-    A = _matrix_of(A)
-    scale = max(linalg.operator_norm_2(A), 1e-300)
-    if linalg.operator_norm_2(A - A.conj().T) > rtol * scale:
-        raise NotHermitian("input is not Hermitian to tolerance")
-    return A
-
-
 def riesz_transform(A) -> np.ndarray:
     """F(A) = (I + A^2)^{-1/2} A for Hermitian A: same eigenvectors,
     eigenvalues mapped to lambda/sqrt(1 + lambda^2), spectrum in (-1, 1)."""
-    A = _check_hermitian(A)
-    n = A.shape[0]
-    S = linalg.inv_sqrt_hpd(np.eye(n) + A @ A)
+    A = linalg.check_hermitian(_matrix_of(A))
+    S = linalg.inv_sqrt_hpd(np.eye(len(A)) + A @ A)
     F = S @ A
     return 0.5 * (F + F.conj().T)  # symmetrize away roundoff
 
 
 def aps_projection(A, c: float) -> ProjectionResult:
     """Orthogonal projection 1_{[c, infinity)}(A) for Hermitian A."""
-    A = _check_hermitian(A)
+    A = linalg.check_hermitian(_matrix_of(A))
     w, U = np.linalg.eigh(A)
     gap = float(np.abs(w - c).min())
     if gap <= CLEARANCE_MIN:

@@ -96,6 +96,8 @@ def icosphere(level: int):
     triangles; no coordinate poles, uniform triangle quality.  Each level
     appends the edge midpoints in the order of their sorted edges.
     """
+    if level < 0:
+        raise ValueError(f"icosphere level must be >= 0, got {level}")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = np.array(_ICO_FACES)
     for _ in range(level):
@@ -127,16 +129,22 @@ class SphereBundleSample:
         if (np.linalg.norm(P - P.conj().transpose(0, 2, 1), ord=2,
                            axis=(1, 2)) > tol).any():
             raise ValueError("projector family not Hermitian to tolerance")
-        ranks = {round(t.real) for t in np.trace(P, axis1=1, axis2=2)}
+        ranks = np.unique(np.round(np.trace(P, axis1=1, axis2=2).real))
         if len(ranks) != 1:
-            raise ValueError(f"projector rank not constant: {sorted(ranks)}")
-        return ranks.pop()
+            raise ValueError(
+                f"projector rank not constant: {ranks.astype(int).tolist()}")
+        return int(ranks[0])
 
 
 def bundle_from_map(proj: Callable[[np.ndarray], np.ndarray],
                     level: int = 3) -> SphereBundleSample:
+    """Sample the projector map, which takes (..., 3) points to (..., N, N)
+    projections, in one call on the vertex array of icosphere(level)."""
     verts, tris = icosphere(level)
-    projectors = np.array([proj(v) for v in verts])
+    projectors = np.asarray(proj(verts))
+    if projectors.shape != (len(verts),) + projectors.shape[-1:] * 2:
+        raise ValueError(f"projector map returned shape {projectors.shape}"
+                         f" for {len(verts)} vertices, not (V, N, N)")
     return SphereBundleSample(verts, tris, projectors)
 
 
@@ -172,26 +180,22 @@ def chern_rounding_residual(b: SphereBundleSample) -> float:
     return _plaquette_chern(b, strict=False)[1]
 
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+# sigma_x, sigma_y, sigma_z
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=complex)
 
 
 def monopole_projector(xi: np.ndarray) -> np.ndarray:
     """P(xi) = (I + xi . sigma) / 2, rank 1 on the unit sphere."""
-    s = xi[0] * PAULI[0] + xi[1] * PAULI[1] + xi[2] * PAULI[2]
-    return 0.5 * (np.eye(2) + s)
+    return 0.5 * (np.eye(2) + np.tensordot(xi, PAULI, axes=1))
 
 
 def antimonopole_projector(xi: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.eye(2) - (xi[0] * PAULI[0] + xi[1] * PAULI[1]
-                               + xi[2] * PAULI[2]))
+    return monopole_projector(np.negative(xi))
 
 
 def trivial_projector(xi: np.ndarray) -> np.ndarray:
-    return np.diag([1.0, 0.0]).astype(complex)
+    return np.diag([1.0, 0j]) + np.zeros(np.shape(xi)[:-1] + (1, 1))
 
 
 BUNDLE_PRESETS = {

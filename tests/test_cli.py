@@ -78,6 +78,29 @@ def test_project_writes_report(tmp_path, monkeypatch, capsys):
     assert rec["contour"]["R"] == 0.5
 
 
+def test_project_include_matrix(tmp_path, monkeypatch, capsys):
+    code, _, _ = _run(["project", "--K", "4", "--include-matrix", "yes"],
+                      tmp_path, monkeypatch, capsys)
+    assert code == 0
+    rec = _latest_json(tmp_path, "project-dtheta-")
+    assert len(rec["matrix"]) == len(rec["matrix"][0]) == 9
+    code, _, err = _run(["project", "--K", "4", "--include-matrix", "maybe"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 1 and "ConfigInvalid" in err and "include_matrix" in err
+
+
+def test_project_contour_keys_reach_the_contour(tmp_path, monkeypatch,
+                                                capsys):
+    code, _, _ = _run(["project", "--K", "4", "--panels-arc", "4",
+                       "--panels-ray", "12", "--gauss-order", "8",
+                       "--lambda-max-contour", "1e5"],
+                      tmp_path, monkeypatch, capsys)
+    assert code == 0
+    contour = _latest_json(tmp_path, "project-dtheta-")["contour"]
+    assert (contour["panels_arc"], contour["panels_ray"],
+            contour["gauss_order"], contour["lambda_max"]) == (4, 12, 8, 1e5)
+
+
 def test_obstruction_monopole(tmp_path, monkeypatch, capsys):
     code, _, _ = _run(["obstruction", "--preset", "monopole",
                        "--level", "2"], tmp_path, monkeypatch, capsys)
@@ -208,6 +231,9 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys):
     code, _, err = _run(["project", "--R", "nan"],
                         tmp_path, monkeypatch, capsys)
     assert code == 1 and "InvalidRadii" in err
+    code, _, err = _run(["obstruction", "--level", "-1"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 1 and "level" in err
     # a continuity fit through fewer than 4 epsilons is refused
     for n_eps in ("2", "1", "0"):
         code, _, err = _run(["perturb", "--preset", "dtheta_shift", "--K",

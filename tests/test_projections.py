@@ -121,6 +121,15 @@ def test_riesz_transform_requires_hermitian():
         riesz_transform(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_check_reads_the_frobenius_norm():
+    # ||A - A*||_2 / ||A||_2 = 5e-11 passes a spectral-norm test at 1e-10;
+    # the Frobenius norm of A - A* is 10 times larger, and refused
+    A = (1.0 + 2.5e-11j) * np.eye(100)
+    with pytest.raises(NotHermitian):
+        aps_projection(A, 0.0)
+    assert aps_projection(A.real, 0.0).rank_estimate == 100
+
+
 def test_aps_projection_cut():
     A = np.diag([-2.0, 0.5, 3.0])
     res = aps_projection(A, 0.0)

@@ -210,12 +210,20 @@ def test_chern_antimonopole_and_trivial():
 
 def test_chern_direct_sum_cancels():
     def pair(xi):
-        P = np.zeros((4, 4), dtype=complex)
-        P[:2, :2] = monopole_projector(xi)
-        P[2:, 2:] = antimonopole_projector(xi)
+        P = np.zeros(xi.shape[:-1] + (4, 4), dtype=complex)
+        P[..., :2, :2] = monopole_projector(xi)
+        P[..., 2:, 2:] = antimonopole_projector(xi)
         return P
 
     assert chern_number(bundle_from_map(pair, 3)) == 0
+
+
+def test_chern_of_rank_zero_bundle_is_zero():
+    zero = lambda xi: np.zeros(xi.shape[:-1] + (2, 2), dtype=complex)
+    b = bundle_from_map(zero, 2)
+    assert b.validate() == 0
+    assert chern_number(b) == 0
+    assert chern_rounding_residual(b) == 0.0
 
 
 def test_chern_refinement_invariance_and_residual():
@@ -289,6 +297,30 @@ def test_bundle_validate_errors():
     ok = SphereBundleSample(verts, tris,
                             np.array([np.diag([1.0, 0.0])] * n))
     assert ok.validate() == 1
+
+
+@pytest.mark.parametrize("preset", ["monopole", "antimonopole", "trivial"])
+def test_projector_map_on_vertex_array_matches_point_by_point(preset):
+    proj = BUNDLE_PRESETS[preset][0]
+    for level in range(6):
+        verts, _ = icosphere(level)
+        assert np.array_equal(proj(verts), np.array([proj(v) for v in verts]))
+
+
+def test_bundle_from_map_calls_the_map_once():
+    calls = []
+
+    def counted(xi):
+        calls.append(xi.shape)
+        return monopole_projector(xi)
+
+    b = bundle_from_map(counted, 3)
+    assert calls == [(642, 3)]
+    assert b.projectors.shape == (642, 2, 2)
+    # a map that returns one matrix, whatever it is given, is refused
+    single = lambda xi: np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError):
+        bundle_from_map(single, 1)
 
 
 def test_obstruction_demo_flags():
