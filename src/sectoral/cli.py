@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from . import linalg, presets, topology
+from .contour import make_sector_contour
 from .errors import ConfigInvalid, SectoralError
 from .experiments import (ExperimentReport, composition_gap_experiment,
                           parametrix_gap_experiment, perturbation_experiment,
@@ -43,10 +44,6 @@ KEYS = {
     "preset": (str, "operator/bundle preset name"),
     "K": (int, "Fourier mode cutoff"),
     "R": (float, "contour arc radius override"),
-    "lambda_max_contour": (float, "contour ray truncation override"),
-    "panels_arc": (int, "quadrature panels on the arc"),
-    "panels_ray": (int, "quadrature panels per ray"),
-    "gauss_order": (int, "Gauss-Legendre order per panel"),
     "include_matrix": (_boolean, "embed the projection matrix in the JSON"),
     "perturbation": (str, "perturbation preset name"),
     "eps_min": (float, "smallest epsilon"),
@@ -62,8 +59,8 @@ KEYS = {
     "n_samples": (int, "lambda sample count"),
     "level": (int, "icosphere refinement level"),
     "exponent": (float, "real exponent s of the power"),
-    "alpha1": (float, "first branch-cut angle"),
-    "alpha2": (float, "second branch-cut angle"),
+    "alpha1": (float, "first branch-cut angle and contour ray"),
+    "alpha2": (float, "second branch-cut angle and contour ray"),
     "path": (str, "matrix path preset name"),
 }
 
@@ -144,18 +141,6 @@ def _write_reports(record: dict, kind: str, preset: str, out_dir: str,
     return base + ".json"
 
 
-def _build_contour(opt: dict):
-    kw = {}
-    if opt.get("R") is not None:
-        kw["R"] = opt["R"]
-    if opt.get("lambda_max_contour") is not None:
-        kw["lambda_max"] = opt["lambda_max_contour"]
-    for k in ("panels_arc", "panels_ray", "gauss_order"):
-        if opt.get(k) is not None:
-            kw[k] = opt[k]
-    return presets.contour_imag(**kw)
-
-
 def _experiment_record(rep: ExperimentReport, preset: str, extra) -> dict:
     return {**rep.to_json_dict(), "preset": preset, **extra}
 
@@ -164,7 +149,7 @@ def _cmd_project(opt: dict) -> tuple:
     preset = opt.get("preset", "dtheta")
     K = opt.get("K", 16)
     A = presets.get_operator(preset, K)
-    c = _build_contour(opt)
+    c = presets.contour_imag(opt.get("R", 0.5))
     res = sectorial_projection(A, c)
     ok = res.idempotency_defect <= max(1e-6,
                                        10 * res.truncation_error_estimate)
@@ -182,7 +167,7 @@ def _cmd_perturb(opt: dict) -> tuple:
     dA = presets.lookup("perturbations", "perturbation", pert)(K)
     eps = np.geomspace(opt.get("eps_min", 1e-4), opt.get("eps_max", 1e-1),
                        opt.get("n_eps", 13))
-    c = _build_contour(opt)
+    c = presets.contour_imag(opt.get("R", 0.5))
     rep = perturbation_experiment(A, dA, eps, opt.get("s", 0.0), c)
     rec = _experiment_record(rep, preset,
                              {"perturbation": pert, "K": K,
@@ -244,14 +229,13 @@ def _cmd_wodzicki(opt: dict) -> tuple:
     preset = opt.get("preset", "dtheta_shift")
     K = opt.get("K", 16)
     A = presets.get_operator(preset, K)
-    if opt.get("R") is None:
-        # the arc must pass below the smallest eigenvalue modulus, or the
-        # projection misses the eigenvalues hiding inside the arc
-        opt = dict(opt, R=0.5 * float(
-            np.abs(np.linalg.eigvals(linalg.as_matrix(A.matrix))).min()))
-    c = _build_contour(opt)
-    alpha1 = opt.get("alpha1", c.alpha1)
-    alpha2 = opt.get("alpha2", c.alpha2)
+    # the arc must pass below the smallest eigenvalue modulus, or the
+    # projection misses the eigenvalues hiding inside the arc
+    R = opt["R"] if "R" in opt else 0.5 * float(
+        np.abs(np.linalg.eigvals(linalg.as_matrix(A.matrix))).min())
+    alpha1 = opt.get("alpha1", np.pi / 2)
+    alpha2 = opt.get("alpha2", -np.pi / 2)
+    c = make_sector_contour(alpha1, alpha2, R)  # the sector between the cuts
     s = opt.get("exponent", 0.5)
     resid = wodzicki_residual(A.matrix, s, alpha1, alpha2, c)
     rec = {"experiment_kind": "wodzicki", "preset": preset, "K": K,
@@ -269,16 +253,14 @@ def _cmd_spectral_flow(opt: dict) -> tuple:
     return rec, "spectral_flow", name, None
 
 
-_CONTOUR = ("R", "lambda_max_contour", "panels_arc", "panels_ray",
-            "gauss_order")
 _SAMPLES = ("s", "lambda_min", "lambda_max", "n_samples")
 
 # each subcommand's handler and the keys it reads
 COMMANDS = {
     "project": (_cmd_project,
-                ("out", "preset", "K", *_CONTOUR, "include_matrix")),
+                ("out", "preset", "K", "R", "include_matrix")),
     "perturb": (_cmd_perturb,
-                ("out", "preset", "K", *_CONTOUR, "perturbation", "s",
+                ("out", "preset", "K", "R", "perturbation", "s",
                  "eps_min", "eps_max", "n_eps")),
     "resolvent-decay": (_cmd_resolvent,
                         ("out", "preset", "K", "p", "ray_angle", *_SAMPLES)),
@@ -287,7 +269,7 @@ COMMANDS = {
     "compose-gap": (_cmd_compose, ("out", "pair", "K", "rho", *_SAMPLES)),
     "obstruction": (_cmd_obstruction, ("out", "preset", "level")),
     "wodzicki": (_cmd_wodzicki,
-                 ("out", "preset", "K", *_CONTOUR, "exponent", "alpha1",
+                 ("out", "preset", "K", "R", "exponent", "alpha1",
                   "alpha2")),
     "spectral-flow": (_cmd_spectral_flow, ("out", "path")),
 }

@@ -11,7 +11,6 @@ low.  Weights carry d(lambda) including traversal direction.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -22,10 +21,16 @@ from .errors import InvalidAngles, InvalidRadii
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_PANELS_ARC = 8
-DEFAULT_PANELS_RAY = 24
-DEFAULT_GAUSS_ORDER = 16
-DEFAULT_LAMBDA_MAX_FACTOR = 1e6
+# the one quadrature rule: 8 arc panels and 24 geometric panels per ray of
+# Gauss-Legendre order 16 (896 nodes), the rays cut at 1e6 R; the order-16
+# nodes/weights on [-1, 1] are shared read-only (every rule is built from
+# fresh arrays)
+PANELS_ARC = 8
+PANELS_RAY = 24
+LAMBDA_MAX_FACTOR = 1e6
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_GAUSS_X.flags.writeable = False
+_GAUSS_W.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -33,15 +38,16 @@ class ContourSpec:
     alpha1: float
     alpha2: float
     R: float
-    lambda_max: float
-    panels_arc: int = DEFAULT_PANELS_ARC
-    panels_ray: int = DEFAULT_PANELS_RAY
-    gauss_order: int = DEFAULT_GAUSS_ORDER
 
     @property
     def theta(self) -> float:
         """Arc opening (alpha1 - alpha2) mod 2*pi, in (0, 2*pi)."""
         return (self.alpha1 - self.alpha2) % TWO_PI
+
+    @property
+    def lambda_max(self) -> float:
+        """Modulus at which the quadrature rule cuts the rays."""
+        return LAMBDA_MAX_FACTOR * self.R
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -54,50 +60,24 @@ class QuadratureRule:
     truncation_error_estimate: float
 
 
-def make_sector_contour(alpha1, alpha2, R, lambda_max=None,
-                        panels_arc=DEFAULT_PANELS_ARC,
-                        panels_ray=DEFAULT_PANELS_RAY,
-                        gauss_order=DEFAULT_GAUSS_ORDER) -> ContourSpec:
-    if not (math.isfinite(R) and R > 0):
-        raise InvalidRadii(f"arc radius must be positive and finite, got {R}")
-    if lambda_max is None:
-        lambda_max = DEFAULT_LAMBDA_MAX_FACTOR * R
-    if not (math.isfinite(lambda_max) and lambda_max > R):
-        raise InvalidRadii(f"lambda_max ({lambda_max}) must be finite and "
-                           f"exceed R ({R})")
+def make_sector_contour(alpha1, alpha2, R) -> ContourSpec:
+    if not (math.isfinite(R) and R > 0
+            and math.isfinite(LAMBDA_MAX_FACTOR * R)):
+        raise InvalidRadii(f"R and 1e6 R must be positive and finite, got {R}")
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise InvalidAngles(f"sector angles must be finite, got "
                             f"({alpha1}, {alpha2})")
     theta = (alpha1 - alpha2) % TWO_PI
     if theta <= 0.0 or theta >= TWO_PI:
         raise InvalidAngles(f"degenerate sector: (alpha1 - alpha2) mod 2pi = {theta}")
-    if panels_arc < 1 or panels_ray < 1:
-        raise ValueError("panel counts must be >= 1")
-    if not 2 <= gauss_order <= 64:
-        raise ValueError("gauss_order must lie in [2, 64]")
-    return ContourSpec(alpha1=float(alpha1), alpha2=float(alpha2),
-                       R=float(R), lambda_max=float(lambda_max),
-                       panels_arc=panels_arc, panels_ray=panels_ray,
-                       gauss_order=gauss_order)
+    return ContourSpec(alpha1=float(alpha1), alpha2=float(alpha2), R=float(R))
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(order):
-    """Gauss-Legendre nodes/weights on [-1, 1], computed once per order and
-    shared read-only (every rule is built from fresh arrays)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _composite_gauss(edges, order):
-    """Gauss-Legendre nodes/weights on the panels [edges[i], edges[i+1]],
-    concatenated in panel order."""
-    x, w = _gauss_legendre(order)
+def _composite_gauss(edges):
+    """Order-16 Gauss-Legendre nodes/weights on each panel, in panel order."""
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+    return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
 def quad_nodes(c: ContourSpec) -> QuadratureRule:
@@ -105,13 +85,12 @@ def quad_nodes(c: ContourSpec) -> QuadratureRule:
     # Rays: geometric panels in u = R/r from u_min = R/lambda_max to 1;
     # lambda = (R/u) e^{i alpha}, |d(lambda)| = (R/u^2) du.  Ray alpha1 runs
     # inward (u increasing), ray alpha2 outward (the sign of du flipped).
-    edges = np.geomspace(c.R / c.lambda_max, 1.0, c.panels_ray + 1)
-    u, wu = _composite_gauss(edges, c.gauss_order)
+    edges = np.geomspace(c.R / c.lambda_max, 1.0, PANELS_RAY + 1)
+    u, wu = _composite_gauss(edges)
     e1 = np.exp(1j * c.alpha1)
     e2 = np.exp(1j * c.alpha2)
     # Arc: lambda = R e^{i(a1 - t)}, t in [0, theta] increasing.
-    t, wt = _composite_gauss(np.linspace(0.0, c.theta, c.panels_arc + 1),
-                             c.gauss_order)
+    t, wt = _composite_gauss(np.linspace(0.0, c.theta, PANELS_ARC + 1))
     arc = c.R * np.exp(1j * (c.alpha1 - t))
     nodes = np.concatenate(((c.R / u) * e1, arc, (c.R / u) * e2))
     weights = np.concatenate((wu * (-c.R / u**2) * e1, wt * (-1j) * arc,

@@ -73,10 +73,12 @@ def fit_loglog(samples) -> tuple:
     return float(slope), float(intercept), float(r2)
 
 
-def _check_fit_samples(count: int):
+def _check_fit_samples(abscissae):
+    """Refuse a fit over fewer than MIN_FIT_SAMPLES distinct abscissae."""
+    count = len(np.unique(abscissae))
     if count < MIN_FIT_SAMPLES:
-        raise InsufficientSpan(
-            f"need >= {MIN_FIT_SAMPLES} samples to fit, got {count}")
+        raise InsufficientSpan(f"need >= {MIN_FIT_SAMPLES} distinct "
+                               f"abscissae to fit, got {count}")
 
 
 def _lambda_samples(lambda_range, n_samples=None) -> np.ndarray:
@@ -85,8 +87,9 @@ def _lambda_samples(lambda_range, n_samples=None) -> np.ndarray:
         raise ValueError("lambda_range must satisfy 0 < min < max")
     if n_samples is None:
         n_samples = max(MIN_FIT_SAMPLES, round(12 * math.log10(hi / lo)))
-    _check_fit_samples(n_samples)
-    return np.geomspace(lo, hi, n_samples)
+    lams = np.geomspace(lo, hi, max(n_samples, 0))
+    _check_fit_samples(lams)
+    return lams
 
 
 def _check_resolved_regime(K: int, m: float, lambda_range, factor: float):
@@ -108,7 +111,7 @@ def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
 def _fit_report(kind, parameters, samples, expected_slope, tolerance
                 ) -> ExperimentReport:
     # checked again after sampling: rejected epsilons can shrink a grid
-    _check_fit_samples(len(samples))
+    _check_fit_samples([x for x, _ in samples])
     scale = max((abs(y) for _, y in samples), default=0.0)
     if scale < DEGENERATE_ZERO_TOL:
         parameters = dict(parameters, degenerate_zero=True)
@@ -335,13 +338,13 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
     behaviour) is a desk-scale refinement of the continuity statement, not
     a claim of the underlying theory.
 
-    Fewer than MIN_FIT_SAMPLES epsilons are refused as InsufficientSpan
-    before any projection.  Samples whose perturbed operator loses contour
-    clearance are rejected and recorded; if every epsilon is rejected,
-    ClearanceLost is raised, and fewer than MIN_FIT_SAMPLES samples left
-    are refused as InsufficientSpan.
+    Fewer than MIN_FIT_SAMPLES distinct epsilons are refused as
+    InsufficientSpan before any projection.  Samples whose perturbed
+    operator loses contour clearance are rejected and recorded; if every
+    epsilon is rejected, ClearanceLost is raised, and fewer than
+    MIN_FIT_SAMPLES samples left are refused as InsufficientSpan.
     """
-    _check_fit_samples(len(epsilons))
+    _check_fit_samples(epsilons)
     if isinstance(A, DiscretizedOperator):
         M = A.matrix
         K, N = A.K, A.fiber_dim

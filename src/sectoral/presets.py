@@ -147,10 +147,10 @@ PAIR_PRESETS = {
 # ---------------------------------------------------------------------------
 # the standard contour
 
-def contour_imag(R: float = 0.5, **kw) -> ContourSpec:
+def contour_imag(R: float = 0.5) -> ContourSpec:
     """Sector contour cut along the imaginary axis (rays at +-pi/2); the
     positive sector is the right half-plane."""
-    return make_sector_contour(np.pi / 2, -np.pi / 2, R, **kw)
+    return make_sector_contour(np.pi / 2, -np.pi / 2, R)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ class CutoffFunction:
 
     rho: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
+
     def __call__(self, xi):
         # a scalar goes through numpy's array ** as a 1-element array: its
         # scalar ** differs from the array one in the last bit
@@ -335,11 +339,10 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
 def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
     """Smallest integer rho >= 1 such that a_m(theta, xi) - lambda is
     invertible for all |xi| >= rho on a probe grid over the contour."""
-    rule = quad_nodes(c)
-    # probe a thinned set of nodes plus the arc corners
+    nodes = quad_nodes(c).nodes
+    # probe every 22nd of the 896 nodes plus the arc corners
     corners = c.R * np.exp(1j * np.array([c.alpha1, c.alpha2]))
-    probe = np.concatenate((rule.nodes[:: max(1, len(rule.nodes) // 40)],
-                            corners))
+    probe = np.concatenate((nodes[:: len(nodes) // 40], corners))
     tol = 1e-8 * np.maximum(1.0, np.abs(probe))
     theta = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 

@@ -5,10 +5,11 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sectoral import cli, presets
-from sectoral.cli import (_CONTOUR, _SAMPLES, COMMANDS, KEYS, build_parser,
+from sectoral.cli import (_SAMPLES, COMMANDS, KEYS, build_parser,
                           canonical_json, load_config, main)
 from sectoral.errors import ConfigInvalid
 
@@ -89,16 +90,22 @@ def test_project_include_matrix(tmp_path, monkeypatch, capsys):
     assert code == 1 and "ConfigInvalid" in err and "include_matrix" in err
 
 
-def test_project_contour_keys_reach_the_contour(tmp_path, monkeypatch,
-                                                capsys):
-    code, _, _ = _run(["project", "--K", "4", "--panels-arc", "4",
-                       "--panels-ray", "12", "--gauss-order", "8",
-                       "--lambda-max-contour", "1e5"],
+def test_quadrature_rule_keys_exit_1(tmp_path, monkeypatch, capsys):
+    # the rule is fixed in code: only the arc radius is a contour key
+    code, _, err = _run(["project", "--K", "4", "--panels-arc", "4"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 1 and "ConfigInvalid" in err
+    cfg = tmp_path / "rule.ini"
+    cfg.write_text("[run]\ngauss_order = 8\n")
+    code, _, err = _run(["project", "--config", str(cfg)], tmp_path,
+                        monkeypatch, capsys)
+    assert code == 1 and "ConfigInvalid" in err and "gauss_order" in err
+    assert not list(tmp_path.glob("*.json"))
+    code, _, _ = _run(["project", "--K", "4", "--R", "0.25"],
                       tmp_path, monkeypatch, capsys)
     assert code == 0
     contour = _latest_json(tmp_path, "project-dtheta-")["contour"]
-    assert (contour["panels_arc"], contour["panels_ray"],
-            contour["gauss_order"], contour["lambda_max"]) == (4, 12, 8, 1e5)
+    assert contour == {"alpha1": np.pi / 2, "alpha2": -np.pi / 2, "R": 0.25}
 
 
 def test_obstruction_monopole(tmp_path, monkeypatch, capsys):
@@ -184,6 +191,16 @@ def test_wodzicki_pass_and_deliberate_fail(tmp_path, monkeypatch, capsys):
                         tmp_path, monkeypatch, capsys)
     assert code == 2
     assert "FAIL" in out
+    # with the cuts exchanged the sector is the left half-plane: the
+    # projection is taken over it and the identity holds again
+    code, out, _ = _run(["wodzicki", "--alpha1", "4.71238898038469",
+                         "--alpha2", "1.5707963267948966"],
+                        tmp_path, monkeypatch, capsys)
+    assert code == 0
+    rec = _latest_json(tmp_path, "wodzicki-dtheta_shift-")
+    assert rec["residual"] <= 1e-6
+    assert rec["contour"]["alpha1"] == rec["alpha1"] == 4.71238898038469
+    assert rec["contour"]["alpha2"] == rec["alpha2"] == 1.5707963267948966
 
 
 def test_perturb_small_run(tmp_path, monkeypatch, capsys):
@@ -234,12 +251,18 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys):
     code, _, err = _run(["obstruction", "--level", "-1"],
                         tmp_path, monkeypatch, capsys)
     assert code == 1 and "level" in err
-    # a continuity fit through fewer than 4 epsilons is refused
-    for n_eps in ("2", "1", "0"):
+    # a continuity fit through fewer than 4 distinct epsilons is refused
+    for span in (["--n-eps", "2"], ["--n-eps", "1"], ["--n-eps", "0"],
+                 ["--eps-min", "0.01", "--eps-max", "0.01"]):
         code, _, err = _run(["perturb", "--preset", "dtheta_shift", "--K",
-                             "12", "--n-eps", n_eps],
-                            tmp_path, monkeypatch, capsys)
-        assert code == 1 and "InsufficientSpan" in err
+                             "8", *span], tmp_path, monkeypatch, capsys)
+        assert code == 1 and "InsufficientSpan" in err, span
+    # a cutoff radius that is not finite and positive
+    for argv in (["compose-gap", "--rho", "-1"], ["compose-gap", "--rho", "0"],
+                 ["parametrix", "--K", "128", "--rho", "-2"]):
+        code, _, err = _run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 1 and "rho" in err, argv
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_load_config_merges_sections(tmp_path):
@@ -333,13 +356,10 @@ def test_readme_key_table_matches_commands():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     flags = lambda text: re.findall(r"`--([A-Za-z][A-Za-z0-9-]*)`", text)
     groups = {
-        "the contour keys": flags(
-            re.search(r"The contour keys(.*?)\.\s", readme, re.S).group(1)),
         "the sample keys": flags(
             re.search(r"The sample keys(.*?)\.\s", readme, re.S).group(1)),
     }
-    assert groups == {"the contour keys": [_flag(k)[2:] for k in _CONTOUR],
-                      "the sample keys": [_flag(k)[2:] for k in _SAMPLES]}
+    assert groups == {"the sample keys": [_flag(k)[2:] for k in _SAMPLES]}
     table = {}
     for command, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme,
                                     re.M):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sectoral import linalg
-from sectoral.contour import (make_sector_contour, point_contour_distance,
+from sectoral import linalg, presets
+from sectoral.contour import (ContourSpec, make_sector_contour, point_contour_distance,
                               quad_nodes, ray_tail_moments, sector_phi,
                               validate_contour)
 from sectoral.errors import InvalidAngles, InvalidRadii
@@ -19,17 +21,13 @@ def test_theta_property():
 def test_sector_validation():
     with pytest.raises(InvalidRadii):
         make_sector_contour(np.pi / 2, -np.pi / 2, -1.0)
-    with pytest.raises(InvalidRadii):
-        make_sector_contour(np.pi / 2, -np.pi / 2, 2.0, lambda_max=1.0)
     with pytest.raises(InvalidAngles):
         make_sector_contour(1.0, 1.0, 0.5)  # degenerate opening
-    with pytest.raises(ValueError):
-        make_sector_contour(np.pi / 2, -np.pi / 2, 0.5, gauss_order=1)
-    # non-finite parameters are refused before any quadrature is built
-    for R, lambda_max in ((np.nan, None), (np.inf, None), (0.5, np.inf),
-                          (0.5, np.nan)):
+    # non-finite parameters are refused before any quadrature is built, and
+    # so is a radius whose ray cut 1e6 R overflows
+    for R in (np.nan, np.inf, 1e303):
         with pytest.raises(InvalidRadii):
-            make_sector_contour(np.pi / 2, -np.pi / 2, R, lambda_max)
+            make_sector_contour(np.pi / 2, -np.pi / 2, R)
     for alpha1, alpha2 in ((np.nan, -np.pi / 2), (np.pi / 2, np.inf)):
         with pytest.raises(InvalidAngles):
             make_sector_contour(alpha1, alpha2, 0.5)
@@ -155,39 +153,59 @@ def test_validate_contour_minimal_spectral_distance():
 
 
 def test_contour_serialization_roundtrip():
-    c = make_sector_contour(1.2, -0.3, 0.7, lambda_max=100.0, panels_arc=4)
+    c = make_sector_contour(1.2, -0.3, 0.7)
     d = c.to_dict()
-    assert d["alpha1"] == pytest.approx(1.2)
-    assert d["panels_arc"] == 4
+    assert d == {"alpha1": 1.2, "alpha2": -0.3, "R": 0.7}
     assert type(c)(**d) == c
+    # the sector and the arc radius are the whole specification
+    assert [f.name for f in dataclasses.fields(ContourSpec)] == [
+        "alpha1", "alpha2", "R"]
 
 
 def test_default_lambda_max_scales_with_radius():
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 2.0)
     assert c.lambda_max == pytest.approx(2e6)
+    with pytest.raises(AttributeError):
+        c.lambda_max = 1.0
 
 
 def test_gauss_legendre_cache_is_read_only():
-    from sectoral.contour import _gauss_legendre
-    x, w = _gauss_legendre(16)
-    assert not x.flags.writeable and not w.flags.writeable
+    from sectoral.contour import _GAUSS_W, _GAUSS_X
+    assert not _GAUSS_X.flags.writeable and not _GAUSS_W.flags.writeable
     with pytest.raises(ValueError):
-        x[0] = 0.0
+        _GAUSS_X[0] = 0.0
+    with pytest.raises(ValueError):
+        _GAUSS_W[0] = 0.0
 
 
-@pytest.mark.parametrize("order", [2, 16, 64])
-def test_quad_nodes_match_uncached_leggauss(order, monkeypatch):
-    from sectoral import contour
-    specs = (make_sector_contour(np.pi / 2, -np.pi / 2, 0.5,
-                                 gauss_order=order),
-             make_sector_contour(2.9, 0.4, 1.3, gauss_order=order))
-    cached = [quad_nodes(c) for c in specs]
-    monkeypatch.setattr(contour, "_gauss_legendre",
-                        np.polynomial.legendre.leggauss)
-    for c, rule in zip(specs, cached):
-        fresh = quad_nodes(c)
-        assert np.array_equal(rule.nodes, fresh.nodes)
-        assert np.array_equal(rule.weights, fresh.weights)
+def _rebuilt_rule(c):
+    """Reference: the fixed rule written out from a fresh leggauss(16)."""
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def composite(edges):
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        return (mid + half * x).ravel(), (half * w).ravel()
+
+    u, wu = composite(np.geomspace(c.R / (1e6 * c.R), 1.0, 25))
+    t, wt = composite(np.linspace(0.0, c.theta, 9))
+    e1, e2 = np.exp(1j * c.alpha1), np.exp(1j * c.alpha2)
+    arc = c.R * np.exp(1j * (c.alpha1 - t))
+    nodes = np.concatenate(((c.R / u) * e1, arc, (c.R / u) * e2))
+    weights = np.concatenate((wu * (-c.R / u**2) * e1, wt * (-1j) * arc,
+                              wu * (c.R / u**2) * e2))
+    return nodes, weights
+
+
+def test_quad_nodes_match_uncached_leggauss():
+    # 8 arc panels and 24 panels per ray of order 16, rays cut at 1e6 R
+    for c in (presets.contour_imag(), presets.contour_imag(R=0.35),
+              make_sector_contour(2.9, 0.4, 1.3)):
+        rule = quad_nodes(c)
+        nodes, weights = _rebuilt_rule(c)
+        assert len(rule.nodes) == 896
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
 
 
 def test_quad_nodes_returns_independent_arrays():

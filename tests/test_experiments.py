@@ -374,6 +374,24 @@ def test_perturbation_rejects_clearance_loss(heavy_calls):
         perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1, 0.5], 0.0, c)
 
 
+def test_fits_count_distinct_abscissae(heavy_calls):
+    # repeated abscissae give polyfit one point to fit: they are refused
+    # as too few, before anything is projected or sampled
+    A = np.diag([1.0, -1.0]).astype(complex)
+    dA = np.array([[0.0, 1.0], [0.0, 0.0]])
+    c = presets.contour_imag()
+    for eps in ([1e-2] * 13, [1e-3, 1e-2, 1e-2, 1e-1, 1e-1]):
+        with pytest.raises(InsufficientSpan):
+            perturbation_experiment(A, dA, eps, 0.0, c)
+    # a range so narrow that its 8 geometric samples take 2 values
+    narrow = (1.0, float(np.nextafter(1.0, 2.0)))
+    with pytest.raises(InsufficientSpan):
+        resolvent_decay_experiment(presets.op_dtheta_shift(16), np.pi / 2,
+                                   0.0, 0.0, narrow, n_samples=8)
+    assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
+                           "sectorial_projection": 0}
+
+
 # ---------------------------------------------------------------------------
 # boundedness
 

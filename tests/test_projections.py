@@ -24,7 +24,7 @@ def test_sectorial_projection_derived_2x2(imag_contour):
 
 @pytest.mark.parametrize("c", [
     presets.contour_imag(),
-    make_sector_contour(2.9, 0.4, 1.3, panels_ray=5, gauss_order=8),
+    make_sector_contour(2.9, 0.4, 1.3),
 ], ids=["imag", "sector_2.9_0.4"])
 def test_sectorial_projection_one_solve_per_node(c, monkeypatch):
     # the contour loop makes exactly one linalg.solve per quadrature node,

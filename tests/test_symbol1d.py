@@ -106,6 +106,12 @@ def test_cutoff_function_scalar_equals_array(rho):
     assert np.array_equal([psi(float(v)) for v in x], column)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+def test_cutoff_function_refuses_a_radius_that_is_not_positive(rho):
+    with pytest.raises(ValueError, match="rho"):
+        CutoffFunction(rho)
+
+
 def test_cutoff_resolvent_of_a_multiplier_is_a_multiplier():
     psi = CutoffFunction(2.0)
     theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
@@ -152,8 +158,7 @@ def _check_phi0_against_nodewise_assembly(a):
     from sectoral.contour import quad_nodes, ray_tail_moments
     psi = CutoffFunction(2.0)
     K, N = 8, a.fiber_dim
-    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5, panels_ray=6,
-                            panels_arc=3, gauss_order=6)
+    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
     phi0 = parametrix_phi0(a, psi, c, K)
     rule = quad_nodes(c)
     M = np.zeros_like(phi0.matrix)

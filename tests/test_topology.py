@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from sectoral.errors import EigenvalueOnAxis, RoundingUnsafe
 from sectoral.topology import (BUNDLE_PRESETS,
                                SphereBundleSample, antimonopole_projector,
@@ -297,6 +298,22 @@ def test_bundle_validate_errors():
     ok = SphereBundleSample(verts, tris,
                             np.array([np.diag([1.0, 0.0])] * n))
     assert ok.validate() == 1
+    # exactly idempotent, and P - P* has spectral norm 8e-11 but Frobenius
+    # norm 1.1e-10: the Frobenius test refuses it
+    skew = np.array([[[1.0, 8e-11], [0.0, 0.0]]] * n)
+    with pytest.raises(ValueError, match="Hermitian"):
+        SphereBundleSample(verts, tris, skew).validate()
+
+
+@pytest.mark.parametrize("preset", ["monopole", "antimonopole", "trivial"])
+def test_obstruction_demo_decomposes_the_bundle_once(preset, monkeypatch):
+    # validation, hyperbolicity and the Chern frames all read one eigh
+    counts = {}
+    for name in ("eigh", "eigvals", "eig", "svd"):
+        count_calls(monkeypatch, counts, np.linalg, name)
+    rec = obstruction_demo(BUNDLE_PRESETS[preset][0], 3)
+    assert counts == {"eigh": 1, "eigvals": 0, "eig": 0, "svd": 0}
+    assert rec["hyperbolic_everywhere"]
 
 
 @pytest.mark.parametrize("preset", ["monopole", "antimonopole", "trivial"])
