@@ -100,10 +100,10 @@ def _check_resolved_regime(K: int, m: float, lambda_range, factor: float):
             f"(K/{factor:g})^m = {ceiling:.4g}")
 
 
-def _check_ray_clear(A: DiscretizedOperator, ray_angle: float, tol=1e-6):
+def _check_ray_clear(A: DiscretizedOperator, ray_angle: float):
     dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
                         ray_angle)
-    if dist.min() <= tol:
+    if dist.min() <= 1e-6:
         raise RayHitsSpectrum(
             f"spectrum within {dist.min():.3e} of the ray at angle {ray_angle}")
 
@@ -124,8 +124,7 @@ def _fit_report(kind, parameters, samples, expected_slope, tolerance
 
 def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
                                s: float, p: float, lambda_range,
-                               n_samples=None, tolerance=0.1
-                               ) -> ExperimentReport:
+                               n_samples=None) -> ExperimentReport:
     """Sampled ||(A - lambda)^{-1}||_{s, s+p} along a ray of minimal growth;
     the fitted log-log slope is compared with -1 + p/m."""
     m = A.order
@@ -145,13 +144,12 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
               "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
               "n_samples": len(lams)}
     return _fit_report("resolvent_decay", params, samples,
-                       expected_slope=-1.0 + p / m, tolerance=tolerance)
+                       expected_slope=-1.0 + p / m, tolerance=0.1)
 
 
 def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
                               ray_angle: float, s: float, lambda_range,
-                              n_samples=None, tolerance=0.15
-                              ) -> ExperimentReport:
+                              n_samples=None) -> ExperimentReport:
     """Sampled ||Op(psi (a_m - lambda)^{-1}) - (A - lambda)^{-1}||_{s,s+m};
     expected decay exponent -min(1/m, 1).
 
@@ -160,9 +158,13 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     perturbs the resolvent at the boundary modes by a lambda-independent
     amount that the H^{s+m} weight amplifies to O(1).  Only the window's
     columns of the resolvent are solved for and only the window's columns
-    of Op(psi (a_m - lambda)^{-1}) are assembled."""
+    of Op(psi (a_m - lambda)^{-1}) are assembled.  A cutoff that vanishes
+    on every window mode (rho >= K) is refused with ValueError."""
     if A.symbol is None:
         raise ValueError("parametrix gap needs an operator with symbol provenance")
+    if not psi(np.arange(-A.K, A.K + 1, dtype=float)).any():
+        raise ValueError(f"cutoff radius rho = {psi.rho} vanishes on every "
+                         f"mode |k| <= K = {A.K}")
     m = A.order
     # the gap is supported on the cutoff modes, far from the truncation
     # boundary, so the faithful regime extends to (K/2)^m here
@@ -190,7 +192,7 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
               "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
               "n_samples": len(lams)}
     return _fit_report("parametrix_gap", params, samples,
-                       expected_slope=-min(1.0 / m, 1.0), tolerance=tolerance)
+                       expected_slope=-min(1.0 / m, 1.0), tolerance=0.15)
 
 
 def composition_gap_experiment(f_family, g_family, r: float, m: float,
@@ -200,7 +202,9 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
     """Sampled ||Op(g)Op(f) - Op(g f)||_{s, s+m-r} for lambda-dependent
     symbol families f (order r) and g (order -m); expected decay exponent
     -min(1/m, 1).  A gap that vanishes identically (commuting multipliers)
-    is reported as degenerate_zero and passes vacuously.
+    is reported as degenerate_zero and passes vacuously; a g whose Op(g)
+    is zero on every window column (a cutoff radius >= K) is refused with
+    ValueError.
 
     The matrices are composed at doubled mode resolution and the difference
     is windowed back to modes |k| <= K before the norm is taken: truncating
@@ -223,6 +227,9 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
         N = f.fiber_dim
         lo, hi = N * (K2 - K), N * (K2 + K + 1)
         Mg = op_from_symbol(g, K2).matrix
+        if not Mg[:, lo:hi].any():
+            raise ValueError(f"Op(g) is zero on every mode |k| <= K = {K}, "
+                             "as for a cutoff radius >= K")
         Mf = _op_columns(f, K2, window)
         Mgf = _op_columns(_pointwise_product(g, f), K2, window)
         D = Mg[lo:hi] @ Mf - Mgf[lo:hi]
@@ -294,21 +301,16 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
         h = 1e-3
         sup = {}
         for xi0 in (1.0, -1.0):
+            # a theta-independent value is spread over the grid
+            lo, mid, hi = (np.broadcast_to(_fibres(D.principal.evaluate(
+                theta, xi0 + dx), N), (G, N, N)) for dx in (-h, 0.0, h))
             # xi-derivatives up to order 2 by central differences
-            stencils = {0: [(0.0, 1.0)],
-                        1: [(-h, -0.5 / h), (h, 0.5 / h)],
-                        2: [(-h, 1.0 / h**2), (0.0, -2.0 / h**2),
-                            (h, 1.0 / h**2)]}
+            xi_derivs = (mid, lo * (-0.5 / h) + hi * (0.5 / h),
+                         lo * (1.0 / h**2) + mid * (-2.0 / h**2)
+                         + hi * (1.0 / h**2))
             for beta in range(min(j_max, 2) + 1):
-                acc = None
-                for dx, w in stencils[beta]:
-                    # a theta-independent value is spread over the grid
-                    v = np.broadcast_to(_fibres(
-                        D.principal.evaluate(theta, xi0 + dx), N),
-                        (G, N, N)) * w
-                    acc = v if acc is None else acc + v
                 for alpha, deriv in enumerate(
-                        _theta_spectral_derivs(acc, j_max - beta)):
+                        _theta_spectral_derivs(xi_derivs[beta], j_max - beta)):
                     key = (alpha, beta)
                     sup[key] = max(sup.get(key, 0.0), _max_fibre_norm(deriv))
         for j in range(j_max + 1):
@@ -330,8 +332,8 @@ def aggregate_seminorm(D: SplitOperator) -> float:
     return max(vals) if vals else 0.0
 
 
-def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
-                            tolerance=0.1) -> ExperimentReport:
+def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
+                            ) -> ExperimentReport:
     """Continuity of A -> P_{Gamma+}(A): for each epsilon, the abscissa is
     the aggregated seminorm of epsilon*dA and the ordinate is
     ||P(A + eps dA) - P(A)||_{s,s}.  The fitted slope 1 (local Lipschitz
@@ -384,19 +386,17 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec,
                                  "refinement of the continuity statement, "
                                  "not a theoretical claim")}
     return _fit_report("perturbation", params, samples,
-                       expected_slope=1.0, tolerance=tolerance)
+                       expected_slope=1.0, tolerance=0.1)
 
 
 def boundedness_check(A: DiscretizedOperator, c: ContourSpec,
-                      s_list: Sequence[float], psi: CutoffFunction = None
-                      ) -> dict:
+                      s_list: Sequence[float]) -> dict:
     """||P_{Gamma+}(A)||_{s,s} for each s, together with the gap
     ||P - (-1/2 pi i) A Phi_0||_{s,s} to the symbol-level first
     approximation; the gap must not exceed the norm itself."""
     if A.symbol is None:
         raise ValueError("boundedness check needs an operator with symbol")
-    if psi is None:
-        psi = CutoffFunction(float(choose_rho(A.symbol, c, A.K)))
+    psi = CutoffFunction(float(choose_rho(A.symbol, c, A.K)))
     res = sectorial_projection(A, c)
     phi0 = parametrix_phi0(A.symbol, psi, c, A.K)
     approx = (-1.0 / (2j * np.pi)) * (A.matrix @ phi0.matrix)

@@ -89,10 +89,10 @@ OPERATOR_PRESETS = {
 # ---------------------------------------------------------------------------
 # perturbation presets (split form)
 
-def perturbation_cos_theta_lower(K: int, m: float = 1.0) -> SplitOperator:
+def perturbation_cos_theta_lower(K: int) -> SplitOperator:
     f = lambda theta, xi: np.cos(np.asarray(theta, float)) + 0j
     sym = SymbolFunction(order=0, evaluate=f, principal=f, name="cos_theta")
-    return SplitOperator(m=m, K=K, lower=op_from_symbol(sym, K).matrix)
+    return SplitOperator(m=1.0, K=K, lower=op_from_symbol(sym, K).matrix)
 
 
 PERTURBATION_PRESETS = {

@@ -272,24 +272,19 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
     N = a.fiber_dim
 
     def _resolvent(theta, xi, shift, weight):
-        """weight(xi) * (a_m - shift)^{-1}.  The weight depends on xi alone,
-        so only the xi rows where it is non-zero are inverted.  The shape
-        is that of the principal symbol's values broadcast against xi, so
-        the resolvent of a multiplier is a multiplier; its singular fibres
-        are named at the first theta sample."""
+        """weight(xi) * (a_m - shift)^{-1}.  A fibre where the weight is
+        zero is inverted as I, so it is never refused and comes out exactly
+        0.  The shape is that of the principal symbol's values broadcast
+        against xi, so the resolvent of a multiplier is a multiplier; its
+        singular fibres are named at the first theta sample."""
         xi = np.asarray(xi, dtype=float)
-        w = np.ravel(weight(xi))
-        principal_values = _fibres(a.principal(theta, xi), N)
-        shape = np.broadcast_shapes(principal_values.shape[:-2], xi.shape)
-        rows = np.broadcast_to(principal_values,
-                               shape + (N, N)).reshape(xi.size, -1, N, N)
-        live = np.flatnonzero(w)
-        out = np.zeros(rows.shape, dtype=complex)
-        theta_at = theta if rows.shape[1] > 1 else np.ravel(theta)[:1]
-        inv = _fibre_inverse(rows[live] - shift * np.eye(N), theta_at,
-                             xi.ravel()[live, None])
-        out[live] = w[live, None, None, None] * inv
-        return out.reshape(shape if N == 1 else shape + (N, N))
+        w = np.asarray(weight(xi))[..., None, None]
+        fibres = np.where(w != 0, _fibres(a.principal(theta, xi), N)
+                          - shift * np.eye(N), np.eye(N))
+        shape = fibres.shape[:-2]
+        theta_at = theta if np.prod(shape) > xi.size else np.ravel(theta)[0]
+        out = w * _fibre_inverse(fibres, theta_at, xi)
+        return out[..., 0, 0] if N == 1 else out
 
     def evaluate(theta, xi):
         return _resolvent(theta, xi, lam, psi)

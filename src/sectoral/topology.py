@@ -128,14 +128,14 @@ class SphereBundleSample:
         """The one eigh of the family: eigenvalues (V, N), eigenvectors."""
         return np.linalg.eigh(self.projectors)
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Constant rank; Hermitian is tested first: eigh reads a triangle."""
         P = self.projectors
         if (np.linalg.norm(P - P.conj().transpose(0, 2, 1),
-                           axis=(1, 2)) > tol).any():
+                           axis=(1, 2)) > 1e-10).any():
             raise ValueError("projector family not Hermitian to tolerance")
         w = self.spectrum[0]
-        if (np.abs(w * w - w) > tol).any():
+        if (np.abs(w * w - w) > 1e-10).any():
             raise ValueError("projector family not idempotent to tolerance")
         ranks = np.unique(np.count_nonzero(w > 0.5, axis=1))
         if len(ranks) != 1:

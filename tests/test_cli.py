@@ -265,6 +265,34 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+_SMALL_K = ["--K", "8", "--lambda-min", "1", "--lambda-max", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose-gap", "--rho", "8"],
+    ["compose-gap", "--pair", "multiplier_pair", "--rho", "20"],
+    ["compose-gap", "--pair", "order_zero_pair", "--rho", "8"],
+    ["parametrix", "--rho", "8"],
+    ["parametrix", "--rho", "20"],
+])
+def test_cutoff_radius_at_least_K_exits_1(argv, tmp_path, monkeypatch,
+                                          capsys):
+    # psi vanishes on every mode |k| <= K, so the gap would be vacuous;
+    # the lambda range lies inside the resolved ceiling (K/2)^m = 4
+    code, _, err = _run(argv + _SMALL_K, tmp_path, monkeypatch, capsys)
+    assert code == 1 and "|k| <= K = 8" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cutoff_radius_below_K_is_accepted(tmp_path, monkeypatch, capsys):
+    # psi(8) > 0 at rho = 7: the commuting multipliers' gap is 0
+    code, _, _ = _run(["compose-gap", "--pair", "multiplier_pair", "--rho",
+                       "7", *_SMALL_K], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    rec = _latest_json(tmp_path, "composition_gap-multiplier_pair-")
+    assert rec["pass"] is True and rec["parameters"]["degenerate_zero"]
+
+
 def test_load_config_merges_sections(tmp_path):
     cfg = tmp_path / "m.ini"
     cfg.write_text("[a]\npreset = dtheta\n[b]\nK = 24\n")

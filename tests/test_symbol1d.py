@@ -148,6 +148,34 @@ def test_cutoff_resolvent_symbol_singular_lambda():
         cutoff_resolvent_symbol(a, psi, 4.0)
 
 
+def test_cutoff_resolvent_of_a_multiplier_below_the_cutoff_is_zero():
+    # xi - 1 is singular at xi = 1, where psi(1) = 0; psi(3) = 0.5
+    r = cutoff_resolvent_symbol(presets.symbol_xi(), CutoffFunction(2.0), 1.0)
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    got = r.evaluate(theta, np.array([[-3.0], [1.0], [3.0]]))
+    assert got.ravel().tolist() == [-0.125, 0.0, 0.25]
+
+
+@pytest.mark.parametrize("a, lam", [
+    (presets.symbol_c_theta_times_xi(), 3.0),
+    (presets.symbol_pauli_monopole(), 1.0),
+], ids=["c_theta_times_xi", "pauli_monopole"])
+def test_cutoff_resolvent_below_the_cutoff_is_zero(a, lam):
+    # a_m(0, 1) - lam is singular and psi(1) = 0: that fibre is not
+    # refused and comes out exactly 0
+    psi = CutoffFunction(2.0)
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    xi = np.array([[-3.0], [1.0], [4.0]])
+    got = cutoff_resolvent_symbol(a, psi, lam).evaluate(theta, xi)
+    N = a.fiber_dim
+    assert got.shape[:2] == (3, 8) and not got[1].any()
+    for row in (0, 2):
+        fibres = symbol1d._fibres(a.principal(theta, xi[row, 0]), N)
+        want = psi(xi[row, 0]) * np.linalg.inv(fibres - lam * np.eye(N))
+        assert np.allclose(symbol1d._fibres(got[row], N), want,
+                           rtol=1e-14, atol=0)
+
+
 def test_choose_rho_for_presets():
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
     assert choose_rho(presets.symbol_xi(), c, 16) == 1
