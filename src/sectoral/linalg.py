@@ -73,12 +73,20 @@ def _is_upper_triangular(A) -> bool:
     return n > 1 and A[-1, 0] == 0 and not A.any(where=_strict_lower(n))
 
 
+def is_diagonal(A) -> bool:
+    """Whether the square A (of order > 1) is exactly zero off its diagonal;
+    its corners are read before the masked reductions of both triangles."""
+    n = A.shape[0]
+    return (n > 1 and A[-1, 0] == 0 and A[0, -1] == 0 and not A.any(
+        where=_strict_lower(n)) and not A.T.any(where=_strict_lower(n)))
+
+
 def _singular_values(A) -> np.ndarray:
     """Singular values of a validated square A in descending order.  A
-    diagonal A (every off-diagonal entry exactly zero, as for Op(a) of a
-    Fourier multiplier) has the moduli of its diagonal as singular values;
-    anything else goes through one values-only SVD."""
-    if _is_upper_triangular(A) and _is_upper_triangular(A.T):
+    diagonal A (as Op(a) of a Fourier multiplier) has the moduli of its
+    diagonal as singular values; anything else goes through one
+    values-only SVD."""
+    if is_diagonal(A):
         return np.sort(np.abs(A.diagonal()))[::-1]
     return np.linalg.svd(A, compute_uv=False)
 
@@ -141,6 +149,15 @@ def solve(A, B) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
     return X
+
+
+def reciprocal(d) -> np.ndarray:
+    """1/d, the inverse of diag(d) for d of any shape, refused as by `solve`:
+    SingularMatrix when min|d| < PIVOT_REL_THRESHOLD * max|d|."""
+    mag = np.abs(d)
+    if mag.min() < PIVOT_REL_THRESHOLD * max(mag.max(), 1e-300):
+        raise SingularMatrix(mag.min())
+    return 1.0 / d
 
 
 def inverse_norm_2(A) -> float:

@@ -75,13 +75,20 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     T - lambda I is upper triangular, so linalg.solve inverts it with one
     triangular inverse (LAPACK trtri) per node instead of an LU
     factorization, and the eigenvalues for the clearance check (a spectrum
-    within CLEARANCE_MIN of c is refused) are the diagonal of T.
+    within CLEARANCE_MIN of c is refused) are the diagonal of T.  A
+    diagonal T (a Fourier multiplier's) runs through sector_phi as the
+    (n, 1, 1) stack of its diagonal, one linalg.reciprocal per node.
     """
     T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
     clearance = float(point_contour_distance(np.diag(T), c).min())
     if clearance <= CLEARANCE_MIN:
         raise SpectrumOnContour(clearance)
-    phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
+    if linalg.is_diagonal(T):
+        phi, rule = sector_phi(np.diag(T)[:, None, None], c,
+                               linalg.reciprocal)
+        phi = np.diag(phi.ravel())
+    else:
+        phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
     P_T = (-1.0 / (2j * np.pi)) * (T @ phi)
     P = Z @ P_T @ Z.conj().T
     defect = linalg.operator_norm_2(P @ P - P)

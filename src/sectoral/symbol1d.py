@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, quad_nodes, sector_phi
+from .contour import TWO_PI, ContourSpec, ray_distance, sector_phi
 from .errors import AliasingRisk, SymbolSingular
 
 ALIASING_TOL = 1e-10
@@ -34,6 +34,8 @@ ALIASING_TOL = 1e-10
 # at K = 256.  Half of it made a K = 256 matrix 7-19% slower to assemble;
 # twice of it raised the peak memory of c3-c5 by 0.8 MB.
 BLOCK_SAMPLES = 2 ** 15
+# mu points along a ray when it lies within ARG_RTOL |mu| of it
+ARG_RTOL = 1e-8
 
 
 @dataclass
@@ -115,9 +117,29 @@ def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
                 np.linalg.inv(fibre)
             except np.linalg.LinAlgError:
                 break
-    raise SymbolSingular(
-        float(np.broadcast_to(theta, fibres.shape[:-2]).flat[i]),
-        float(np.broadcast_to(xi, fibres.shape[:-2]).flat[i]))
+    shape = fibres.shape[:-2]
+    # theta-extent 1 (no larger than xi): named at the first theta sample
+    theta = theta if np.prod(shape) > np.size(xi) else np.ravel(theta)[0]
+    raise SymbolSingular(float(np.broadcast_to(theta, shape).flat[i]),
+                         float(np.broadcast_to(xi, shape).flat[i]))
+
+
+def _cosphere(a: SymbolFunction) -> tuple:
+    """(theta, mu): the eigenvalues mu of a_m(theta, 1) and a_m(theta, -1)
+    on 256 angles theta, shape (2, 256, N).  a_m is homogeneous of degree
+    m > 0 for |xi| >= 1, where its eigenvalue |xi|^m mu has modulus r at
+    |xi| = (r/|mu|)^{1/m}."""
+    theta = TWO_PI * np.arange(256) / 256
+    return theta, np.stack([np.broadcast_to(np.linalg.eigvals(_fibres(
+        a.principal(theta, xi), a.fiber_dim)), (256, a.fiber_dim))
+        for xi in (1.0, -1.0)])
+
+
+def _singular_at(theta, xi) -> SymbolSingular:
+    """SymbolSingular at the largest of the radii xi over _cosphere's mu."""
+    side, j, k = np.unravel_index(np.argmax(xi), xi.shape)
+    return SymbolSingular(float(theta[j]),
+                          float((1 - 2 * side) * xi[side, j, k]))
 
 
 def _write_columns(M: np.ndarray, cols: np.ndarray, pos: np.ndarray,
@@ -267,23 +289,27 @@ def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
 def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
                             lam: complex) -> SymbolFunction:
     """The smoothed resolvent symbol psi(xi) (a_m(theta,xi) - lambda)^{-1},
-    a symbol of order -a.order."""
+    a symbol of order -a.order; refuses (SymbolSingular) a lambda met by an
+    eigenvalue |xi|^m mu of a_m (_cosphere) at |xi| > rho, where psi > 0."""
     lam = complex(lam)
     N = a.fiber_dim
+    theta, mu = _cosphere(a)
+    along = ray_distance(mu, np.angle(lam)) < ARG_RTOL * np.abs(mu)
+    xi = np.divide(abs(lam), np.abs(mu), out=np.zeros(mu.shape),
+                   where=along) ** (1.0 / a.order)
+    if xi.max() > psi.rho:
+        raise _singular_at(theta, xi)
 
     def _resolvent(theta, xi, shift, weight):
         """weight(xi) * (a_m - shift)^{-1}.  A fibre where the weight is
         zero is inverted as I, so it is never refused and comes out exactly
         0.  The shape is that of the principal symbol's values broadcast
-        against xi, so the resolvent of a multiplier is a multiplier; its
-        singular fibres are named at the first theta sample."""
+        against xi, so the resolvent of a multiplier is a multiplier."""
         xi = np.asarray(xi, dtype=float)
         w = np.asarray(weight(xi))[..., None, None]
         fibres = np.where(w != 0, _fibres(a.principal(theta, xi), N)
                           - shift * np.eye(N), np.eye(N))
-        shape = fibres.shape[:-2]
-        theta_at = theta if np.prod(shape) > xi.size else np.ravel(theta)[0]
-        out = w * _fibre_inverse(fibres, theta_at, xi)
+        out = w * _fibre_inverse(fibres, theta, xi)
         return out[..., 0, 0] if N == 1 else out
 
     def evaluate(theta, xi):
@@ -291,11 +317,6 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
 
     def principal(theta, xi):
         return _resolvent(theta, xi, 0.0, np.ones_like)
-
-    # precondition: invertibility where the cutoff is active
-    theta_probe = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    for xi in (psi.rho, -psi.rho, 2 * psi.rho, -2 * psi.rho, 4 * psi.rho):
-        _resolvent(theta_probe, xi, lam, np.ones_like)
 
     return SymbolFunction(order=-a.order, evaluate=evaluate,
                           principal=principal, fiber_dim=N,
@@ -311,7 +332,9 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
 
     Op is linear, so Phi_0 = Op(sigma) for the one tabulated symbol
     sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise;
-    only the columns with psi(k) != 0 are tabulated, the others are zero."""
+    only the columns with psi(k) != 0 are tabulated, the others are zero.
+    Principal values of theta-extent 1 keep it, and a multiplier's sigma(k)
+    is written as _op_columns writes it: no FFT, zeros off the diagonal."""
     n_modes = 2 * K + 1
     G = 4 * n_modes
     theta = 2.0 * np.pi * np.arange(G) / G
@@ -320,34 +343,35 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     cols = np.flatnonzero(psi_vals)
     xi = (cols - K)[:, None].astype(float)
 
-    # principal-symbol samples (columns, G, N, N)
-    P = np.broadcast_to(_fibres(a.principal(theta, xi), N),
-                        (cols.size, G, N, N))
+    # principal-symbol samples (columns, G or 1, N, N)
+    P = _fibres(a.principal(theta, xi), N)
+    P = np.broadcast_to(P, np.broadcast_shapes(P.shape, (cols.size, 1, N, N)))
     phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta, xi))
     sigma = psi_vals[cols, None, None, None] * phi
     M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    _write_columns(M, cols, cols, np.fft.fft(sigma, axis=1) / G)
+    if P.shape[1] == 1:
+        _write_diagonal(M, cols, cols, sigma)
+    else:
+        _write_columns(M, cols, cols, np.fft.fft(sigma, axis=1) / G)
     return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
                                -a.order, symbol=None, fiber_dim=N)
 
 
 def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
     """Smallest integer rho >= 1 such that a_m(theta, xi) - lambda is
-    invertible for all |xi| >= rho on a probe grid over the contour."""
-    nodes = quad_nodes(c).nodes
-    # probe every 22nd of the 896 nodes plus the arc corners
-    corners = c.R * np.exp(1j * np.array([c.alpha1, c.alpha2]))
-    probe = np.concatenate((nodes[:: len(nodes) // 40], corners))
-    tol = 1e-8 * np.maximum(1.0, np.abs(probe))
-    theta = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-
-    def clear(xi):
-        fibres = _fibres(a.principal(theta, float(xi)), a.fiber_dim)
-        ev = np.linalg.eigvals(fibres).reshape(-1, 1)
-        return bool(np.all(np.abs(ev - probe).min(axis=0) >= tol))
-
-    for rho in range(1, K + 1):
-        if all(clear(x) for r in range(rho, min(4 * rho, K) + 1)
-               for x in (r, -r)):
-            return rho
-    raise SymbolSingular(0.0, float(K))
+    invertible for all |xi| >= rho and every lambda on the contour c.  An
+    eigenvalue |xi|^m mu of a_m (_cosphere) along a ray breaks the rays'
+    minimal growth and is refused at its (theta, +-1); one in the arc's
+    sector meets the arc at |xi| = (R/|mu|)^{1/m}.  rho > K is refused."""
+    theta, mu = _cosphere(a)
+    on_ray = np.minimum(ray_distance(mu, c.alpha1),
+                        ray_distance(mu, c.alpha2)) < ARG_RTOL * np.abs(mu)
+    if on_ray.any():
+        raise _singular_at(theta, 1.0 * on_ray)
+    inside = (mu != 0) & ((c.alpha1 - np.angle(mu)) % TWO_PI <= c.theta)
+    xi = np.divide(c.R, np.abs(mu), out=np.zeros(mu.shape),
+                   where=inside) ** (1.0 / a.order)
+    rho = int(xi.max() * (1.0 + ARG_RTOL)) + 1
+    if rho > K:
+        raise _singular_at(theta, xi)
+    return rho

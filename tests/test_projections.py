@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectoral import contour, linalg, presets
-from sectoral.contour import make_sector_contour, quad_nodes, ray_tail_moments
+from sectoral.contour import (make_sector_contour, quad_nodes,
+                              ray_tail_moments, sector_phi)
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
-                             SpectrumOnContour, TooDefective)
+                             SingularMatrix, SpectrumOnContour, TooDefective)
 from sectoral.projections import (aps_projection, complex_power,
                                   eigen_projection_oracle, riesz_transform,
                                   sectorial_projection, wodzicki_residual)
@@ -27,15 +29,55 @@ def test_sectorial_projection_derived_2x2(imag_contour):
     make_sector_contour(2.9, 0.4, 1.3),
 ], ids=["imag", "sector_2.9_0.4"])
 def test_sectorial_projection_one_solve_per_node(c, monkeypatch):
-    # the contour loop makes exactly one linalg.solve per quadrature node,
-    # from one rule built once
+    # a dense Schur factor keeps the node loop: exactly one linalg.solve
+    # per quadrature node (896, as the benchmark's probe counts), from one
+    # rule built once
     nodes = len(quad_nodes(c).nodes)
+    assert nodes == 896
     counts = {}
     count_calls(monkeypatch, counts, linalg, "solve")
     count_calls(monkeypatch, counts, contour, "quad_nodes")
     A, _, _ = random_diagonalizable(np.random.default_rng(17), dim=6)
     sectorial_projection(A, c)
     assert counts == {"solve": nodes, "quad_nodes": 1}
+
+
+@pytest.mark.parametrize("A, R", [
+    (presets.op_dtheta(64), 0.5),
+    (presets.op_dtheta_shift(32), 0.5),
+    (presets.op_dtheta_shift(32), 0.15),
+], ids=["dtheta_64", "dtheta_shift_32", "c8_dtheta_shift_32"])
+def test_diagonal_schur_factor_takes_the_fibre_route(A, R, monkeypatch):
+    # Op(a) of a Fourier multiplier has a diagonal Schur factor: no solve,
+    # and the node loop's value to 1e-14 relative
+    c = presets.contour_imag(R)
+    T, Z = scipy.linalg.schur(A.matrix, output="complex")
+    assert linalg.is_diagonal(T)
+    phi, _ = sector_phi(T, c, lambda B: linalg.solve(B, None))
+    want = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "solve")
+    count_calls(monkeypatch, counts, contour, "quad_nodes")
+    got = sectorial_projection(A, c).P
+    assert counts == {"solve": 0, "quad_nodes": 1}
+    scale = max(linalg.operator_norm_2(want), 1.0)
+    assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+def test_fibre_route_keeps_the_pivot_floor(monkeypatch):
+    # an eigenvalue 4e-6 outside the arc, next to a node, against one of
+    # modulus 1e9: clear of the contour, but min|d - lambda| falls below
+    # PIVOT_REL_THRESHOLD max|d - lambda| at that node on both routes
+    c = presets.contour_imag()
+    node = quad_nodes(c).nodes[384 + 64]
+    T = np.diag([1e9, node * (1.0 + 4e-6 / abs(node))])
+    with pytest.raises(SingularMatrix):
+        sector_phi(T, c, lambda B: linalg.solve(B, None))
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "solve")
+    with pytest.raises(SingularMatrix):
+        sectorial_projection(T, c)
+    assert counts == {"solve": 0}
 
 
 def test_sectorial_projection_diagonal(imag_contour):

@@ -6,9 +6,10 @@ import pytest
 from sectoral import presets, symbol1d, topology
 from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
-from sectoral.symbol1d import (CutoffFunction, SymbolFunction, choose_rho,
-                               cutoff_resolvent_symbol, op_from_symbol,
-                               parametrix_phi0, sobolev_op_norm)
+from sectoral.symbol1d import (CutoffFunction, SymbolFunction, _combine,
+                               choose_rho, cutoff_resolvent_symbol,
+                               op_from_symbol, parametrix_phi0,
+                               sobolev_op_norm)
 
 
 def _const_symbol(fn, order=0):
@@ -157,12 +158,13 @@ def test_cutoff_resolvent_of_a_multiplier_below_the_cutoff_is_zero():
 
 
 @pytest.mark.parametrize("a, lam", [
-    (presets.symbol_c_theta_times_xi(), 3.0),
+    (presets.symbol_c_theta_times_xi(), 2.0),
     (presets.symbol_pauli_monopole(), 1.0),
 ], ids=["c_theta_times_xi", "pauli_monopole"])
 def test_cutoff_resolvent_below_the_cutoff_is_zero(a, lam):
-    # a_m(0, 1) - lam is singular and psi(1) = 0: that fibre is not
-    # refused and comes out exactly 0
+    # a_m(theta, 1) - lam is singular at a grid angle (pi/2 and 0) and
+    # psi(1) = 0: that fibre is not refused and comes out exactly 0 (every
+    # singular |xi| is at most rho = 2, so the precondition accepts lam)
     psi = CutoffFunction(2.0)
     theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     xi = np.array([[-3.0], [1.0], [4.0]])
@@ -180,6 +182,53 @@ def test_choose_rho_for_presets():
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
     assert choose_rho(presets.symbol_xi(), c, 16) == 1
     assert choose_rho(presets.symbol_c_theta_times_xi(), c, 16) == 1
+    symbols = [presets.get_operator(name, 2).symbol
+               for name in presets.OPERATOR_PRESETS]
+    symbols.append(presets.symbol_pauli_monopole())
+    for c in (presets.contour_imag(), make_sector_contour(2.0, 0.5, 9.0)):
+        assert [choose_rho(a, c, 16) for a in symbols] == [1] * 6
+
+
+@pytest.mark.parametrize("R, rho", [(5.0, 6), (40.0, 41)])
+def test_choose_rho_clears_the_arc_for_every_larger_xi(R, rho):
+    # xi - R vanishes at xi = R, where lambda = R is the arc's midpoint
+    c = presets.contour_imag(R)
+    assert choose_rho(presets.symbol_xi(), c, 64) == rho
+    assert choose_rho(presets.symbol_c_theta_times_xi(), c, 64) == rho
+    with pytest.raises(SymbolSingular) as err:
+        choose_rho(presets.symbol_xi(), c, rho - 1)
+    assert err.value.xi == R
+
+
+def test_cutoff_resolvent_precondition_where_the_cutoff_is_active():
+    # xi - lambda is singular at xi = lambda: psi(2) = 0 but psi(3) = 0.5
+    psi = CutoffFunction(2.0)
+    r = cutoff_resolvent_symbol(presets.symbol_xi(), psi, 2.0)
+    assert r.evaluate(0.0, np.array([[2.0], [3.0]])).ravel().tolist() \
+        == [0.0, 0.5]
+    with pytest.raises(SymbolSingular) as err:
+        cutoff_resolvent_symbol(presets.symbol_xi(), psi, 3.0)
+    assert (err.value.theta, err.value.xi) == (0.0, 3.0)
+    # on the negative side, and for a system with eigenvalues +-xi
+    with pytest.raises(SymbolSingular) as err:
+        cutoff_resolvent_symbol(presets.symbol_xi(), psi, -3.0)
+    assert err.value.xi == -3.0
+    cutoff_resolvent_symbol(presets.symbol_pauli_monopole(), psi, -1.5)
+    with pytest.raises(SymbolSingular):
+        cutoff_resolvent_symbol(presets.symbol_pauli_monopole(), psi, -3.0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_fibre_inverse_names_a_theta_independent_stack(N):
+    # a (columns, 1, N, N) stack against G theta samples: the singular
+    # fibre is named at the first theta sample and its own xi
+    theta = 0.25 + 2.0 * np.pi * np.arange(12) / 12
+    xi = np.array([[-2.0], [0.0], [3.0]])
+    fibres = np.broadcast_to(np.eye(N, dtype=complex), (3, 1, N, N)).copy()
+    fibres[1, 0] = 0.0
+    with pytest.raises(SymbolSingular) as err:
+        symbol1d._fibre_inverse(fibres, theta, xi)
+    assert (err.value.theta, err.value.xi) == (0.25, 0.0)
 
 
 def _check_phi0_against_nodewise_assembly(a):
@@ -216,6 +265,34 @@ def test_parametrix_phi0_consistent_with_nodewise_assembly():
 def test_parametrix_phi0_system_consistent_with_nodewise_assembly():
     # N = 2: the 2x2 fibre inverses and block columns of the same assembly
     _check_phi0_against_nodewise_assembly(presets.symbol_pauli_monopole())
+
+
+def _sigma_x_times_xi():
+    sx = topology.PAULI[0]
+    f = lambda theta, xi: np.asarray(xi, float)[..., None, None] * sx + 0j
+    return SymbolFunction(order=1, evaluate=f, principal=f, fiber_dim=2,
+                          name="xi sigma_x")
+
+
+@pytest.mark.parametrize("a", [
+    presets.symbol_xi(),
+    presets.get_operator("dtheta_shift", 2).symbol,
+    _sigma_x_times_xi(),
+], ids=["xi", "xi+0.3", "xi_sigma_x"])
+def test_parametrix_phi0_of_a_multiplier_is_its_block_diagonal(a):
+    # theta-extent-1 principal values go through sector_phi with that
+    # extent; the same values spread over the theta grid take the FFT path
+    N = a.fiber_dim
+    spread = SymbolFunction(
+        order=a.order, evaluate=a.evaluate, fiber_dim=N,
+        principal=lambda theta, xi: a.principal(theta, xi) + np.zeros(
+            np.shape(theta) + (N, N) if N > 1 else np.shape(theta)))
+    c, psi, K = presets.contour_imag(), CutoffFunction(2.0), 16
+    got = parametrix_phi0(a, psi, c, K).matrix
+    want = parametrix_phi0(spread, psi, c, K).matrix
+    blocks = np.kron(np.eye(2 * K + 1), np.ones((N, N))).astype(bool)
+    assert not got[~blocks].any()
+    assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 def test_check_classical_accepts_presets_and_rejects_fakes():
@@ -452,7 +529,13 @@ def test_singular_fibre_in_a_block_named_as_on_the_scalar_path(a, lam, xi):
     K = BLOCK_KS[1]
     G = 4 * (2 * K + 1)
     theta = 2.0 * np.pi * np.arange(G) / G
-    r = cutoff_resolvent_symbol(a, CutoffFunction(1.0), lam)
+    # the precondition refuses lam itself (a_m - lam is singular where
+    # psi > 0), so the singular fibre is reached through a principal part
+    # that carries the shift -lam, at the resolvent point 0
+    shifted = SymbolFunction(order=a.order, evaluate=a.evaluate,
+                             principal=_combine(a, -lam).evaluate,
+                             fiber_dim=a.fiber_dim)
+    r = cutoff_resolvent_symbol(shifted, CutoffFunction(1.0), 0.0)
     with pytest.raises(SymbolSingular) as scalar:
         r.evaluate(theta, xi)
     with pytest.raises(SymbolSingular) as block:
