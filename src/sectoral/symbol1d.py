@@ -293,6 +293,8 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
     eigenvalue |xi|^m mu of a_m (_cosphere) at |xi| > rho, where psi > 0."""
     lam = complex(lam)
     N = a.fiber_dim
+    if a.order <= 0:
+        raise ValueError(f"a_m must have positive order, got {a.order}")
     theta, mu = _cosphere(a)
     along = ray_distance(mu, np.angle(lam)) < ARG_RTOL * np.abs(mu)
     xi = np.divide(abs(lam), np.abs(mu), out=np.zeros(mu.shape),
@@ -362,12 +364,15 @@ def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
     invertible for all |xi| >= rho and every lambda on the contour c.  An
     eigenvalue |xi|^m mu of a_m (_cosphere) along a ray breaks the rays'
     minimal growth and is refused at its (theta, +-1); one in the arc's
-    sector meets the arc at |xi| = (R/|mu|)^{1/m}.  rho > K is refused."""
+    sector meets the arc at |xi| = (R/|mu|)^{1/m}.  rho > K, and an order
+    m <= 0, are refused."""
     theta, mu = _cosphere(a)
     on_ray = np.minimum(ray_distance(mu, c.alpha1),
                         ray_distance(mu, c.alpha2)) < ARG_RTOL * np.abs(mu)
     if on_ray.any():
         raise _singular_at(theta, 1.0 * on_ray)
+    if a.order <= 0:
+        raise ValueError(f"a_m must have positive order, got {a.order}")
     inside = (mu != 0) & ((c.alpha1 - np.angle(mu)) % TWO_PI <= c.theta)
     xi = np.divide(c.R, np.abs(mu), out=np.zeros(mu.shape),
                    where=inside) ** (1.0 / a.order)

@@ -218,6 +218,15 @@ def test_cutoff_resolvent_precondition_where_the_cutoff_is_active():
         cutoff_resolvent_symbol(presets.symbol_pauli_monopole(), psi, -3.0)
 
 
+def test_cosphere_radii_refuse_an_order_that_is_not_positive():
+    # |xi|^m mu has modulus r at |xi| = (r/|mu|)^{1/m} only for m > 0
+    sym = _const_symbol(lambda th, xi: 2.0 + 0j * np.asarray(th), order=0)
+    with pytest.raises(ValueError, match="positive order"):
+        choose_rho(sym, presets.contour_imag(), 16)
+    with pytest.raises(ValueError, match="positive order"):
+        cutoff_resolvent_symbol(sym, CutoffFunction(2.0), 5.0j)
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_fibre_inverse_names_a_theta_independent_stack(N):
     # a (columns, 1, N, N) stack against G theta samples: the singular
