@@ -116,10 +116,12 @@ def canonical_json(record: dict) -> str:
                       default=_json_default)
 
 
-def _write_reports(record: dict, kind: str, preset: str, out_dir: str,
-                   samples=None) -> str:
-    """Write <kind>-<preset>-<stamp>-<n>.json (and .csv for samples) as new
-    files; n counts the runs in that second, so names sort by creation."""
+def _write_reports(record: dict, out_dir: str) -> str:
+    """Write <kind>-<preset>-<stamp>-<n>.json, named by the record's
+    experiment_kind and preset, and the .csv of its samples if it has any,
+    as new files; n counts the runs in that second, so names sort by
+    creation."""
+    kind, preset = record["experiment_kind"], record["preset"]
     os.makedirs(out_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     record = dict(record, timestamp=stamp)
@@ -133,10 +135,10 @@ def _write_reports(record: dict, kind: str, preset: str, out_dir: str,
             break
         except FileExistsError:
             pass
-    if samples is not None:
+    if "samples" in record:
         with open(base + ".csv", "x") as fh:
             fh.write("abscissa,value\n")
-            for x, y in samples:
+            for x, y in record["samples"]:
                 fh.write(f"{float(x)!r},{float(y)!r}\n")
     return base + ".json"
 
@@ -145,7 +147,7 @@ def _experiment_record(rep: ExperimentReport, preset: str, extra) -> dict:
     return {**rep.to_json_dict(), "preset": preset, **extra}
 
 
-def _cmd_project(opt: dict) -> tuple:
+def _cmd_project(opt: dict) -> dict:
     preset = opt.get("preset", "dtheta")
     K = opt.get("K", 16)
     A = presets.get_operator(preset, K)
@@ -156,10 +158,10 @@ def _cmd_project(opt: dict) -> tuple:
     rec = res.to_record(include_matrix=bool(opt.get("include_matrix")))
     rec.update({"experiment_kind": "project", "preset": preset, "K": K,
                 "contour": c.to_dict(), "pass": bool(ok and res.resolved)})
-    return rec, "project", preset, None
+    return rec
 
 
-def _cmd_perturb(opt: dict) -> tuple:
+def _cmd_perturb(opt: dict) -> dict:
     preset = opt.get("preset", "variable_coeff_shift")
     pert = opt.get("perturbation", "cos_theta_lower")
     K = opt.get("K", 32)
@@ -169,13 +171,11 @@ def _cmd_perturb(opt: dict) -> tuple:
                        opt.get("n_eps", 13))
     c = presets.contour_imag(opt.get("R", 0.5))
     rep = perturbation_experiment(A, dA, eps, opt.get("s", 0.0), c)
-    rec = _experiment_record(rep, preset,
-                             {"perturbation": pert, "K": K,
-                              "contour": c.to_dict()})
-    return rec, "perturbation", preset, rep.samples
+    return _experiment_record(rep, preset, {"perturbation": pert, "K": K,
+                                            "contour": c.to_dict()})
 
 
-def _cmd_resolvent(opt: dict) -> tuple:
+def _cmd_resolvent(opt: dict) -> dict:
     preset = opt.get("preset", "dtheta_shift")
     K = opt.get("K", 256)
     A = presets.get_operator(preset, K)
@@ -184,11 +184,10 @@ def _cmd_resolvent(opt: dict) -> tuple:
         opt.get("p", 0.0),
         (opt.get("lambda_min", 6.4), opt.get("lambda_max", 64.0)),
         opt.get("n_samples"))
-    rec = _experiment_record(rep, preset, {"K": K})
-    return rec, "resolvent_decay", preset, rep.samples
+    return _experiment_record(rep, preset, {"K": K})
 
 
-def _cmd_parametrix(opt: dict) -> tuple:
+def _cmd_parametrix(opt: dict) -> dict:
     preset = opt.get("preset", "variable_coeff_shift")
     K = opt.get("K", 128)
     A = presets.get_operator(preset, K)
@@ -197,11 +196,10 @@ def _cmd_parametrix(opt: dict) -> tuple:
         A, psi, opt.get("ray_angle", np.pi / 2), opt.get("s", 0.0),
         (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
         opt.get("n_samples"))
-    rec = _experiment_record(rep, preset, {"K": K})
-    return rec, "parametrix_gap", preset, rep.samples
+    return _experiment_record(rep, preset, {"K": K})
 
 
-def _cmd_compose(opt: dict) -> tuple:
+def _cmd_compose(opt: dict) -> dict:
     pair = opt.get("pair", "resolvent_pair")
     K = opt.get("K", 128)
     f_family, g_family, r, m, tol = presets.lookup("pairs", "pair", pair)(
@@ -210,21 +208,20 @@ def _cmd_compose(opt: dict) -> tuple:
         f_family, g_family, r, m, opt.get("s", 0.0),
         (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
         K, opt.get("n_samples"), tolerance=tol)
-    rec = _experiment_record(rep, pair, {"K": K})
-    return rec, "composition_gap", pair, rep.samples
+    return _experiment_record(rep, pair, {"K": K})
 
 
-def _cmd_obstruction(opt: dict) -> tuple:
+def _cmd_obstruction(opt: dict) -> dict:
     preset = opt.get("preset", "monopole")
     proj = presets.lookup("bundles", "preset", preset)
     # obstruction_demo refuses a non-projector family and an unsafe
     # rounding, so a record it returns passes
-    rec = dict(topology.obstruction_demo(proj, opt.get("level", 3)),
-               experiment_kind="obstruction", preset=preset, **{"pass": True})
-    return rec, "obstruction", preset, None
+    return dict(topology.obstruction_demo(proj, opt.get("level", 3)),
+                experiment_kind="obstruction", preset=preset,
+                **{"pass": True})
 
 
-def _cmd_wodzicki(opt: dict) -> tuple:
+def _cmd_wodzicki(opt: dict) -> dict:
     preset = opt.get("preset", "dtheta_shift")
     K = opt.get("K", 16)
     A = presets.get_operator(preset, K)
@@ -237,19 +234,17 @@ def _cmd_wodzicki(opt: dict) -> tuple:
     c = make_sector_contour(alpha1, alpha2, R)  # the sector between the cuts
     s = opt.get("exponent", 0.5)
     resid = wodzicki_residual(A.matrix, s, alpha1, alpha2, c)
-    rec = {"experiment_kind": "wodzicki", "preset": preset, "K": K,
-           "exponent": s, "alpha1": alpha1, "alpha2": alpha2,
-           "residual": resid, "contour": c.to_dict(),
-           "pass": bool(resid <= 1e-6)}
-    return rec, "wodzicki", preset, None
+    return {"experiment_kind": "wodzicki", "preset": preset, "K": K,
+            "exponent": s, "alpha1": alpha1, "alpha2": alpha2,
+            "residual": resid, "contour": c.to_dict(),
+            "pass": bool(resid <= 1e-6)}
 
 
-def _cmd_spectral_flow(opt: dict) -> tuple:
+def _cmd_spectral_flow(opt: dict) -> dict:
     name = opt.get("path", "crossing")
     flow = topology.spectral_flow(presets.lookup("paths", "path", name))
-    rec = {"experiment_kind": "spectral_flow", "preset": name,
-           "flow": int(flow), "pass": True}
-    return rec, "spectral_flow", name, None
+    return {"experiment_kind": "spectral_flow", "preset": name,
+            "flow": int(flow), "pass": True}
 
 
 _SAMPLES = ("s", "lambda_min", "lambda_max", "n_samples")
@@ -311,9 +306,9 @@ def main(argv=None) -> int:
             raw = getattr(args, key)
             if raw is not None:
                 opt[key] = _coerce(key, raw)
-        rec, kind, preset, samples = handler(opt)
+        rec = handler(opt)
         out_dir = os.environ.get("SECTORAL_OUT") or opt.get("out") or "."
-        path = _write_reports(rec, kind, preset, out_dir, samples)
+        path = _write_reports(rec, out_dir)
     except SectoralError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -321,7 +316,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ok = bool(rec.get("pass", True))
-    print(f"{kind} [{preset}]: {'pass' if ok else 'FAIL'} -> {path}")
+    print(f"{rec['experiment_kind']} [{rec['preset']}]: "
+          f"{'pass' if ok else 'FAIL'} -> {path}")
     return 0 if ok else 2
 
 

@@ -341,12 +341,16 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     a claim of the underlying theory.
 
     Fewer than MIN_FIT_SAMPLES distinct epsilons are refused as
-    InsufficientSpan before any projection.  Samples whose perturbed
+    InsufficientSpan, and an epsilon that is not finite and > 0 as
+    ValueError, before any projection.  Samples whose perturbed
     operator loses contour clearance are rejected and recorded; if every
     epsilon is rejected, ClearanceLost is raised, and fewer than
     MIN_FIT_SAMPLES samples left are refused as InsufficientSpan.
     """
     _check_fit_samples(epsilons)
+    for eps in epsilons:
+        if not (np.isfinite(eps) and eps > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {eps}")
     if isinstance(A, DiscretizedOperator):
         M = A.matrix
         K, N = A.K, A.fiber_dim

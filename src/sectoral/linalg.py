@@ -75,10 +75,13 @@ def _is_upper_triangular(A) -> bool:
 
 def is_diagonal(A) -> bool:
     """Whether the square A (of order > 1) is exactly zero off its diagonal;
-    its corners are read before the masked reductions of both triangles."""
+    its corners are read first.  Flattened in memory order (a view of a C-
+    or F-ordered A), the diagonal entries are n + 1 apart, so the first n
+    columns of the (n - 1, n + 1) view after the first entry are exactly
+    the off-diagonal entries."""
     n = A.shape[0]
-    return (n > 1 and A[-1, 0] == 0 and A[0, -1] == 0 and not A.any(
-        where=_strict_lower(n)) and not A.T.any(where=_strict_lower(n)))
+    return (n > 1 and A[-1, 0] == 0 and A[0, -1] == 0 and not
+            A.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n].any())
 
 
 def _singular_values(A) -> np.ndarray:

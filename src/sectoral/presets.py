@@ -25,13 +25,12 @@ from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
 def symbol_xi() -> SymbolFunction:
     # independent of theta: the xi column itself, a Fourier multiplier
     f = lambda theta, xi: xi
-    return SymbolFunction(order=1, evaluate=f, principal=f, name="xi")
+    return SymbolFunction(order=1, evaluate=f, principal=f)
 
 
 def symbol_c_theta_times_xi() -> SymbolFunction:
     f = lambda theta, xi: (2.0 + np.cos(theta)) * xi + 0j
-    return SymbolFunction(order=1, evaluate=f, principal=f,
-                          name="c_theta_times_xi")
+    return SymbolFunction(order=1, evaluate=f, principal=f)
 
 
 def symbol_pauli_monopole() -> SymbolFunction:
@@ -43,7 +42,7 @@ def symbol_pauli_monopole() -> SymbolFunction:
             np.cos(theta) * sx + np.sin(theta) * sy) + 0j
 
     return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
-                          fiber_dim=2, name="pauli_monopole")
+                          fiber_dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +67,7 @@ def op_variable_coeff_shift(K: int) -> DiscretizedOperator:
 def op_variable_coeff_m2(K: int) -> DiscretizedOperator:
     f = lambda theta, xi: ((2.0 + np.cos(np.asarray(theta, float)))
                            * xi * xi + 0j)
-    sym = SymbolFunction(order=2, evaluate=f, principal=f,
-                         name="c_theta_times_xi2")
+    sym = SymbolFunction(order=2, evaluate=f, principal=f)
     return op_from_symbol(_combine(sym, 1.0), K)
 
 
@@ -91,7 +89,7 @@ OPERATOR_PRESETS = {
 
 def perturbation_cos_theta_lower(K: int) -> SplitOperator:
     f = lambda theta, xi: np.cos(np.asarray(theta, float)) + 0j
-    sym = SymbolFunction(order=0, evaluate=f, principal=f, name="cos_theta")
+    sym = SymbolFunction(order=0, evaluate=f, principal=f)
     return SplitOperator(m=1.0, K=K, lower=op_from_symbol(sym, K).matrix)
 
 
@@ -126,8 +124,7 @@ def pair_multiplier(rho: float) -> tuple:
 def pair_order_zero(rho: float) -> tuple:
     g_family = _cutoff_resolvent_family(symbol_c_theta_times_xi(), rho)
     b = lambda theta, xi: np.exp(1j * np.asarray(theta, float)) * xi
-    phase_xi = SymbolFunction(order=1, evaluate=b, principal=b,
-                              name="e^{i theta} xi")
+    phase_xi = SymbolFunction(order=1, evaluate=b, principal=b)
     f_family = lambda lam: _pointwise_product(g_family(lam), phase_xi)
     return f_family, g_family, 0.0, 1.0, 0.2
 

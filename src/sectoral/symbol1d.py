@@ -56,7 +56,6 @@ class SymbolFunction:
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     principal: Callable[[np.ndarray, float], np.ndarray]
     fiber_dim: int = 1
-    name: str = ""
 
 
 @dataclass
@@ -265,8 +264,7 @@ def _combine(principal: SymbolFunction, shift: complex) -> SymbolFunction:
         return (_fibres(value, N) + shift * np.eye(N)).reshape(np.shape(value))
 
     return SymbolFunction(order=principal.order, evaluate=evaluate,
-                          principal=principal.principal, fiber_dim=N,
-                          name=f"{principal.name}+{shift}")
+                          principal=principal.principal, fiber_dim=N)
 
 
 def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
@@ -283,7 +281,7 @@ def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
                                            f.evaluate(theta, xi)),
         principal=lambda theta, xi: product(g.principal(theta, xi),
                                             f.principal(theta, xi)),
-        fiber_dim=N, name=f"({g.name})*({f.name})")
+        fiber_dim=N)
 
 
 def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
@@ -321,8 +319,7 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
         return _resolvent(theta, xi, 0.0, np.ones_like)
 
     return SymbolFunction(order=-a.order, evaluate=evaluate,
-                          principal=principal, fiber_dim=N,
-                          name=f"r_psi({a.name or 'a'}, lam={lam:.3g})")
+                          principal=principal, fiber_dim=N)
 
 
 def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
@@ -332,31 +329,28 @@ def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
     an operator of order -m.  Ray-truncation tails are corrected
     analytically to second order in 1/lambda.
 
-    Op is linear, so Phi_0 = Op(sigma) for the one tabulated symbol
-    sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise;
-    only the columns with psi(k) != 0 are tabulated, the others are zero.
-    Principal values of theta-extent 1 keep it, and a multiplier's sigma(k)
-    is written as _op_columns writes it: no FFT, zeros off the diagonal."""
-    n_modes = 2 * K + 1
-    G = 4 * n_modes
-    theta = 2.0 * np.pi * np.arange(G) / G
+    Op is linear, so Phi_0 = Op(sigma) for the one symbol
+    sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise
+    on each block of principal values.  _op_columns assembles the columns
+    where psi(k) != 0, the others are zero: a multiplier's Phi_0 is its
+    block diagonal, and any other warns with AliasingRisk as Op(a) does."""
     N = a.fiber_dim
-    psi_vals = psi(np.arange(-K, K + 1, dtype=float))
-    cols = np.flatnonzero(psi_vals)
-    xi = (cols - K)[:, None].astype(float)
+    n = N * (2 * K + 1)
+    cols = np.flatnonzero(psi(np.arange(-K, K + 1, dtype=float)))
 
-    # principal-symbol samples (columns, G or 1, N, N)
-    P = _fibres(a.principal(theta, xi), N)
-    P = np.broadcast_to(P, np.broadcast_shapes(P.shape, (cols.size, 1, N, N)))
-    phi, _ = sector_phi(P, c, lambda X: _fibre_inverse(X, theta, xi))
-    sigma = psi_vals[cols, None, None, None] * phi
-    M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    if P.shape[1] == 1:
-        _write_diagonal(M, cols, cols, sigma)
-    else:
-        _write_columns(M, cols, cols, np.fft.fft(sigma, axis=1) / G)
-    return DiscretizedOperator(M.reshape(N * n_modes, N * n_modes), K,
-                               -a.order, symbol=None, fiber_dim=N)
+    def evaluate(theta, xi):
+        phi, _ = sector_phi(_fibres(a.principal(theta, xi), N), c,
+                            lambda X: _fibre_inverse(X, theta, xi))
+        sigma = psi(xi)[..., None, None] * phi
+        return sigma[..., 0, 0] if N == 1 else sigma
+
+    # _op_columns reads only evaluate
+    sigma = SymbolFunction(order=-a.order, evaluate=evaluate,
+                           principal=evaluate, fiber_dim=N)
+    M = np.zeros((n, 2 * K + 1, N), dtype=complex)
+    M[:, cols] = _op_columns(sigma, K, cols).reshape(n, cols.size, N)
+    return DiscretizedOperator(M.reshape(n, n), K, -a.order, symbol=None,
+                               fiber_dim=N)
 
 
 def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:

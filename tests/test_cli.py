@@ -219,6 +219,31 @@ def test_perturb_small_run(tmp_path, monkeypatch, capsys):
     assert len(lines) == len(rec["samples"]) + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--preset", "dtheta_shift", "--K", "8", "--n-eps", "5"],
+    ["resolvent-decay", "--K", "16", "--lambda-min", "1", "--lambda-max", "4"],
+    ["parametrix", "--K", "32", "--rho", "2", "--lambda-min", "4",
+     "--lambda-max", "8"],
+    ["compose-gap", "--K", "32", "--lambda-min", "4", "--lambda-max", "8"],
+])
+def test_csv_rows_are_the_record_samples(argv, tmp_path, monkeypatch,
+                                         capsys):
+    # the files are named by the record's kind and preset, and the CSV
+    # holds its samples, whether the run passes (exit 0) or fails (2)
+    code, out, _ = _run(argv, tmp_path, monkeypatch, capsys)
+    assert code in (0, 2)
+    record, = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+    with open(tmp_path / record) as fh:
+        rec = json.load(fh)
+    assert record.startswith(f"{rec['experiment_kind']}-{rec['preset']}-")
+    assert out.startswith(f"{rec['experiment_kind']} [{rec['preset']}]: ")
+    with open(tmp_path / (record[:-len(".json")] + ".csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "abscissa,value"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] \
+        == rec["samples"]
+
+
 def test_config_file_and_cli_override(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\npreset = dtheta\nK = 8\n")

@@ -374,6 +374,22 @@ def test_perturbation_rejects_clearance_loss(heavy_calls):
         perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1, 0.5], 0.0, c)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.inf, np.nan])
+def test_perturbation_refuses_a_bad_epsilon_before_projecting(heavy_calls,
+                                                              bad):
+    # the log-log fit needs eps > 0: a bad epsilon is named before the
+    # base projection, in operator and in matrix mode
+    eps = [bad, 1e-3, 1e-2, 1e-1]
+    c = presets.contour_imag()
+    for A, dA in ((presets.op_dtheta_shift(8),
+                   presets.perturbation_cos_theta_lower(8)),
+                  (np.diag([1.0, -1.0]).astype(complex),
+                   np.array([[0.0, 1.0], [0.0, 0.0]]))):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            perturbation_experiment(A, dA, eps, 0.0, c)
+    assert heavy_calls["sectorial_projection"] == 0
+
+
 def test_fits_count_distinct_abscissae(heavy_calls):
     # repeated abscissae give polyfit one point to fit: they are refused
     # as too few, before anything is projected or sampled

@@ -121,6 +121,35 @@ def test_singular_values_one_off_diagonal_entry_takes_the_svd(i, j):
     assert linalg.inverse_norm_2(A) == float(1.0 / sigma[-1])
 
 
+def _strided(A):
+    """A non-contiguous view with the entries of A."""
+    wide = np.zeros((A.shape[0], 2 * A.shape[1]), dtype=A.dtype)
+    wide[:, ::2] = A
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_is_diagonal_sees_every_off_diagonal_entry(n):
+    # C and F order are read through a view of their memory, a
+    # non-contiguous slice through a copy; a 1e-300 entry is not zero
+    D = np.diag(np.arange(1.0, n + 1) + 0.5j)
+    view = _strided(D)
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    layouts = (np.ascontiguousarray, np.asfortranarray, _strided)
+    assert all(linalg.is_diagonal(make(D)) for make in layouts)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                B = D.copy()
+                B[i, j] = 1e-300
+                assert not any(linalg.is_diagonal(make(B))
+                               for make in layouts)
+
+
+def test_is_diagonal_needs_order_two():
+    assert not linalg.is_diagonal(np.ones((1, 1)))
+
+
 def test_inv_sqrt_hpd():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from sectoral.symbol1d import (CutoffFunction, SymbolFunction, _combine,
                                choose_rho, cutoff_resolvent_symbol,
                                op_from_symbol, parametrix_phi0,
                                sobolev_op_norm)
+from conftest import count_calls
 
 
 def _const_symbol(fn, order=0):
@@ -240,15 +242,15 @@ def test_fibre_inverse_names_a_theta_independent_stack(N):
     assert (err.value.theta, err.value.xi) == (0.25, 0.0)
 
 
-def _check_phi0_against_nodewise_assembly(a):
+def _check_phi0_against_nodewise_assembly(a, expect_phi0):
     from sectoral.contour import quad_nodes, ray_tail_moments
     psi = CutoffFunction(2.0)
     K, N = 8, a.fiber_dim
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
-    phi0 = parametrix_phi0(a, psi, c, K)
+    with expect_phi0:
+        phi0 = parametrix_phi0(a, psi, c, K)
     rule = quad_nodes(c)
     M = np.zeros_like(phi0.matrix)
-    import warnings
     with warnings.catch_warnings():
         # near-contour nodes put a legitimate but harmless 1e-9 tail in
         # the reference assembly at this small K
@@ -268,19 +270,36 @@ def _check_phi0_against_nodewise_assembly(a):
 
 
 def test_parametrix_phi0_consistent_with_nodewise_assembly():
-    _check_phi0_against_nodewise_assembly(presets.symbol_c_theta_times_xi())
+    # Phi_0 is assembled as Op(psi Phi(a_m)) is, and warns of the same
+    # tail (1.9e-10 at this small K) as that assembly
+    _check_phi0_against_nodewise_assembly(presets.symbol_c_theta_times_xi(),
+                                          pytest.warns(AliasingRisk))
 
 
 def test_parametrix_phi0_system_consistent_with_nodewise_assembly():
     # N = 2: the 2x2 fibre inverses and block columns of the same assembly
-    _check_phi0_against_nodewise_assembly(presets.symbol_pauli_monopole())
+    _check_phi0_against_nodewise_assembly(presets.symbol_pauli_monopole(),
+                                          contextlib.nullcontext())
+
+
+def test_parametrix_phi0_calls_sector_phi_once_per_block(monkeypatch):
+    # Phi_0 = Op(psi Phi(a_m)) is tabulated by _op_columns: one sector_phi
+    # call on each block of the columns where psi(k) != 0
+    K = 128
+    a = presets.get_operator("variable_coeff_shift", K).symbol
+    psi = CutoffFunction(1.0)
+    cols = np.flatnonzero(psi(np.arange(-K, K + 1, dtype=float)))
+    counts = {}
+    count_calls(monkeypatch, counts, symbol1d, "sector_phi")
+    parametrix_phi0(a, psi, presets.contour_imag(), K)
+    assert counts["sector_phi"] == -(-cols.size // _block_widths(K, 1)[0])
+    assert counts["sector_phi"] == 8
 
 
 def _sigma_x_times_xi():
     sx = topology.PAULI[0]
     f = lambda theta, xi: np.asarray(xi, float)[..., None, None] * sx + 0j
-    return SymbolFunction(order=1, evaluate=f, principal=f, fiber_dim=2,
-                          name="xi sigma_x")
+    return SymbolFunction(order=1, evaluate=f, principal=f, fiber_dim=2)
 
 
 @pytest.mark.parametrize("a", [
@@ -493,7 +512,8 @@ def test_op_columns_equal_the_columns_of_op_from_symbol(name, K, window):
 def test_op_from_symbol_evaluates_once_per_block():
     K = 256
     widths = _block_widths(K, 1)
-    for base in (presets.symbol_c_theta_times_xi(), presets.symbol_xi()):
+    multiplier = presets.symbol_xi()
+    for base in (presets.symbol_c_theta_times_xi(), multiplier):
         calls = []
 
         def evaluate(theta, xi):
@@ -503,7 +523,7 @@ def test_op_from_symbol_evaluates_once_per_block():
         op_from_symbol(SymbolFunction(order=1, evaluate=evaluate,
                                       principal=base.principal), K)
         assert len(calls) <= len(widths) < 2 * K + 1
-        if base.name == "xi":
+        if base is multiplier:
             # a multiplier is known from the first block; the other
             # columns take one more call
             assert calls == [(widths[0], 1), (2 * K + 1 - widths[0], 1)]
