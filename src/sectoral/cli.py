@@ -15,6 +15,7 @@ import configparser
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -287,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --lambda-max must not stand for another key
         p = sub.add_parser(command, help=f"run {command}",
                            allow_abbrev=False)
+        # -1e-4 is a value, not a flag: argparse's own pattern has no exponent
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", help="key=value config file")
         for key in sorted(keys):
             p.add_argument("--" + key.replace("_", "-"), dest=key,

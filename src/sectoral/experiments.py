@@ -21,7 +21,7 @@ from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime
                      RayHitsSpectrum, SpectrumOnContour)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _fibres, _op_columns, _pointwise_product, choose_rho,
+                       _op_columns, _pointwise_product, choose_rho,
                        cutoff_resolvent_symbol, op_from_symbol,
                        parametrix_phi0, sobolev_inverse_norm, sobolev_op_norm)
 
@@ -138,7 +138,7 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
     for r in lams:
         lam = r * np.exp(1j * ray_angle)
         samples.append((float(r), sobolev_inverse_norm(
-            A.matrix - lam * I, s, s + p, K=A.K, N=A.fiber_dim)))
+            A.matrix - lam * I, s, s + p, K=A.K)))
     params = {"kind_detail": "resolvent_decay", "ray_angle": ray_angle,
               "s": s, "p": p, "m": m, "K": A.K,
               "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
@@ -185,7 +185,7 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
         approx = _op_columns(
             cutoff_resolvent_symbol(A.symbol, psi, lam), K2, window)
         D = approx[lo:hi] - R
-        samples.append((float(r), sobolev_op_norm(D, s, s + m, K=K, N=N)))
+        samples.append((float(r), sobolev_op_norm(D, s, s + m, K=K)))
     params = {"kind_detail": "parametrix_gap", "ray_angle": ray_angle,
               "s": s, "m": m, "K": A.K, "rho": psi.rho,
               "fit_only": bool(m >= 2),
@@ -233,7 +233,7 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
         Mf = _op_columns(f, K2, window)
         Mgf = _op_columns(_pointwise_product(g, f), K2, window)
         D = Mg[lo:hi] @ Mf - Mgf[lo:hi]
-        gap = sobolev_op_norm(D, s, s + m - r, K=K, N=N)
+        gap = sobolev_op_norm(D, s, s + m - r, K=K)
         samples.append((float(rr), gap))
     params = {"kind_detail": "composition_gap", "r": r, "m": m, "s": s,
               "K": K,
@@ -255,7 +255,12 @@ class SplitOperator:
     K: int
     principal: Optional[SymbolFunction] = None
     lower: Optional[np.ndarray] = None
-    fiber_dim: int = 1
+
+    @property
+    def fiber_dim(self) -> int:
+        if self.principal is not None:
+            return self.principal.fiber_dim
+        return 1 if self.lower is None else len(self.lower) // (2 * self.K + 1)
 
     def matrix(self) -> np.ndarray:
         dim = self.fiber_dim * (2 * self.K + 1)
@@ -278,14 +283,6 @@ def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
     return out
 
 
-def _max_fibre_norm(fibres: np.ndarray) -> float:
-    """Largest spectral norm in a (..., N, N) stack; |a| for 1 x 1 fibres,
-    whose norm through the SVD differs from |a| in the last bit."""
-    if fibres.shape[-1] == 1:
-        return float(np.abs(fibres).max())
-    return float(np.linalg.norm(fibres, ord=2, axis=(-2, -1)).max())
-
-
 def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
     """Seminorms of the locally convex operator topology, realized
     discretely: p_j = sup of theta- and xi-derivatives of the principal
@@ -302,8 +299,8 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
         sup = {}
         for xi0 in (1.0, -1.0):
             # a theta-independent value is spread over the grid
-            lo, mid, hi = (np.broadcast_to(_fibres(D.principal.evaluate(
-                theta, xi0 + dx), N), (G, N, N)) for dx in (-h, 0.0, h))
+            lo, mid, hi = (np.broadcast_to(D.principal.evaluate(
+                theta, xi0 + dx), (G, N, N)) for dx in (-h, 0.0, h))
             # xi-derivatives up to order 2 by central differences
             xi_derivs = (mid, lo * (-0.5 / h) + hi * (0.5 / h),
                          lo * (1.0 / h**2) + mid * (-2.0 / h**2)
@@ -312,15 +309,15 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
                 for alpha, deriv in enumerate(
                         _theta_spectral_derivs(xi_derivs[beta], j_max - beta)):
                     key = (alpha, beta)
-                    sup[key] = max(sup.get(key, 0.0), _max_fibre_norm(deriv))
+                    sup[key] = max(sup.get(key, 0.0), float(np.linalg.norm(
+                        deriv, ord=2, axis=(-2, -1)).max()))
         for j in range(j_max + 1):
             p[j] = max(v for (a, b), v in sup.items() if a + b <= j)
     lower_norms = {}
     if D.lower is not None:
         for k in k_list:
             lower_norms[int(k)] = sobolev_op_norm(
-                np.asarray(D.lower, dtype=complex), k + D.m - 1, k,
-                K=D.K, N=D.fiber_dim)
+                D.lower, k + D.m - 1, k, K=D.K)
     return {"p": p, "lower_norm": lower_norms}
 
 
@@ -353,12 +350,11 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
     if isinstance(A, DiscretizedOperator):
         M = A.matrix
-        K, N = A.K, A.fiber_dim
         if not isinstance(dA, SplitOperator):
             raise TypeError("operator-mode perturbation needs a SplitOperator")
         dM = dA.matrix()
         x_unit = aggregate_seminorm(dA)
-        norm = lambda X: sobolev_op_norm(X, s, s, K=K, N=N)
+        norm = lambda X: sobolev_op_norm(X, s, s, K=A.K)
     else:
         M = linalg.as_matrix(A)
         dM = linalg.as_matrix(dA)
@@ -407,7 +403,7 @@ def boundedness_check(A: DiscretizedOperator, c: ContourSpec,
     out = {"rho": psi.rho, "truncation_error_estimate":
            res.truncation_error_estimate, "per_s": {}}
     for s in s_list:
-        norm_p = sobolev_op_norm(res.P, s, s, K=A.K, N=A.fiber_dim)
-        gap = sobolev_op_norm(res.P - approx, s, s, K=A.K, N=A.fiber_dim)
+        norm_p = sobolev_op_norm(res.P, s, s, K=A.K)
+        gap = sobolev_op_norm(res.P - approx, s, s, K=A.K)
         out["per_s"][float(s)] = {"norm_P": norm_p, "gap": gap}
     return out

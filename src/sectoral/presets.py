@@ -24,12 +24,12 @@ from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
 
 def symbol_xi() -> SymbolFunction:
     # independent of theta: the xi column itself, a Fourier multiplier
-    f = lambda theta, xi: xi
+    f = lambda theta, xi: np.asarray(xi, float)[..., None, None] + 0j
     return SymbolFunction(order=1, evaluate=f, principal=f)
 
 
 def symbol_c_theta_times_xi() -> SymbolFunction:
-    f = lambda theta, xi: (2.0 + np.cos(theta)) * xi + 0j
+    f = lambda theta, xi: ((2.0 + np.cos(theta)) * xi + 0j)[..., None, None]
     return SymbolFunction(order=1, evaluate=f, principal=f)
 
 
@@ -66,7 +66,7 @@ def op_variable_coeff_shift(K: int) -> DiscretizedOperator:
 
 def op_variable_coeff_m2(K: int) -> DiscretizedOperator:
     f = lambda theta, xi: ((2.0 + np.cos(np.asarray(theta, float)))
-                           * xi * xi + 0j)
+                           * xi * xi + 0j)[..., None, None]
     sym = SymbolFunction(order=2, evaluate=f, principal=f)
     return op_from_symbol(_combine(sym, 1.0), K)
 
@@ -88,7 +88,7 @@ OPERATOR_PRESETS = {
 # perturbation presets (split form)
 
 def perturbation_cos_theta_lower(K: int) -> SplitOperator:
-    f = lambda theta, xi: np.cos(np.asarray(theta, float)) + 0j
+    f = lambda theta, xi: np.cos(np.asarray(theta))[..., None, None] + 0j
     sym = SymbolFunction(order=0, evaluate=f, principal=f)
     return SplitOperator(m=1.0, K=K, lower=op_from_symbol(sym, K).matrix)
 
@@ -123,7 +123,8 @@ def pair_multiplier(rho: float) -> tuple:
 
 def pair_order_zero(rho: float) -> tuple:
     g_family = _cutoff_resolvent_family(symbol_c_theta_times_xi(), rho)
-    b = lambda theta, xi: np.exp(1j * np.asarray(theta, float)) * xi
+    b = lambda theta, xi: (np.exp(1j * np.asarray(theta, float))
+                           * xi)[..., None, None]
     phase_xi = SymbolFunction(order=1, evaluate=b, principal=b)
     f_family = lambda lam: _pointwise_product(g_family(lam), phase_xi)
     return f_family, g_family, 0.0, 1.0, 0.2

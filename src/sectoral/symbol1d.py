@@ -8,14 +8,14 @@ in theta of a(., k), computed by FFT on a 4(2K+1)-point grid so that
 trigonometric-polynomial coefficients up to degree 2K are exact.
 
 A symbol is evaluated like a ufunc: theta broadcasts against xi, and the
-result has the broadcast shape (plus (N, N) for systems), except that a
-value independent of theta may keep theta-extent 1.  Op(a), or any set of
-its columns, is assembled in blocks of columns, each tabulated by one call
-on a grid of a (columns, 1) column of xi against the 1-D theta samples.  A
-symbol whose value on the first block has theta-extent 1 is a Fourier
-multiplier: Op(a) is then the block diagonal of a(k), written without an
-FFT, with exact zeros off the diagonal, from at most one more call for the
-remaining columns.
+result is an N x N fibre stack over the broadcast shape, 1 x 1 for a
+scalar symbol, except that a value independent of theta may keep
+theta-extent 1.  Op(a), or any set of its columns, is assembled in blocks
+of columns, each tabulated by one call on a grid of a (columns, 1) column
+of xi against the 1-D theta samples.  A symbol whose value on the first
+block has theta-extent 1 is a Fourier multiplier: Op(a) is then the block
+diagonal of a(k), written without an FFT, with exact zeros off the
+diagonal, from at most one more call for the remaining columns.
 """
 from __future__ import annotations
 
@@ -42,12 +42,12 @@ ARG_RTOL = 1e-8
 class SymbolFunction:
     """A tabulatable symbol with declared order and principal part.
 
-    ``evaluate(theta, xi)`` broadcasts theta against xi like a ufunc: a 1-D
-    array of angles with a scalar xi gives shape (len(theta),), and with a
-    (B, 1) column of xi gives (B, len(theta)); systems append (N, N).  A
-    result that does not depend on xi (a theta row) is broadcast over the
-    xi column, and one that does not depend on theta may keep theta-extent
-    1 (the xi column itself, shape (B, 1)): op_from_symbol assembles such a
+    ``evaluate(theta, xi)`` broadcasts theta against xi like a ufunc and
+    returns N x N fibres, N = ``fiber_dim`` (1 x 1 for a scalar symbol):
+    (len(theta), N, N) for 1-D angles and a scalar xi, (B, len(theta), N,
+    N) for a (B, 1) column of xi.  A value that does not depend on xi is
+    broadcast over the xi column, and one that does not depend on theta
+    may keep theta-extent 1, (B, 1, N, N): op_from_symbol assembles such a
     symbol as a Fourier multiplier.  ``principal`` has the same signature
     and must be positively homogeneous of degree ``order`` for |xi| >= 1.
     """
@@ -66,7 +66,10 @@ class DiscretizedOperator:
     K: int
     order: float
     symbol: Optional[SymbolFunction] = None
-    fiber_dim: int = 1
+
+    @property
+    def fiber_dim(self) -> int:
+        return self.matrix.shape[0] // (2 * self.K + 1)
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,13 @@ class CutoffFunction:
         return (3.0 * u**2 - 2.0 * u**3).reshape(np.shape(xi))[()]
 
 
-def _fibres(values, N: int) -> np.ndarray:
-    """Symbol values as N x N fibre matrices over the sample grid: a scalar
-    symbol's samples gain two unit axes."""
+def _fibre_stack(values, N: int) -> np.ndarray:
+    """Symbol values as a complex (..., N, N) stack, or ValueError."""
     values = np.asarray(values, dtype=complex)
-    return values[..., None, None] if N == 1 else values
+    if values.shape[-2:] != (N, N):
+        raise ValueError(f"symbol values of shape {values.shape} are not "
+                         f"a stack of {N} x {N} fibres")
+    return values
 
 
 def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
@@ -129,7 +134,7 @@ def _cosphere(a: SymbolFunction) -> tuple:
     m > 0 for |xi| >= 1, where its eigenvalue |xi|^m mu has modulus r at
     |xi| = (r/|mu|)^{1/m}."""
     theta = TWO_PI * np.arange(256) / 256
-    return theta, np.stack([np.broadcast_to(np.linalg.eigvals(_fibres(
+    return theta, np.stack([np.broadcast_to(np.linalg.eigvals(_fibre_stack(
         a.principal(theta, xi), a.fiber_dim)), (256, a.fiber_dim))
         for xi in (1.0, -1.0)])
 
@@ -186,7 +191,7 @@ def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
 
     def values(pos):
         xi = (cols[pos] - K)[:, None].astype(float)
-        return _fibres(a.evaluate(theta, xi), N)
+        return _fibre_stack(a.evaluate(theta, xi), N)
 
     first = np.arange(min(width, cols.size))
     fibres = values(first)
@@ -226,62 +231,44 @@ def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
     exceeds 1e-10 relative to the largest coefficient.
     """
     M = _op_columns(a, K, np.arange(2 * K + 1))
-    return DiscretizedOperator(M, K, a.order, symbol=a, fiber_dim=a.fiber_dim)
+    return DiscretizedOperator(M, K, a.order, symbol=a)
 
 
-def _weight_vector(K: int, s: float, N: int = 1) -> np.ndarray:
-    k = np.arange(-K, K + 1)
-    return np.repeat((1.0 + k.astype(float)**2) ** (s / 2.0), N)
+def _sobolev_weighted(M, s: float, t: float, K: int) -> np.ndarray:
+    """W_t M W_s^{-1} for a matrix on modes |k| <= K, its fibre dimension
+    read from its order."""
+    M = np.asarray(M, dtype=complex)
+    k = np.repeat(np.arange(-K, K + 1), M.shape[0] // (2 * K + 1))
+    w = 1.0 + k.astype(float)**2
+    return M * (w ** (t / 2.0))[:, None] / (w ** (s / 2.0))[None, :]
 
 
-def _sobolev_weighted(M, s: float, t: float, K: int, N: int) -> np.ndarray:
-    """W_t M W_s^{-1} for a matrix on modes |k| <= K with fibre dimension
-    N."""
-    wt = _weight_vector(K, t, N)
-    ws = _weight_vector(K, s, N)
-    return np.asarray(M, dtype=complex) * wt[:, None] / ws[None, :]
-
-
-def sobolev_op_norm(T, s: float, t: float, K: int, N: int = 1) -> float:
+def sobolev_op_norm(T, s: float, t: float, K: int) -> float:
     """The discrete ||T||_{s,t} = ||W_t T W_s^{-1}||_2."""
-    return linalg.operator_norm_2(_sobolev_weighted(T, s, t, K, N))
+    return linalg.operator_norm_2(_sobolev_weighted(T, s, t, K))
 
 
-def sobolev_inverse_norm(T, s: float, t: float, K: int, N: int = 1) -> float:
+def sobolev_inverse_norm(T, s: float, t: float, K: int) -> float:
     """The discrete ||T^{-1}||_{s,t} = 1 / sigma_min(W_s T W_t^{-1}),
     without forming T^{-1}; a numerically singular T is refused by
     linalg.inverse_norm_2."""
-    return linalg.inverse_norm_2(_sobolev_weighted(T, t, s, K, N))
+    return linalg.inverse_norm_2(_sobolev_weighted(T, t, s, K))
 
 
-def _combine(principal: SymbolFunction, shift: complex) -> SymbolFunction:
-    """principal + shift, the shift taken as shift * I on a system's
-    fibres; the principal part is unchanged."""
-    N = principal.fiber_dim
-
-    def evaluate(theta, xi):
-        value = principal.evaluate(theta, xi)
-        return (_fibres(value, N) + shift * np.eye(N)).reshape(np.shape(value))
-
-    return SymbolFunction(order=principal.order, evaluate=evaluate,
-                          principal=principal.principal, fiber_dim=N)
+def _combine(a: SymbolFunction, shift: complex) -> SymbolFunction:
+    """a + shift I; the principal part is unchanged."""
+    shift = shift * np.eye(a.fiber_dim)
+    return SymbolFunction(a.order, lambda theta, xi: a.evaluate(theta, xi)
+                          + shift, a.principal, a.fiber_dim)
 
 
 def _pointwise_product(g: SymbolFunction, f: SymbolFunction) -> SymbolFunction:
     """The symbol g f, the fibre product g @ f in that order."""
-    N = g.fiber_dim
-
-    def product(gv, fv):
-        shape = np.broadcast_shapes(np.shape(gv), np.shape(fv))
-        return (_fibres(gv, N) @ _fibres(fv, N)).reshape(shape)
-
     return SymbolFunction(
-        order=g.order + f.order,
-        evaluate=lambda theta, xi: product(g.evaluate(theta, xi),
-                                           f.evaluate(theta, xi)),
-        principal=lambda theta, xi: product(g.principal(theta, xi),
-                                            f.principal(theta, xi)),
-        fiber_dim=N)
+        g.order + f.order,
+        lambda theta, xi: g.evaluate(theta, xi) @ f.evaluate(theta, xi),
+        lambda theta, xi: g.principal(theta, xi) @ f.principal(theta, xi),
+        g.fiber_dim)
 
 
 def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
@@ -307,10 +294,9 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
         against xi, so the resolvent of a multiplier is a multiplier."""
         xi = np.asarray(xi, dtype=float)
         w = np.asarray(weight(xi))[..., None, None]
-        fibres = np.where(w != 0, _fibres(a.principal(theta, xi), N)
+        fibres = np.where(w != 0, a.principal(theta, xi)
                           - shift * np.eye(N), np.eye(N))
-        out = w * _fibre_inverse(fibres, theta, xi)
-        return out[..., 0, 0] if N == 1 else out
+        return w * _fibre_inverse(fibres, theta, xi)
 
     def evaluate(theta, xi):
         return _resolvent(theta, xi, lam, psi)
@@ -322,44 +308,11 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
                           principal=principal, fiber_dim=N)
 
 
-def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
-                    c: ContourSpec, K: int) -> DiscretizedOperator:
-    """First parametrix approximation
-    Phi_0 = sum_i w_i lambda_i^{-1} Op(psi (a_m - lambda_i)^{-1}),
-    an operator of order -m.  Ray-truncation tails are corrected
-    analytically to second order in 1/lambda.
-
-    Op is linear, so Phi_0 = Op(sigma) for the one symbol
-    sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise
-    on each block of principal values.  _op_columns assembles the columns
-    where psi(k) != 0, the others are zero: a multiplier's Phi_0 is its
-    block diagonal, and any other warns with AliasingRisk as Op(a) does."""
-    N = a.fiber_dim
-    n = N * (2 * K + 1)
-    cols = np.flatnonzero(psi(np.arange(-K, K + 1, dtype=float)))
-
-    def evaluate(theta, xi):
-        phi, _ = sector_phi(_fibres(a.principal(theta, xi), N), c,
-                            lambda X: _fibre_inverse(X, theta, xi))
-        sigma = psi(xi)[..., None, None] * phi
-        return sigma[..., 0, 0] if N == 1 else sigma
-
-    # _op_columns reads only evaluate
-    sigma = SymbolFunction(order=-a.order, evaluate=evaluate,
-                           principal=evaluate, fiber_dim=N)
-    M = np.zeros((n, 2 * K + 1, N), dtype=complex)
-    M[:, cols] = _op_columns(sigma, K, cols).reshape(n, cols.size, N)
-    return DiscretizedOperator(M.reshape(n, n), K, -a.order, symbol=None,
-                               fiber_dim=N)
-
-
-def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
-    """Smallest integer rho >= 1 such that a_m(theta, xi) - lambda is
-    invertible for all |xi| >= rho and every lambda on the contour c.  An
-    eigenvalue |xi|^m mu of a_m (_cosphere) along a ray breaks the rays'
-    minimal growth and is refused at its (theta, +-1); one in the arc's
-    sector meets the arc at |xi| = (R/|mu|)^{1/m}.  rho > K, and an order
-    m <= 0, are refused."""
+def _arc_radii(a: SymbolFunction, c: ContourSpec) -> tuple:
+    """(theta, xi): the radii xi = (R/|mu|)^{1/m} at which an eigenvalue
+    |xi|^m mu of a_m (_cosphere) in the arc's sector meets the arc of c, 0
+    for the others.  One along a ray breaks the rays' minimal growth and is
+    refused at its (theta, +-1); an order m <= 0 is refused."""
     theta, mu = _cosphere(a)
     on_ray = np.minimum(ray_distance(mu, c.alpha1),
                         ray_distance(mu, c.alpha2)) < ARG_RTOL * np.abs(mu)
@@ -368,8 +321,48 @@ def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
     if a.order <= 0:
         raise ValueError(f"a_m must have positive order, got {a.order}")
     inside = (mu != 0) & ((c.alpha1 - np.angle(mu)) % TWO_PI <= c.theta)
-    xi = np.divide(c.R, np.abs(mu), out=np.zeros(mu.shape),
-                   where=inside) ** (1.0 / a.order)
+    return theta, np.divide(c.R, np.abs(mu), out=np.zeros(mu.shape),
+                            where=inside) ** (1.0 / a.order)
+
+
+def parametrix_phi0(a: SymbolFunction, psi: CutoffFunction,
+                    c: ContourSpec, K: int) -> DiscretizedOperator:
+    """First parametrix approximation
+    Phi_0 = sum_i w_i lambda_i^{-1} Op(psi (a_m - lambda_i)^{-1}),
+    an operator of order -m.  Ray-truncation tails are corrected
+    analytically to second order in 1/lambda.  A contour that an
+    eigenvalue of a_m meets where psi > 0 is refused (_arc_radii).
+
+    Op is linear, so Phi_0 = Op(sigma) for the one symbol
+    sigma = psi Phi(a_m), with Phi of contour.sector_phi taken fibrewise
+    on each block of principal values.  _op_columns assembles the columns
+    where psi(k) != 0, the others are zero: a multiplier's Phi_0 is its
+    block diagonal, and any other warns with AliasingRisk as Op(a) does."""
+    theta, xi = _arc_radii(a, c)
+    if xi.max() > psi.rho:
+        raise _singular_at(theta, xi)
+    N = a.fiber_dim
+    n = N * (2 * K + 1)
+    cols = np.flatnonzero(psi(np.arange(-K, K + 1, dtype=float)))
+
+    def evaluate(theta, xi):
+        phi, _ = sector_phi(a.principal(theta, xi), c,
+                            lambda X: _fibre_inverse(X, theta, xi))
+        return psi(xi)[..., None, None] * phi
+
+    # _op_columns reads only evaluate
+    sigma = SymbolFunction(order=-a.order, evaluate=evaluate,
+                           principal=evaluate, fiber_dim=N)
+    M = np.zeros((n, 2 * K + 1, N), dtype=complex)
+    M[:, cols] = _op_columns(sigma, K, cols).reshape(n, cols.size, N)
+    return DiscretizedOperator(M.reshape(n, n), K, -a.order)
+
+
+def choose_rho(a: SymbolFunction, c: ContourSpec, K: int) -> int:
+    """Smallest integer rho >= 1 such that a_m(theta, xi) - lambda is
+    invertible for all |xi| >= rho and every lambda on the contour c, so
+    above every radius of _arc_radii; rho > K is refused."""
+    theta, xi = _arc_radii(a, c)
     rho = int(xi.max() * (1.0 + ARG_RTOL)) + 1
     if rho > K:
         raise _singular_at(theta, xi)

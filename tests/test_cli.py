@@ -397,6 +397,19 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         assert code == 1 and "ConfigInvalid" in err, argv
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("perturb", "--eps-min", "-1e-4"), ("wodzicki", "--alpha1", "-1e-3"),
+    ("perturb", "--s", "-5E-1"), ("perturb", "--s", "-.5"),
+    ("obstruction", "--level", "-1"),
+])
+def test_negative_numbers_parse_as_values(command, flag, value):
+    # "--flag -1e-4" reads the same value as "--flag=-1e-4"
+    key = flag[2:].replace("-", "_")
+    spaced = build_parser().parse_args([command, flag, value])
+    joined = build_parser().parse_args([command, f"{flag}={value}"])
+    assert getattr(spaced, key) == getattr(joined, key) == value
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]

@@ -83,7 +83,7 @@ def test_resolvent_decay_norm_matches_formed_inverse(p):
     I = np.eye(A.matrix.shape[0])
     for r, value in rep.samples:
         R = linalg.solve(A.matrix - r * np.exp(0.5j * np.pi) * I, None)
-        ref = sobolev_op_norm(R, s, s + p, K=A.K, N=A.fiber_dim)
+        ref = sobolev_op_norm(R, s, s + p, K=A.K)
         assert value == pytest.approx(ref, rel=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_seminorm_principal_scaling():
 
     def ev(theta, xi):
         return np.full_like(np.asarray(theta, float), eps * xi,
-                            dtype=complex)
+                            dtype=complex)[..., None, None]
 
     from sectoral.symbol1d import SymbolFunction
     D = SplitOperator(m=1.0, K=8,
@@ -279,12 +279,20 @@ def test_seminorm_system_principal_is_the_fibre_spectral_norm():
     # xi (cos theta sx + sin theta sy) and its theta- and first
     # xi-derivatives have spectral norm 1 on |xi| = 1; its second
     # xi-derivative vanishes
-    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole(),
-                      fiber_dim=2)
+    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole())
     sem = seminorm_pc(D, k_list=(), j_max=2)
     assert sem["p"][0] == pytest.approx(1.0, rel=1e-12)
     assert sem["p"][1] == pytest.approx(1.0, rel=1e-9)
     assert sem["p"][2] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_split_operator_reads_its_fibre_dimension():
+    # from the principal symbol, or else from the order of the lower part
+    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole())
+    assert D.fiber_dim == 2
+    assert np.array_equal(D.matrix(), op_from_symbol(D.principal, 8).matrix)
+    assert SplitOperator(m=1.0, K=8, lower=np.eye(34)).fiber_dim == 2
+    assert SplitOperator(m=1.0, K=8).matrix().shape == (17, 17)
 
 
 def test_seminorm_lower_part_matches_direct_norm():

@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import sectoral
 
@@ -33,3 +36,18 @@ def test_projection_and_power_leave_sparse_and_special_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_targets_exist():
+    # the benchmark's --trace run refuses to start when a wrapped name is
+    # gone from its module
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{name}"
+               for table in (tracer.SPAN_TARGETS, tracer.COUNT_TARGETS)
+               for mod, names in table.items() for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"sectoral.{mod}"), name, None))]
+    assert missing == []

@@ -15,7 +15,9 @@ from conftest import count_calls
 
 
 def _const_symbol(fn, order=0):
-    return SymbolFunction(order=order, evaluate=fn, principal=fn)
+    """The scalar symbol fn, its values given their 1 x 1 fibre axes."""
+    f = lambda th, xi: np.asarray(fn(th, xi))[..., None, None]
+    return SymbolFunction(order=order, evaluate=f, principal=f)
 
 
 def _check_classical(a, K=8, n_theta=32, c_lower=None, rtol=1e-8):
@@ -122,13 +124,13 @@ def test_cutoff_resolvent_of_a_multiplier_is_a_multiplier():
     xi = np.array([-6.0, -3.5, -1.0, 1.0, 2.5, 4.0, 6.0])[:, None]
     r = cutoff_resolvent_symbol(presets.symbol_xi(), psi, 5.0j)
     got = r.evaluate(theta, xi)
-    assert got.shape == (7, 1)
-    assert np.array_equal(got, psi(xi) * (1.0 / (xi - 5.0j)))
-    assert np.array_equal(r.principal(theta, xi), 1.0 / (xi + 0j))
+    assert got.shape == (7, 1, 1, 1)
+    assert np.array_equal(got[..., 0, 0], psi(xi) * (1.0 / (xi - 5.0j)))
+    assert np.array_equal(r.principal(theta, xi)[..., 0, 0], 1.0 / (xi + 0j))
     # theta-dependent principal symbols keep the full grid
     r = cutoff_resolvent_symbol(presets.symbol_c_theta_times_xi(), psi,
                                 5.0j)
-    assert r.evaluate(theta, xi).shape == (7, 8)
+    assert r.evaluate(theta, xi).shape == (7, 8, 1, 1)
 
 
 def test_cutoff_resolvent_symbol_values_and_order():
@@ -137,7 +139,7 @@ def test_cutoff_resolvent_symbol_values_and_order():
     r = cutoff_resolvent_symbol(a, psi, 5.0j)
     assert r.order == -1
     theta = np.array([0.0, np.pi])
-    got = r.evaluate(theta, 6.0)
+    got = r.evaluate(theta, 6.0)[..., 0, 0]
     want = 1.0 / ((2.0 + np.cos(theta)) * 6.0 - 5.0j)
     assert np.allclose(got, want)
     assert np.allclose(r.evaluate(theta, 1.0), 0.0)  # below the cutoff
@@ -174,10 +176,9 @@ def test_cutoff_resolvent_below_the_cutoff_is_zero(a, lam):
     N = a.fiber_dim
     assert got.shape[:2] == (3, 8) and not got[1].any()
     for row in (0, 2):
-        fibres = symbol1d._fibres(a.principal(theta, xi[row, 0]), N)
+        fibres = a.principal(theta, xi[row, 0])
         want = psi(xi[row, 0]) * np.linalg.inv(fibres - lam * np.eye(N))
-        assert np.allclose(symbol1d._fibres(got[row], N), want,
-                           rtol=1e-14, atol=0)
+        assert np.allclose(got[row], want, rtol=1e-14, atol=0)
 
 
 def test_choose_rho_for_presets():
@@ -200,6 +201,20 @@ def test_choose_rho_clears_the_arc_for_every_larger_xi(R, rho):
     with pytest.raises(SymbolSingular) as err:
         choose_rho(presets.symbol_xi(), c, rho - 1)
     assert err.value.xi == R
+
+
+def test_parametrix_phi0_refuses_a_contour_met_where_the_cutoff_is_active():
+    # xi - 5 vanishes at xi = 5, where lambda = 5 is the arc's midpoint:
+    # psi(5) > 0 for rho = 1, and psi(5) = 0 for rho = 5
+    c, K = presets.contour_imag(5.0), 16
+    with pytest.raises(SymbolSingular) as err:
+        parametrix_phi0(presets.symbol_xi(), CutoffFunction(1.0), c, K)
+    assert (err.value.theta, err.value.xi) == (0.0, 5.0)
+    parametrix_phi0(presets.symbol_xi(), CutoffFunction(5.0), c, K)
+    # an eigenvalue i xi along a ray breaks the rays' minimal growth
+    i_xi = _const_symbol(lambda th, xi: 1j * np.asarray(xi), order=1)
+    with pytest.raises(SymbolSingular):
+        parametrix_phi0(i_xi, CutoffFunction(6.0), c, K)
 
 
 def test_cutoff_resolvent_precondition_where_the_cutoff_is_active():
@@ -314,7 +329,7 @@ def test_parametrix_phi0_of_a_multiplier_is_its_block_diagonal(a):
     spread = SymbolFunction(
         order=a.order, evaluate=a.evaluate, fiber_dim=N,
         principal=lambda theta, xi: a.principal(theta, xi) + np.zeros(
-            np.shape(theta) + (N, N) if N > 1 else np.shape(theta)))
+            np.shape(theta) + (N, N)))
     c, psi, K = presets.contour_imag(), CutoffFunction(2.0), 16
     got = parametrix_phi0(a, psi, c, K).matrix
     want = parametrix_phi0(spread, psi, c, K).matrix
@@ -356,8 +371,8 @@ def test_shift_of_a_system_is_shift_times_identity():
     assert np.array_equal(sym.evaluate(theta, xi), pauli + 0.3 * np.eye(2))
     # a scalar symbol keeps its shape, a multiplier its theta-extent 1
     scalar = symbol1d._combine(presets.symbol_xi(), 0.3).evaluate(theta, xi)
-    assert scalar.shape == xi.shape
-    assert np.array_equal(scalar, xi + 0.3)
+    assert scalar.shape == xi.shape + (1, 1)
+    assert np.array_equal(scalar[..., 0, 0], xi + 0.3)
 
 
 def test_product_of_systems_is_the_fibre_product_g_f():
@@ -427,6 +442,32 @@ def _block_case_symbols():
         cases[f"{name}.g"] = g
         cases[f"{name}.gf"] = _pointwise_product(g, f)
     return cases
+
+
+@pytest.mark.parametrize("name", sorted(_block_case_symbols()))
+def test_symbol_values_are_fibre_stacks(name):
+    # every preset symbol, scalar ones included, returns (..., N, N) over
+    # the broadcast grid (theta-extent 1 allowed) for a scalar xi and for a
+    # (B, 1) column of xi
+    a = _block_case_symbols()[name]
+    N = a.fiber_dim
+    theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    for xi, grid in ((3.0, (8,)), (np.array([[-3.0], [2.0], [5.0]]), (3, 8))):
+        for fn in (a.evaluate, a.principal):
+            value = np.asarray(fn(theta, xi))
+            assert value.shape[-2:] == (N, N)
+            assert np.broadcast_shapes(value.shape[:-2], grid) == grid
+
+
+def test_values_without_fibre_axes_are_refused():
+    f = lambda theta, xi: (2.0 + np.cos(theta)) * xi + 0j
+    scalar = SymbolFunction(order=1, evaluate=f, principal=f)
+    for build in (lambda: op_from_symbol(scalar, 8),
+                  lambda: choose_rho(scalar, presets.contour_imag(), 8),
+                  lambda: cutoff_resolvent_symbol(scalar, CutoffFunction(2.0),
+                                                  5.0j)):
+        with pytest.raises(ValueError, match=r"values of shape \("):
+            build()
 
 
 def _multiplier_diagonal(a, K):
