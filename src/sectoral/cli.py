@@ -96,25 +96,10 @@ def load_config(path: str, command: str) -> dict:
     return out
 
 
-def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, complex):
-        return [o.real, o.imag]
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def canonical_json(record: dict) -> str:
     """Deterministic serialization: timestamp excluded, keys sorted."""
     rec = {k: v for k, v in record.items() if k != "timestamp"}
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"),
-                      default=_json_default)
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def _write_reports(record: dict, out_dir: str) -> str:
@@ -130,8 +115,7 @@ def _write_reports(record: dict, out_dir: str) -> str:
         base = os.path.join(out_dir, f"{kind}-{preset}-{stamp}-{n:04d}")
         try:
             with open(base + ".json", "x") as fh:
-                json.dump(record, fh, sort_keys=True, indent=2,
-                          default=_json_default)
+                json.dump(record, fh, sort_keys=True, indent=2)
                 fh.write("\n")
             break
         except FileExistsError:

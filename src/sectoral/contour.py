@@ -16,8 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import linalg
-from .errors import InvalidAngles, InvalidRadii
+from .errors import InvalidAngles, InvalidRadii, SpectrumOnContour
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,6 +30,8 @@ LAMBDA_MAX_FACTOR = 1e6
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 _GAUSS_X.flags.writeable = False
 _GAUSS_W.flags.writeable = False
+# a spectrum within this distance of the contour is refused
+CLEARANCE_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,18 @@ class ContourSpec:
     alpha1: float
     alpha2: float
     R: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.R) and self.R > 0
+                and math.isfinite(LAMBDA_MAX_FACTOR * self.R)):
+            raise InvalidRadii(f"R and 1e6 R must be positive and finite, "
+                               f"got {self.R}")
+        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
+            raise InvalidAngles(f"sector angles must be finite, got "
+                                f"({self.alpha1}, {self.alpha2})")
+        if not 0.0 < self.theta < TWO_PI:
+            raise InvalidAngles(f"degenerate sector: (alpha1 - alpha2) mod "
+                                f"2pi = {self.theta}")
 
     @property
     def theta(self) -> float:
@@ -61,15 +74,6 @@ class QuadratureRule:
 
 
 def make_sector_contour(alpha1, alpha2, R) -> ContourSpec:
-    if not (math.isfinite(R) and R > 0
-            and math.isfinite(LAMBDA_MAX_FACTOR * R)):
-        raise InvalidRadii(f"R and 1e6 R must be positive and finite, got {R}")
-    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
-        raise InvalidAngles(f"sector angles must be finite, got "
-                            f"({alpha1}, {alpha2})")
-    theta = (alpha1 - alpha2) % TWO_PI
-    if theta <= 0.0 or theta >= TWO_PI:
-        raise InvalidAngles(f"degenerate sector: (alpha1 - alpha2) mod 2pi = {theta}")
     return ContourSpec(alpha1=float(alpha1), alpha2=float(alpha2), R=float(R))
 
 
@@ -160,7 +164,10 @@ def point_contour_distance(z, c: ContourSpec) -> np.ndarray:
                                  ray_distance(z, c.alpha2, c.R)), arc)
 
 
-def validate_contour(A, c: ContourSpec) -> float:
-    """Minimal distance from spec(A) to the contour."""
-    values = np.linalg.eigvals(linalg.as_matrix(A))
-    return float(point_contour_distance(values, c).min())
+def validate_contour(values, c: ContourSpec) -> float:
+    """Minimal distance from the eigenvalues `values` to the contour;
+    raises SpectrumOnContour when it is at most CLEARANCE_MIN."""
+    clearance = float(point_contour_distance(values, c).min())
+    if clearance <= CLEARANCE_MIN:
+        raise SpectrumOnContour(clearance)
+    return clearance

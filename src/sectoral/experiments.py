@@ -21,7 +21,7 @@ from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime
                      RayHitsSpectrum, SpectrumOnContour)
 from .projections import sectorial_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _op_columns, _pointwise_product, choose_rho,
+                       _fiber_dim, _op_columns, _pointwise_product, choose_rho,
                        cutoff_resolvent_symbol, op_from_symbol,
                        parametrix_phi0, sobolev_inverse_norm, sobolev_op_norm)
 
@@ -260,7 +260,7 @@ class SplitOperator:
     def fiber_dim(self) -> int:
         if self.principal is not None:
             return self.principal.fiber_dim
-        return 1 if self.lower is None else len(self.lower) // (2 * self.K + 1)
+        return 1 if self.lower is None else _fiber_dim(len(self.lower), self.K)
 
     def matrix(self) -> np.ndarray:
         dim = self.fiber_dim * (2 * self.K + 1)

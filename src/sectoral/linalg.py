@@ -154,15 +154,6 @@ def solve(A, B) -> np.ndarray:
     return X
 
 
-def reciprocal(d) -> np.ndarray:
-    """1/d, the inverse of diag(d) for d of any shape, refused as by `solve`:
-    SingularMatrix when min|d| < PIVOT_REL_THRESHOLD * max|d|."""
-    mag = np.abs(d)
-    if mag.min() < PIVOT_REL_THRESHOLD * max(mag.max(), 1e-300):
-        raise SingularMatrix(mag.min())
-    return 1.0 / d
-
-
 def inverse_norm_2(A) -> float:
     """||A^{-1}||_2 = 1 / sigma_min(A), from the singular values of
     `_singular_values` and without forming A^{-1}.  Raises SingularMatrix

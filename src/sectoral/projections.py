@@ -17,14 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .contour import (ContourSpec, point_contour_distance, ray_distance,
-                      sector_phi)
+from .contour import (CLEARANCE_MIN, ContourSpec, ray_distance, sector_phi,
+                      validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
-                     EigenvalueZero, SpectrumOnContour, TooDefective)
+                     EigenvalueZero, SingularMatrix, TooDefective)
 from .symbol1d import DiscretizedOperator
 
 TWO_PI = 2.0 * math.pi
-CLEARANCE_MIN = 1e-6
 DEFECTIVE_LIMIT = 1e8
 BOUNDARY_PROBE = 1e-6
 
@@ -39,8 +38,8 @@ class ProjectionResult:
 
     @property
     def resolved(self) -> bool:
-        return abs(np.trace(self.P).real - self.rank_estimate) <= 0.1 \
-            and abs(np.trace(self.P).imag) <= 0.1
+        return bool(abs(np.trace(self.P).real - self.rank_estimate) <= 0.1
+                    and abs(np.trace(self.P).imag) <= 0.1)
 
     def to_record(self, include_matrix=False) -> dict:
         rec = {
@@ -74,26 +73,31 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     matrix and transformed back once: P = Z P(T) Z*.  Each shifted
     T - lambda I is upper triangular, so linalg.solve inverts it with one
     triangular inverse (LAPACK trtri) per node instead of an LU
-    factorization, and the eigenvalues for the clearance check (a spectrum
-    within CLEARANCE_MIN of c is refused) are the diagonal of T.  A
-    diagonal T (a Fourier multiplier's) runs through sector_phi as the
-    (n, 1, 1) stack of its diagonal, one linalg.reciprocal per node.
+    factorization, and contour.validate_contour checks the clearance of
+    the diagonal d of T.  A diagonal T (a Fourier multiplier's) runs
+    through sector_phi as the (n, 1, 1) stack of d, one division per node;
+    solve's pivot floor is then checked on the nodes where it can break.
     """
     T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
-    clearance = float(point_contour_distance(np.diag(T), c).min())
-    if clearance <= CLEARANCE_MIN:
-        raise SpectrumOnContour(clearance)
+    d = np.diag(T)
+    clearance = validate_contour(d, c)
     if linalg.is_diagonal(T):
-        phi, rule = sector_phi(np.diag(T)[:, None, None], c,
-                               linalg.reciprocal)
+        phi, rule = sector_phi(d[:, None, None], c, lambda x: 1.0 / x)
+        # solve's floor min|d - lam| >= tau max|d - lam| fails only where
+        # clearance < tau (max|d| + |lam|): at |lam| > r_min, 2x for rounding
+        tau = linalg.PIVOT_REL_THRESHOLD
+        r_min = clearance / (2 * tau) - np.abs(d).max()
+        for lam in rule.nodes[np.abs(rule.nodes) > r_min]:
+            mag = np.abs(d - lam)
+            if mag.min() < tau * mag.max():
+                raise SingularMatrix(mag.min())
         phi = np.diag(phi.ravel())
     else:
         phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
-    P_T = (-1.0 / (2j * np.pi)) * (T @ phi)
-    P = Z @ P_T @ Z.conj().T
+    P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
     defect = linalg.operator_norm_2(P @ P - P)
     rank = int(round(np.trace(P).real))
-    return ProjectionResult(P, float(defect), max(rank, 0), float(clearance),
+    return ProjectionResult(P, float(defect), max(rank, 0), clearance,
                             float(rule.truncation_error_estimate))
 
 

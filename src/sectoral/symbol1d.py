@@ -58,6 +58,16 @@ class SymbolFunction:
     fiber_dim: int = 1
 
 
+def _fiber_dim(n: int, K: int) -> int:
+    """Fibre dimension N of a matrix of order n = N (2K + 1) on the modes
+    |k| <= K; ValueError when n is not a positive multiple of 2K + 1."""
+    N, rem = divmod(n, 2 * K + 1)
+    if rem or not N:
+        raise ValueError(f"matrix order {n} is not a positive multiple of "
+                         f"2K + 1 = {2 * K + 1} (K = {K})")
+    return N
+
+
 @dataclass
 class DiscretizedOperator:
     """Fourier-basis matrix of dimension N*(2K+1) with provenance."""
@@ -69,7 +79,7 @@ class DiscretizedOperator:
 
     @property
     def fiber_dim(self) -> int:
-        return self.matrix.shape[0] // (2 * self.K + 1)
+        return _fiber_dim(self.matrix.shape[0], self.K)
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,7 @@ def _sobolev_weighted(M, s: float, t: float, K: int) -> np.ndarray:
     """W_t M W_s^{-1} for a matrix on modes |k| <= K, its fibre dimension
     read from its order."""
     M = np.asarray(M, dtype=complex)
-    k = np.repeat(np.arange(-K, K + 1), M.shape[0] // (2 * K + 1))
+    k = np.repeat(np.arange(-K, K + 1), _fiber_dim(M.shape[0], K))
     w = 1.0 + k.astype(float)**2
     return M * (w ** (t / 2.0))[:, None] / (w ** (s / 2.0))[None, :]
 

@@ -7,7 +7,7 @@ from sectoral import linalg, presets
 from sectoral.contour import (ContourSpec, make_sector_contour, point_contour_distance,
                               quad_nodes, ray_tail_moments, sector_phi,
                               validate_contour)
-from sectoral.errors import InvalidAngles, InvalidRadii
+from sectoral.errors import InvalidAngles, InvalidRadii, SpectrumOnContour
 from sectoral.symbol1d import _fibre_inverse
 
 
@@ -31,6 +31,19 @@ def test_sector_validation():
     for alpha1, alpha2 in ((np.nan, -np.pi / 2), (np.pi / 2, np.inf)):
         with pytest.raises(InvalidAngles):
             make_sector_contour(alpha1, alpha2, 0.5)
+
+
+def test_contour_spec_built_directly_is_validated():
+    # a spec built without make_sector_contour is checked as well; left
+    # unchecked, these two give diag(2, -2) a projection with resolved=True
+    # (diag(0, 1), the eigenvalue on the left, and 0)
+    with pytest.raises(InvalidRadii):
+        ContourSpec(np.pi / 2, -np.pi / 2, -0.5)
+    with pytest.raises(InvalidAngles):
+        ContourSpec(1.0, 1.0, 0.5)
+    c = presets.contour_imag()
+    with pytest.raises(InvalidRadii):
+        dataclasses.replace(c, R=np.inf)
 
 
 def test_sector_rule_matches_antiderivative():
@@ -147,9 +160,11 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
 
 def test_validate_contour_minimal_spectral_distance():
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
-    assert validate_contour(np.diag([0.5, 3.0]), c) == pytest.approx(0.0)
-    assert validate_contour(np.diag([1j]), c) == pytest.approx(0.0)
-    assert validate_contour(np.diag([2.0, -2.0]), c) == pytest.approx(1.5)
+    # a spectrum on the arc or on a ray is refused
+    for values in ([0.5, 3.0], [1j]):
+        with pytest.raises(SpectrumOnContour):
+            validate_contour(np.array(values), c)
+    assert validate_contour(np.array([2.0, -2.0]), c) == pytest.approx(1.5)
 
 
 def test_contour_serialization_roundtrip():

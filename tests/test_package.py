@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -51,3 +52,60 @@ def test_benchmark_tracer_targets_exist():
                if not callable(getattr(importlib.import_module(
                    f"sectoral.{mod}"), name, None))]
     assert missing == []
+
+
+def _package_trees():
+    src = Path(sectoral.__file__).parent
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(src.glob("*.py"))}
+
+
+def test_package_has_no_unused_import():
+    # a name bound by an import is read in its module (or, in __init__,
+    # exported through __all__)
+    unused = []
+    for module, tree in _package_trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read.update(name.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "__all__"
+                    for name in node.value.elts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{module}: {bound}")
+    assert unused == []
+
+
+def test_private_module_names_have_a_caller_in_the_package():
+    # a module-level _name that only tests reach is code kept for its test
+    trees = _package_trees()
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((module, name) for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(f"{m}: {n}" for m, n in defined if n not in read) == []

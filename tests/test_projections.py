@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectoral import contour, linalg, presets
-from sectoral.contour import (make_sector_contour, quad_nodes,
-                              ray_tail_moments, sector_phi)
+from sectoral.contour import (make_sector_contour, point_contour_distance,
+                              quad_nodes, ray_tail_moments, sector_phi)
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
                              SingularMatrix, SpectrumOnContour, TooDefective)
@@ -65,19 +67,58 @@ def test_diagonal_schur_factor_takes_the_fibre_route(A, R, monkeypatch):
 
 
 def test_fibre_route_keeps_the_pivot_floor(monkeypatch):
-    # an eigenvalue 4e-6 outside the arc, next to a node, against one of
-    # modulus 1e9: clear of the contour, but min|d - lambda| falls below
-    # PIVOT_REL_THRESHOLD max|d - lambda| at that node on both routes
+    # an eigenvalue 4e-6 off the contour, next to a node (the first and
+    # last of each ray, one on the arc), against one of modulus 1e9: clear
+    # of the contour, but min|d - lambda| falls below PIVOT_REL_THRESHOLD
+    # max|d - lambda| at that node on both routes
     c = presets.contour_imag()
-    node = quad_nodes(c).nodes[384 + 64]
-    T = np.diag([1e9, node * (1.0 + 4e-6 / abs(node))])
-    with pytest.raises(SingularMatrix):
-        sector_phi(T, c, lambda B: linalg.solve(B, None))
+    nodes = quad_nodes(c).nodes
     counts = {}
     count_calls(monkeypatch, counts, linalg, "solve")
+    for index, normal in ((0, 1j), (383, 1j), (384 + 64, 1.0), (512, 1j),
+                          (895, 1j)):
+        node = nodes[index]
+        T = np.diag([1e9, node * (1.0 + normal * 4e-6 / abs(node))])
+        with pytest.raises(SingularMatrix):
+            sector_phi(T, c, lambda B: linalg.solve(B, None))
+        counts["solve"] = 0
+        with pytest.raises(SingularMatrix):
+            sectorial_projection(T, c)
+        assert counts == {"solve": 0}, index
+
+
+def test_fibre_route_floor_counts_the_node_modulus():
+    # at the outermost node of a ray, max|d - lambda| reaches 1.41 max|d|:
+    # the floor breaks at a clearance above PIVOT_REL_THRESHOLD max|d|
+    c = presets.contour_imag(100.0)
+    node = quad_nodes(c).nodes[0]
+    d = np.array([-abs(node), node * (1.0 + 1.2e-5j / abs(node))])
+    tau = linalg.PIVOT_REL_THRESHOLD
+    clearance = point_contour_distance(d, c).min()
+    assert tau * np.abs(d).max() < clearance < tau * np.abs(d - node).max()
     with pytest.raises(SingularMatrix):
-        sectorial_projection(T, c)
-    assert counts == {"solve": 0}
+        sector_phi(np.diag(d), c, lambda B: linalg.solve(B, None))
+    with pytest.raises(SingularMatrix):
+        sectorial_projection(np.diag(d), c)
+
+
+def test_fibre_route_checks_the_floor_where_it_holds():
+    # 1.5e-4 off the arc against 1e9: the clearance is below twice
+    # PIVOT_REL_THRESHOLD (max|d| + |lambda|) at every node, so every node
+    # is checked, but min|d - lambda| stays above PIVOT_REL_THRESHOLD
+    # max|d - lambda| (1e-4): the projection is the node loop's
+    c = presets.contour_imag()
+    rule = quad_nodes(c)
+    node = rule.nodes[384 + 64]
+    d = np.array([1e9, node * (1.0 + 1.5e-4 / abs(node))])
+    res = sectorial_projection(np.diag(d), c)
+    tau = linalg.PIVOT_REL_THRESHOLD
+    near = res.contour_clearance < 2 * tau * (1e9 + np.abs(rule.nodes))
+    assert near.all()
+    phi, _ = sector_phi(np.diag(d), c, lambda B: linalg.solve(B, None))
+    want = (-1.0 / (2j * np.pi)) * (np.diag(d) @ phi)
+    scale = max(linalg.operator_norm_2(want), 1.0)
+    assert np.abs(res.P - want).max() <= 1e-14 * scale
 
 
 def test_sectorial_projection_diagonal(imag_contour):
@@ -304,3 +345,12 @@ def test_projection_record_fields(imag_contour):
     rec2 = res.to_record(include_matrix=True)
     assert np.allclose(np.array(rec2["matrix"])[..., 0]
                        + 1j * np.array(rec2["matrix"])[..., 1], res.P)
+
+
+def test_projection_record_is_plain_json(imag_contour):
+    # every record value is a Python type: json needs no conversion hook
+    res = sectorial_projection(np.diag([1.0, -1.0]).astype(complex),
+                               imag_contour)
+    assert type(res.resolved) is bool
+    rec = json.loads(json.dumps(res.to_record(include_matrix=True)))
+    assert rec["resolved"] is True and rec["rank_estimate"] == 1

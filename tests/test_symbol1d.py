@@ -7,7 +7,9 @@ import pytest
 from sectoral import presets, symbol1d, topology
 from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
-from sectoral.symbol1d import (CutoffFunction, SymbolFunction, _combine,
+from sectoral.experiments import SplitOperator
+from sectoral.symbol1d import (CutoffFunction, DiscretizedOperator,
+                               SymbolFunction, _combine,
                                choose_rho, cutoff_resolvent_symbol,
                                op_from_symbol, parametrix_phi0,
                                sobolev_op_norm)
@@ -90,6 +92,17 @@ def test_sobolev_weight_and_norm():
 
 def test_sobolev_norm_identity_is_one():
     assert sobolev_op_norm(np.eye(9), 1.5, 1.5, K=4) == pytest.approx(1.0)
+
+
+def test_matrix_order_must_be_a_multiple_of_the_mode_count():
+    # 18 is not a multiple of 2K + 1 = 17: every reader of the fibre
+    # dimension refuses it, naming the order and K
+    reads = (lambda: DiscretizedOperator(np.eye(18), 8, 1.0).fiber_dim,
+             lambda: sobolev_op_norm(np.eye(18), 0.0, 1.0, K=8),
+             lambda: SplitOperator(m=1.0, K=8, lower=np.eye(18)).matrix())
+    for read in reads:
+        with pytest.raises(ValueError, match=r"order 18 .*\(K = 8\)"):
+            read()
 
 
 def test_cutoff_function_profile():
