@@ -133,124 +133,116 @@ def _experiment_record(rep: ExperimentReport, preset: str, extra) -> dict:
 
 
 def _cmd_project(opt: dict) -> dict:
-    preset = opt.get("preset", "dtheta")
-    K = opt.get("K", 16)
-    A = presets.get_operator(preset, K)
-    c = presets.contour_imag(opt.get("R", 0.5))
+    A = presets.get_operator(opt["preset"], opt["K"])
+    c = presets.contour_imag(opt["R"])
     res = sectorial_projection(A, c)
     ok = res.idempotency_defect <= max(1e-6,
                                        10 * res.truncation_error_estimate)
-    rec = res.to_record(include_matrix=bool(opt.get("include_matrix")))
-    rec.update({"experiment_kind": "project", "preset": preset, "K": K,
-                "contour": c.to_dict(), "pass": bool(ok and res.resolved)})
+    rec = res.to_record(include_matrix=opt["include_matrix"])
+    rec.update({"experiment_kind": "project", "preset": opt["preset"],
+                "K": opt["K"], "contour": c.to_dict(),
+                "pass": bool(ok and res.resolved)})
     return rec
 
 
 def _cmd_perturb(opt: dict) -> dict:
-    preset = opt.get("preset", "variable_coeff_shift")
-    pert = opt.get("perturbation", "cos_theta_lower")
-    K = opt.get("K", 32)
-    A = presets.get_operator(preset, K)
-    dA = presets.lookup("perturbations", "perturbation", pert)(K)
-    eps = np.geomspace(opt.get("eps_min", 1e-4), opt.get("eps_max", 1e-1),
-                       opt.get("n_eps", 13))
-    c = presets.contour_imag(opt.get("R", 0.5))
-    rep = perturbation_experiment(A, dA, eps, opt.get("s", 0.0), c)
-    return _experiment_record(rep, preset, {"perturbation": pert, "K": K,
-                                            "contour": c.to_dict()})
+    K = opt["K"]
+    A = presets.get_operator(opt["preset"], K)
+    dA = presets.lookup("perturbations", "perturbation",
+                        opt["perturbation"])(K)
+    eps = np.geomspace(opt["eps_min"], opt["eps_max"], opt["n_eps"])
+    c = presets.contour_imag(opt["R"])
+    rep = perturbation_experiment(A, dA, eps, opt["s"], c)
+    return _experiment_record(rep, opt["preset"], {
+        "perturbation": opt["perturbation"], "K": K, "contour": c.to_dict()})
 
 
 def _cmd_resolvent(opt: dict) -> dict:
-    preset = opt.get("preset", "dtheta_shift")
-    K = opt.get("K", 256)
-    A = presets.get_operator(preset, K)
+    A = presets.get_operator(opt["preset"], opt["K"])
     rep = resolvent_decay_experiment(
-        A, opt.get("ray_angle", np.pi / 2), opt.get("s", 0.0),
-        opt.get("p", 0.0),
-        (opt.get("lambda_min", 6.4), opt.get("lambda_max", 64.0)),
-        opt.get("n_samples"))
-    return _experiment_record(rep, preset, {"K": K})
+        A, opt["ray_angle"], opt["s"], opt["p"],
+        (opt["lambda_min"], opt["lambda_max"]), opt["n_samples"])
+    return _experiment_record(rep, opt["preset"], {"K": opt["K"]})
 
 
 def _cmd_parametrix(opt: dict) -> dict:
-    preset = opt.get("preset", "variable_coeff_shift")
-    K = opt.get("K", 128)
-    A = presets.get_operator(preset, K)
-    psi = CutoffFunction(opt.get("rho", 4.0))
+    A = presets.get_operator(opt["preset"], opt["K"])
     rep = parametrix_gap_experiment(
-        A, psi, opt.get("ray_angle", np.pi / 2), opt.get("s", 0.0),
-        (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
-        opt.get("n_samples"))
-    return _experiment_record(rep, preset, {"K": K})
+        A, CutoffFunction(opt["rho"]), opt["ray_angle"], opt["s"],
+        (opt["lambda_min"], opt["lambda_max"]), opt["n_samples"])
+    return _experiment_record(rep, opt["preset"], {"K": opt["K"]})
 
 
 def _cmd_compose(opt: dict) -> dict:
-    pair = opt.get("pair", "resolvent_pair")
-    K = opt.get("K", 128)
-    f_family, g_family, r, m, tol = presets.lookup("pairs", "pair", pair)(
-        opt.get("rho", 1.0))
+    f_family, g_family, r, m, tol = presets.lookup(
+        "pairs", "pair", opt["pair"])(opt["rho"])
     rep = composition_gap_experiment(
-        f_family, g_family, r, m, opt.get("s", 0.0),
-        (opt.get("lambda_min", 10.0), opt.get("lambda_max", 50.0)),
-        K, opt.get("n_samples"), tolerance=tol)
-    return _experiment_record(rep, pair, {"K": K})
+        f_family, g_family, r, m, opt["s"],
+        (opt["lambda_min"], opt["lambda_max"]), opt["K"], opt["n_samples"],
+        tolerance=tol)
+    return _experiment_record(rep, opt["pair"], {"K": opt["K"]})
 
 
 def _cmd_obstruction(opt: dict) -> dict:
-    preset = opt.get("preset", "monopole")
-    proj = presets.lookup("bundles", "preset", preset)
+    proj = presets.lookup("bundles", "preset", opt["preset"])
     # obstruction_demo refuses a non-projector family and an unsafe
     # rounding, so a record it returns passes
-    return dict(topology.obstruction_demo(proj, opt.get("level", 3)),
-                experiment_kind="obstruction", preset=preset,
+    return dict(topology.obstruction_demo(proj, opt["level"]),
+                experiment_kind="obstruction", preset=opt["preset"],
                 **{"pass": True})
 
 
 def _cmd_wodzicki(opt: dict) -> dict:
-    preset = opt.get("preset", "dtheta_shift")
-    K = opt.get("K", 16)
-    A = presets.get_operator(preset, K)
+    A = presets.get_operator(opt["preset"], opt["K"])
     # the arc must pass below the smallest eigenvalue modulus, or the
     # projection misses the eigenvalues hiding inside the arc
-    R = opt["R"] if "R" in opt else 0.5 * float(
+    R = opt["R"] if opt["R"] is not None else 0.5 * float(
         np.abs(np.linalg.eigvals(linalg.as_matrix(A.matrix))).min())
-    alpha1 = opt.get("alpha1", np.pi / 2)
-    alpha2 = opt.get("alpha2", -np.pi / 2)
+    alpha1, alpha2, s = opt["alpha1"], opt["alpha2"], opt["exponent"]
     c = make_sector_contour(alpha1, alpha2, R)  # the sector between the cuts
-    s = opt.get("exponent", 0.5)
     resid = wodzicki_residual(A.matrix, s, alpha1, alpha2, c)
-    return {"experiment_kind": "wodzicki", "preset": preset, "K": K,
-            "exponent": s, "alpha1": alpha1, "alpha2": alpha2,
+    return {"experiment_kind": "wodzicki", "preset": opt["preset"],
+            "K": opt["K"], "exponent": s, "alpha1": alpha1, "alpha2": alpha2,
             "residual": resid, "contour": c.to_dict(),
             "pass": bool(resid <= 1e-6)}
 
 
 def _cmd_spectral_flow(opt: dict) -> dict:
-    name = opt.get("path", "crossing")
-    flow = topology.spectral_flow(presets.lookup("paths", "path", name))
-    return {"experiment_kind": "spectral_flow", "preset": name,
-            "flow": int(flow), "pass": True}
+    path = presets.lookup("paths", "path", opt["path"])
+    return {"experiment_kind": "spectral_flow", "preset": opt["path"],
+            "flow": int(topology.spectral_flow(path)), "pass": True}
 
 
 _SAMPLES = ("s", "lambda_min", "lambda_max", "n_samples")
 
-# each subcommand's handler and the keys it reads
+
+def _samples(lambda_min: float, lambda_max: float) -> dict:
+    """The sample keys' defaults; the sample count is computed."""
+    return dict(zip(_SAMPLES, (0.0, lambda_min, lambda_max, None)))
+
+
+# each subcommand's handler and its keys' defaults (None: computed)
 COMMANDS = {
-    "project": (_cmd_project,
-                ("out", "preset", "K", "R", "include_matrix")),
-    "perturb": (_cmd_perturb,
-                ("out", "preset", "K", "R", "perturbation", "s",
-                 "eps_min", "eps_max", "n_eps")),
-    "resolvent-decay": (_cmd_resolvent,
-                        ("out", "preset", "K", "p", "ray_angle", *_SAMPLES)),
-    "parametrix": (_cmd_parametrix,
-                   ("out", "preset", "K", "rho", "ray_angle", *_SAMPLES)),
-    "compose-gap": (_cmd_compose, ("out", "pair", "K", "rho", *_SAMPLES)),
-    "obstruction": (_cmd_obstruction, ("out", "preset", "level")),
-    "wodzicki": (_cmd_wodzicki,
-                 ("out", "preset", "K", "R", "exponent", "alpha1",
-                  "alpha2")),
-    "spectral-flow": (_cmd_spectral_flow, ("out", "path")),
+    "project": (_cmd_project, dict(out=".", preset="dtheta", K=16, R=0.5,
+                                   include_matrix=False)),
+    "perturb": (_cmd_perturb, dict(
+        out=".", preset="variable_coeff_shift", K=32, R=0.5, s=0.0,
+        perturbation="cos_theta_lower", eps_min=1e-4, eps_max=1e-1, n_eps=13)),
+    "resolvent-decay": (_cmd_resolvent, dict(
+        out=".", preset="dtheta_shift", K=256, p=0.0, ray_angle=np.pi / 2,
+        **_samples(6.4, 64.0))),
+    "parametrix": (_cmd_parametrix, dict(
+        out=".", preset="variable_coeff_shift", K=128, rho=4.0,
+        ray_angle=np.pi / 2, **_samples(10.0, 50.0))),
+    "compose-gap": (_cmd_compose, dict(
+        out=".", pair="resolvent_pair", K=128, rho=1.0,
+        **_samples(10.0, 50.0))),
+    "obstruction": (_cmd_obstruction, dict(out=".", preset="monopole",
+                                           level=3)),
+    "wodzicki": (_cmd_wodzicki, dict(
+        out=".", preset="dtheta_shift", K=16, R=None, exponent=0.5,
+        alpha1=np.pi / 2, alpha2=-np.pi / 2)),
+    "spectral-flow": (_cmd_spectral_flow, dict(out=".", path="crossing")),
 }
 
 
@@ -268,16 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments for matrices and 1-D periodic operators.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list-presets", help="list every preset name")
-    for command, (_, keys) in COMMANDS.items():
+    for command, (_, defaults) in COMMANDS.items():
         # no abbreviations: --lambda-max must not stand for another key
         p = sub.add_parser(command, help=f"run {command}",
                            allow_abbrev=False)
         # -1e-4 is a value, not a flag: argparse's own pattern has no exponent
         p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", help="key=value config file")
-        for key in sorted(keys):
+        for key, default in sorted(defaults.items()):
+            shown = "computed" if default is None else default
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           help=KEYS[key][1])
+                           help=f"{KEYS[key][1]} (default {shown})")
     return parser
 
 
@@ -287,14 +280,16 @@ def main(argv=None) -> int:
         if args.command == "list-presets":
             sys.stdout.write(presets.describe_presets())
             return 0
-        handler, keys = COMMANDS[args.command]
-        opt = load_config(args.config, args.command) if args.config else {}
-        for key in keys:
+        handler, defaults = COMMANDS[args.command]
+        opt = dict(defaults)
+        if args.config:
+            opt.update(load_config(args.config, args.command))
+        for key in defaults:
             raw = getattr(args, key)
             if raw is not None:
                 opt[key] = _coerce(key, raw)
         rec = handler(opt)
-        out_dir = os.environ.get("SECTORAL_OUT") or opt.get("out") or "."
+        out_dir = os.environ.get("SECTORAL_OUT") or opt["out"] or "."
         path = _write_reports(rec, out_dir)
     except SectoralError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

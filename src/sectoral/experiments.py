@@ -81,15 +81,31 @@ def _check_fit_samples(abscissae):
                                f"abscissae to fit, got {count}")
 
 
-def _lambda_samples(lambda_range, n_samples=None) -> np.ndarray:
+def _ray_grid(lambda_range, n_samples, ray_angle: float, A=None) -> list:
+    """(|lambda|, lambda) pairs, geometric in |lambda| over lambda_range (12
+    per decade unless n_samples is given), on the ray at ray_angle.  Fewer
+    than MIN_FIT_SAMPLES are refused (InsufficientSpan), then a spectrum of
+    the operator A within 1e-6 of the ray (RayHitsSpectrum)."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not 0 < lo < hi:
         raise ValueError("lambda_range must satisfy 0 < min < max")
     if n_samples is None:
         n_samples = max(MIN_FIT_SAMPLES, round(12 * math.log10(hi / lo)))
-    lams = np.geomspace(lo, hi, max(n_samples, 0))
-    _check_fit_samples(lams)
-    return lams
+    radii = np.geomspace(lo, hi, max(n_samples, 0))
+    _check_fit_samples(radii)
+    if A is not None:
+        dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
+                            ray_angle)
+        if dist.min() <= 1e-6:
+            raise RayHitsSpectrum(f"spectrum within {dist.min():.3e} of "
+                                  f"the ray at angle {ray_angle}")
+    return [(float(r), complex(r * np.exp(1j * ray_angle))) for r in radii]
+
+
+def _window(K: int, N: int) -> tuple:
+    """The columns K..3K and the row slice N K : N (3K + 1) of the modes
+    |k| <= K among the modes |k| <= 2K, for N x N blocks."""
+    return np.arange(K, 3 * K + 1), slice(N * K, N * (3 * K + 1))
 
 
 def _check_resolved_regime(K: int, m: float, lambda_range, factor: float):
@@ -100,12 +116,13 @@ def _check_resolved_regime(K: int, m: float, lambda_range, factor: float):
             f"(K/{factor:g})^m = {ceiling:.4g}")
 
 
-def _check_ray_clear(A: DiscretizedOperator, ray_angle: float):
-    dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
-                        ray_angle)
-    if dist.min() <= 1e-6:
-        raise RayHitsSpectrum(
-            f"spectrum within {dist.min():.3e} of the ray at angle {ray_angle}")
+def _decay_report(kind, params, lambda_range, samples, expected_slope,
+                  tolerance) -> ExperimentReport:
+    """The fitted report of a decay law sampled on a _ray_grid."""
+    params = {"kind_detail": kind, **params,
+              "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
+              "n_samples": len(samples)}
+    return _fit_report(kind, params, samples, expected_slope, tolerance)
 
 
 def _fit_report(kind, parameters, samples, expected_slope, tolerance
@@ -131,20 +148,13 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
     if not 0 <= p <= m:
         raise ValueError(f"need 0 <= p <= m, got p={p}, m={m}")
     _check_resolved_regime(A.K, m, lambda_range, 4.0)
-    lams = _lambda_samples(lambda_range, n_samples)
-    _check_ray_clear(A, ray_angle)
+    grid = _ray_grid(lambda_range, n_samples, ray_angle, A)
     I = np.eye(A.matrix.shape[0], dtype=complex)
-    samples = []
-    for r in lams:
-        lam = r * np.exp(1j * ray_angle)
-        samples.append((float(r), sobolev_inverse_norm(
-            A.matrix - lam * I, s, s + p, K=A.K)))
-    params = {"kind_detail": "resolvent_decay", "ray_angle": ray_angle,
-              "s": s, "p": p, "m": m, "K": A.K,
-              "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
-              "n_samples": len(lams)}
-    return _fit_report("resolvent_decay", params, samples,
-                       expected_slope=-1.0 + p / m, tolerance=0.1)
+    samples = [(r, sobolev_inverse_norm(A.matrix - lam * I, s, s + p, K=A.K))
+               for r, lam in grid]
+    params = {"ray_angle": ray_angle, "s": s, "p": p, "m": m, "K": A.K}
+    return _decay_report("resolvent_decay", params, lambda_range, samples,
+                         expected_slope=-1.0 + p / m, tolerance=0.1)
 
 
 def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
@@ -169,30 +179,20 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     # the gap is supported on the cutoff modes, far from the truncation
     # boundary, so the faithful regime extends to (K/2)^m here
     _check_resolved_regime(A.K, m, lambda_range, 2.0)
-    lams = _lambda_samples(lambda_range, n_samples)
-    _check_ray_clear(A, ray_angle)
-    K, N = A.K, A.fiber_dim
-    K2 = 2 * K
-    big = op_from_symbol(A.symbol, K2)
-    n = big.matrix.shape[0]
-    I = np.eye(n, dtype=complex)
-    lo, hi = N * (K2 - K), N * (K2 + K + 1)
-    window = np.arange(K2 - K, K2 + K + 1)
+    grid = _ray_grid(lambda_range, n_samples, ray_angle, A)
+    cols, rows = _window(A.K, A.fiber_dim)
+    big = op_from_symbol(A.symbol, 2 * A.K).matrix
+    I = np.eye(big.shape[0], dtype=complex)
     samples = []
-    for r in lams:
-        lam = r * np.exp(1j * ray_angle)
-        R = linalg.solve(big.matrix - lam * I, I[:, lo:hi])[lo:hi]
-        approx = _op_columns(
-            cutoff_resolvent_symbol(A.symbol, psi, lam), K2, window)
-        D = approx[lo:hi] - R
-        samples.append((float(r), sobolev_op_norm(D, s, s + m, K=K)))
-    params = {"kind_detail": "parametrix_gap", "ray_angle": ray_angle,
-              "s": s, "m": m, "K": A.K, "rho": psi.rho,
-              "fit_only": bool(m >= 2),
-              "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
-              "n_samples": len(lams)}
-    return _fit_report("parametrix_gap", params, samples,
-                       expected_slope=-min(1.0 / m, 1.0), tolerance=0.15)
+    for r, lam in grid:
+        R = linalg.solve(big - lam * I, I[:, rows])[rows]
+        D = _op_columns(cutoff_resolvent_symbol(A.symbol, psi, lam),
+                        2 * A.K, cols)[rows] - R
+        samples.append((r, sobolev_op_norm(D, s, s + m, K=A.K)))
+    params = {"ray_angle": ray_angle, "s": s, "m": m, "K": A.K,
+              "rho": psi.rho, "fit_only": bool(m >= 2)}
+    return _decay_report("parametrix_gap", params, lambda_range, samples,
+                         expected_slope=-min(1.0 / m, 1.0), tolerance=0.15)
 
 
 def composition_gap_experiment(f_family, g_family, r: float, m: float,
@@ -216,31 +216,22 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     # same low-mode support argument as the parametrix gap: ceiling (K/2)^m
     _check_resolved_regime(K, m, lambda_range, 2.0)
-    lams = _lambda_samples(lambda_range, n_samples)
     samples = []
-    K2 = 2 * K
-    window = np.arange(K2 - K, K2 + K + 1)
-    for rr in lams:
-        lam = complex(rr * np.exp(1j * np.pi / 2))
+    for radius, lam in _ray_grid(lambda_range, n_samples, np.pi / 2):
         f = f_family(lam)
         g = g_family(lam)
-        N = f.fiber_dim
-        lo, hi = N * (K2 - K), N * (K2 + K + 1)
-        Mg = op_from_symbol(g, K2).matrix
-        if not Mg[:, lo:hi].any():
+        cols, rows = _window(K, f.fiber_dim)
+        Mg = op_from_symbol(g, 2 * K).matrix
+        if not Mg[:, rows].any():
             raise ValueError(f"Op(g) is zero on every mode |k| <= K = {K}, "
                              "as for a cutoff radius >= K")
-        Mf = _op_columns(f, K2, window)
-        Mgf = _op_columns(_pointwise_product(g, f), K2, window)
-        D = Mg[lo:hi] @ Mf - Mgf[lo:hi]
-        gap = sobolev_op_norm(D, s, s + m - r, K=K)
-        samples.append((float(rr), gap))
-    params = {"kind_detail": "composition_gap", "r": r, "m": m, "s": s,
-              "K": K,
-              "lambda_range": [float(lambda_range[0]), float(lambda_range[1])],
-              "n_samples": len(lams)}
-    return _fit_report("composition_gap", params, samples,
-                       expected_slope=-min(1.0 / m, 1.0), tolerance=tolerance)
+        Mf = _op_columns(f, 2 * K, cols)
+        Mgf = _op_columns(_pointwise_product(g, f), 2 * K, cols)
+        D = Mg[rows] @ Mf - Mgf[rows]
+        samples.append((radius, sobolev_op_norm(D, s, s + m - r, K=K)))
+    params = {"r": r, "m": m, "s": s, "K": K}
+    return _decay_report("composition_gap", params, lambda_range, samples,
+                         expected_slope=-min(1.0 / m, 1.0), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +339,25 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     for eps in epsilons:
         if not (np.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-    if isinstance(A, DiscretizedOperator):
-        M = A.matrix
-        if not isinstance(dA, SplitOperator):
-            raise TypeError("operator-mode perturbation needs a SplitOperator")
-        dM = dA.matrix()
-        x_unit = aggregate_seminorm(dA)
-        norm = lambda X: sobolev_op_norm(X, s, s, K=A.K)
-    else:
-        M = linalg.as_matrix(A)
-        dM = linalg.as_matrix(dA)
-        x_unit = linalg.operator_norm_2(dM)
-        norm = linalg.operator_norm_2
+    if not isinstance(A, DiscretizedOperator):
+        # the operator on the one mode k = 0, whose Sobolev weights are 1
+        A = DiscretizedOperator(linalg.as_matrix(A), 0, 1.0)
+        dA = SplitOperator(1.0, 0, lower=linalg.as_matrix(dA))
+    elif not isinstance(dA, SplitOperator):
+        raise TypeError("operator-mode perturbation needs a SplitOperator")
+    M, dM = A.matrix, dA.matrix()
+    x_unit = aggregate_seminorm(dA)
     base = sectorial_projection(M, c)
     samples = []
     ratios = []
     rejected = []
     for eps in sorted(float(e) for e in epsilons):
-        pert = M + eps * dM
         try:
-            res = sectorial_projection(pert, c)
+            res = sectorial_projection(M + eps * dM, c)
         except SpectrumOnContour:
             rejected.append(eps)
             continue
-        y = norm(res.P - base.P)
+        y = sobolev_op_norm(res.P - base.P, s, s, K=A.K)
         x = eps * x_unit
         samples.append((x, y))
         ratios.append([eps, y / x if x > 0 else float("nan")])

@@ -9,7 +9,6 @@ contour is the one swept by the arc parameter, arg in (alpha2, alpha1).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,13 +16,12 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .contour import (CLEARANCE_MIN, ContourSpec, ray_distance, sector_phi,
-                      validate_contour)
+from .contour import (CLEARANCE_MIN, TWO_PI, ContourSpec, ray_distance,
+                      sector_phi, validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
                      EigenvalueZero, SingularMatrix, TooDefective)
 from .symbol1d import DiscretizedOperator
 
-TWO_PI = 2.0 * math.pi
 DEFECTIVE_LIMIT = 1e8
 BOUNDARY_PROBE = 1e-6
 

@@ -62,7 +62,7 @@ def _fiber_dim(n: int, K: int) -> int:
     """Fibre dimension N of a matrix of order n = N (2K + 1) on the modes
     |k| <= K; ValueError when n is not a positive multiple of 2K + 1."""
     N, rem = divmod(n, 2 * K + 1)
-    if rem or not N:
+    if rem or N < 1:
         raise ValueError(f"matrix order {n} is not a positive multiple of "
                          f"2K + 1 = {2 * K + 1} (K = {K})")
     return N
@@ -70,16 +70,20 @@ def _fiber_dim(n: int, K: int) -> int:
 
 @dataclass
 class DiscretizedOperator:
-    """Fourier-basis matrix of dimension N*(2K+1) with provenance."""
+    """Fourier-basis matrix of dimension N*(2K+1) with provenance; its
+    fibre dimension N is read from the matrix order when it is built."""
 
     matrix: np.ndarray
     K: int
     order: float
     symbol: Optional[SymbolFunction] = None
 
-    @property
-    def fiber_dim(self) -> int:
-        return _fiber_dim(self.matrix.shape[0], self.K)
+    def __post_init__(self):
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"a matrix of shape {shape} (K = {self.K}) "
+                             "is not square")
+        self.fiber_dim = _fiber_dim(shape[0], self.K)
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,8 @@ def _flag(key):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_help_lists_exactly_the_command_keys(command, capsys):
+def test_help_lists_exactly_the_command_keys(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per key
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
@@ -368,6 +369,13 @@ def test_help_lists_exactly_the_command_keys(command, capsys):
     listed = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", out))
     keys = COMMANDS[command][1]
     assert listed == {"--help", "--config"} | {_flag(k) for k in keys}
+    # each key's line ends with the default its handler reads
+    text = " ".join(out.split())
+    for key, default in keys.items():
+        shown = "computed" if default is None else default
+        assert (f"{_flag(key)} {key.upper()} {KEYS[key][1]} "
+                f"(default {shown})") in text
+    assert text.count("(default ") == len(keys)
     # every other key is a usage error, refused before anything runs
     for key in sorted(set(KEYS) - set(keys)):
         assert main([command, _flag(key), "1"]) == 1

@@ -155,6 +155,18 @@ def test_resolvent_decay_rejects_ray_through_spectrum():
     A = presets.op_variable_coeff(16)
     with pytest.raises(RayHitsSpectrum):
         resolvent_decay_experiment(A, 0.0, 0.0, 0.0, (1.0, 4.0))
+    # a grid too short to fit is refused first
+    with pytest.raises(InsufficientSpan):
+        resolvent_decay_experiment(A, 0.0, 0.0, 0.0, (1.0, 4.0), n_samples=3)
+
+
+def test_parametrix_gap_rejects_ray_through_spectrum():
+    A = presets.op_variable_coeff(16)
+    psi = CutoffFunction(4.0)
+    with pytest.raises(RayHitsSpectrum):
+        parametrix_gap_experiment(A, psi, 0.0, 0.0, (1.0, 4.0))
+    with pytest.raises(InsufficientSpan):
+        parametrix_gap_experiment(A, psi, 0.0, 0.0, (1.0, 4.0), n_samples=3)
 
 
 def test_parametrix_gap_slope_first_order():
@@ -320,6 +332,20 @@ def test_perturbation_matrix_mode_2x2_ratio():
     for eps, ratio in rep.parameters["ratio_table"]:
         assert ratio == pytest.approx(0.5, rel=1e-2)
     assert rep.passed
+
+
+def test_perturbation_matrix_is_the_one_mode_operator():
+    # a matrix pair is the operator on the single mode k = 0, where every
+    # Sobolev weight is 1: both forms give the same record, bit for bit
+    A = np.diag([1.0, -1.0]).astype(complex)
+    dA = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eps, c = np.geomspace(1e-4, 1e-1, 9), presets.contour_imag()
+    matrix = perturbation_experiment(A, dA, eps, 0.0, c)
+    operator = perturbation_experiment(
+        symbol1d.DiscretizedOperator(A, 0, 1.0),
+        SplitOperator(1.0, 0, lower=dA), eps, 0.0, c)
+    assert matrix.to_json_dict() == operator.to_json_dict()
+    assert matrix.parameters["seminorm_unit"] == linalg.operator_norm_2(dA)
 
 
 def test_perturbation_operator_mode_linear_response():

@@ -109,3 +109,23 @@ def test_private_module_names_have_a_caller_in_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(f"{m}: {n}" for m, n in defined if n not in read) == []
+
+
+def test_module_level_names_are_defined_once():
+    # a constant, function or class defined in two modules of the package
+    # can drift apart: the second module imports it instead
+    homes = {}
+    for module, tree in _package_trees().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                homes.setdefault(name, set()).add(module)
+    assert {n: sorted(m) for n, m in homes.items() if len(m) > 1} == {}

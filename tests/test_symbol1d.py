@@ -1,4 +1,5 @@
 import contextlib
+import re
 import warnings
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_matrix_order_must_be_a_multiple_of_the_mode_count():
     for read in reads:
         with pytest.raises(ValueError, match=r"order 18 .*\(K = 8\)"):
             read()
+    # an operator is checked when it is built, before any projection
+    with pytest.raises(ValueError, match=r"order 18 .*\(K = 8\)"):
+        DiscretizedOperator(np.diag(np.arange(1.0, 19.0)), 8, 1.0)
+    with pytest.raises(ValueError, match=re.escape("(17, 16) (K = 8)")):
+        DiscretizedOperator(np.ones((17, 16)), 8, 1.0)
+    # no order is a positive multiple of 2K + 1 < 0; one mode (K = 0)
+    # takes any order
+    for read in (lambda: DiscretizedOperator(np.eye(3), -1, 1.0),
+                 lambda: sobolev_op_norm(np.eye(3), 0.0, 1.0, K=-1),
+                 lambda: SplitOperator(m=1.0, K=-1, lower=np.eye(3)).matrix()):
+        with pytest.raises(ValueError, match=r"order 3 .*\(K = -1\)"):
+            read()
+    assert DiscretizedOperator(np.eye(3), 0, 1.0).fiber_dim == 3
 
 
 def test_cutoff_function_profile():
