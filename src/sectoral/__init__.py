@@ -22,7 +22,8 @@ from .experiments import (ExperimentReport, SplitOperator, boundedness_check,
                           resolvent_decay_experiment, seminorm_pc)
 from .projections import (ProjectionResult, aps_projection, complex_power,
                           eigen_projection_oracle, riesz_transform,
-                          sectorial_projection, wodzicki_residual)
+                          schur_projection, sectorial_projection,
+                          wodzicki_residual)
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
                        op_from_symbol, parametrix_phi0, sobolev_op_norm)
 from .topology import (chern_number, component_index, obstruction_demo,
@@ -37,7 +38,8 @@ __all__ = [
     "fit_loglog", "parametrix_gap_experiment", "perturbation_experiment",
     "resolvent_decay_experiment", "seminorm_pc", "ProjectionResult",
     "aps_projection", "complex_power", "eigen_projection_oracle",
-    "riesz_transform", "sectorial_projection", "wodzicki_residual",
+    "riesz_transform", "schur_projection", "sectorial_projection",
+    "wodzicki_residual",
     "CutoffFunction", "DiscretizedOperator", "SymbolFunction",
     "op_from_symbol", "parametrix_phi0", "sobolev_op_norm", "chern_number",
     "component_index", "obstruction_demo", "seeley_deformation_check",

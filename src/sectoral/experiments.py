@@ -19,7 +19,7 @@ from . import linalg
 from .contour import ContourSpec, ray_distance
 from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime,
                      RayHitsSpectrum, SpectrumOnContour)
-from .projections import sectorial_projection
+from .projections import schur_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
                        _fiber_dim, _op_columns, _pointwise_product, choose_rho,
                        cutoff_resolvent_symbol, op_from_symbol,
@@ -328,8 +328,12 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     behaviour) is a desk-scale refinement of the continuity statement, not
     a claim of the underlying theory.
 
+    P is the exact projection of projections.schur_projection: the
+    experiment consumes P and does not test its quadrature.
+
     Fewer than MIN_FIT_SAMPLES distinct epsilons are refused as
-    InsufficientSpan, and an epsilon that is not finite and > 0 as
+    InsufficientSpan, and an epsilon that is not finite and > 0 or a
+    perturbation whose matrix order or K differs from the operator's as
     ValueError, before any projection.  Samples whose perturbed
     operator loses contour clearance are rejected and recorded; if every
     epsilon is rejected, ClearanceLost is raised, and fewer than
@@ -346,14 +350,18 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     elif not isinstance(dA, SplitOperator):
         raise TypeError("operator-mode perturbation needs a SplitOperator")
     M, dM = A.matrix, dA.matrix()
+    if dM.shape != M.shape or dA.K != A.K:
+        raise ValueError(f"perturbation of order {len(dM)} (K = {dA.K}) "
+                         f"does not fit the operator of order {len(M)} "
+                         f"(K = {A.K})")
     x_unit = aggregate_seminorm(dA)
-    base = sectorial_projection(M, c)
+    base = schur_projection(M, c)
     samples = []
     ratios = []
     rejected = []
     for eps in sorted(float(e) for e in epsilons):
         try:
-            res = sectorial_projection(M + eps * dM, c)
+            res = schur_projection(M + eps * dM, c)
         except SpectrumOnContour:
             rejected.append(eps)
             continue
@@ -379,11 +387,12 @@ def boundedness_check(A: DiscretizedOperator, c: ContourSpec,
                       s_list: Sequence[float]) -> dict:
     """||P_{Gamma+}(A)||_{s,s} for each s, together with the gap
     ||P - (-1/2 pi i) A Phi_0||_{s,s} to the symbol-level first
-    approximation; the gap must not exceed the norm itself."""
+    approximation; the gap must not exceed the norm itself.  P is the
+    exact projection of projections.schur_projection."""
     if A.symbol is None:
         raise ValueError("boundedness check needs an operator with symbol")
     psi = CutoffFunction(float(choose_rho(A.symbol, c, A.K)))
-    res = sectorial_projection(A, c)
+    res = schur_projection(A, c)
     phi0 = parametrix_phi0(A.symbol, psi, c, A.K)
     approx = (-1.0 / (2j * np.pi)) * (A.matrix @ phi0.matrix)
     out = {"rho": psi.rho, "truncation_error_estimate":

@@ -1,7 +1,8 @@
 """Projection-type operators: sectorial projections via the factorized
-weighted integral over the sector contour, the eigendecomposition oracle,
-Riesz transform, APS projection, complex powers with an explicit branch
-convention, and the power/projection identity check.
+weighted integral over the sector contour and exactly from the reordered
+Schur form, the eigendecomposition oracle, Riesz transform, APS
+projection, complex powers with an explicit branch convention, and the
+power/projection identity check.
 
 Branch convention for log_alpha: arg in (alpha - 2*pi, alpha), i.e. the
 cut lies along the ray L_alpha.  The positive sector Lambda_+ of a sector
@@ -19,11 +20,17 @@ from . import linalg
 from .contour import (CLEARANCE_MIN, TWO_PI, ContourSpec, ray_distance,
                       sector_phi, validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
-                     EigenvalueZero, SingularMatrix, TooDefective)
+                     EigenvalueZero, SectoralError, SingularMatrix,
+                     TooDefective)
 from .symbol1d import DiscretizedOperator
 
 DEFECTIVE_LIMIT = 1e8
 BOUNDARY_PROBE = 1e-6
+
+# LAPACK's Schur reordering and triangular Sylvester solver, bound once as
+# linalg binds getrf/getrs/trtri
+_trsen, _trsyl = scipy.linalg.get_lapack_funcs(("trsen", "trsyl"),
+                                               dtype=np.complex128)
 
 
 @dataclass
@@ -59,6 +66,14 @@ def _matrix_of(A):
     return linalg.as_matrix(A)
 
 
+def _schur_form(A, c: ContourSpec) -> tuple:
+    """(T, Z, clearance): the complex Schur form M = Z T Z* of A's matrix
+    and the clearance of T's diagonal from the contour, refused by
+    contour.validate_contour; the preamble of both projectors."""
+    T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
+    return T, Z, validate_contour(np.diag(T), c)
+
+
 def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     """P = (-1/2 pi i) A Phi(A) with
     Phi(A) = integral over Gamma_+ of lambda^{-1} (A - lambda)^{-1}.
@@ -76,9 +91,8 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     through sector_phi as the (n, 1, 1) stack of d, one division per node;
     solve's pivot floor is then checked on the nodes where it can break.
     """
-    T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
+    T, Z, clearance = _schur_form(A, c)
     d = np.diag(T)
-    clearance = validate_contour(d, c)
     if linalg.is_diagonal(T):
         phi, rule = sector_phi(d[:, None, None], c, lambda x: 1.0 / x)
         # solve's floor min|d - lam| >= tau max|d - lam| fails only where
@@ -97,6 +111,38 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     rank = int(round(np.trace(P).real))
     return ProjectionResult(P, float(defect), max(rank, 0), clearance,
                             float(rule.truncation_error_estimate))
+
+
+def schur_projection(A, c: ContourSpec) -> ProjectionResult:
+    """The exact projection of A onto its eigenvalues in the sector of c
+    (|lambda| > R, arg lambda in (alpha2, alpha1)), for the callers that
+    consume P rather than test its quadrature.
+
+    After the clearance check of _schur_form, LAPACK trsen moves the k
+    selected eigenvalues to the leading block T11 of T = [[T11, T12],
+    [0, T22]], trsyl solves T11 X - X T22 = T12, and P = Z [[I, X], [0, 0]]
+    Z* (Stewart, SIAM Rev. 15, 1973; Bai & Demmel, SIMAX 19, 1998).  No
+    eigenvectors are formed, so Jordan blocks are exact.  A LAPACK failure
+    raises SectoralError; truncation_error_estimate is 0 (no quadrature)."""
+    T, Z, clearance = _schur_form(A, c)
+    d = np.diag(T)
+    select = (np.abs(d) > c.R) & ((c.alpha1 - np.angle(d)) % TWO_PI
+                                  < c.theta)
+    n, k = len(d), int(select.sum())
+    if k in (0, n):
+        P = np.eye(n, dtype=complex) if k else np.zeros((n, n), complex)
+    else:
+        T, Z, _, m, _, _, info = _trsen(select, T, Z, job="N")
+        if info != 0 or m != k:
+            raise SectoralError(f"LAPACK trsen failed (info {info}, "
+                                f"{m} of {k} eigenvalues moved)")
+        X, scale, info = _trsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+        if info != 0:
+            raise SectoralError(f"LAPACK trsyl failed (info {info})")
+        Z1 = Z[:, :k]
+        P = Z1 @ (Z1.conj().T + (X / scale) @ Z[:, k:].conj().T)
+    defect = linalg.operator_norm_2(P @ P - P)
+    return ProjectionResult(P, float(defect), k, clearance, 0.0)
 
 
 def eigen_projection_oracle(A, sector: Callable[[complex], bool]
@@ -188,10 +234,10 @@ def wodzicki_residual(A, s: complex, alpha1: float, alpha2: float,
                       c: ContourSpec) -> float:
     """Norm of A^s_{a2} - A^s_{a1} - (1 - e^{2 pi i s}) P_{Gamma+}(A) A^s_{a2},
     which vanishes identically for the correct branch and sector
-    conventions."""
+    conventions; P is the exact projection of schur_projection."""
     dec = _diagonalization(A)
     p2 = _power(dec, s, alpha2)
     p1 = _power(dec, s, alpha1)
-    P = sectorial_projection(A, c).P
+    P = schur_projection(A, c).P
     factor = 1.0 - np.exp(2j * np.pi * s)
     return linalg.operator_norm_2(p2 - p1 - factor * (P @ p2))

@@ -43,11 +43,11 @@ def test_fit_loglog_with_oscillatory_modulation():
 @pytest.fixture
 def heavy_calls(monkeypatch):
     """Counts of linalg.solve, linalg.inverse_norm_2 and
-    sectorial_projection calls made through the experiments module."""
+    schur_projection calls made through the experiments module."""
     counts = {}
     count_calls(monkeypatch, counts, linalg, "solve")
     count_calls(monkeypatch, counts, linalg, "inverse_norm_2")
-    count_calls(monkeypatch, counts, experiments, "sectorial_projection")
+    count_calls(monkeypatch, counts, experiments, "schur_projection")
     return counts
 
 
@@ -64,7 +64,7 @@ def test_fit_loglog_insufficient_span(heavy_calls):
             parametrix_gap_experiment(A, CutoffFunction(2.0), np.pi / 2, 0.0,
                                       (1.0, 4.0), n_samples=n)
     assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
-                           "sectorial_projection": 0}
+                           "schur_projection": 0}
     rep = resolvent_decay_experiment(A, np.pi / 2, 0.0, 0.0, (1.0, 4.0),
                                      n_samples=4)
     assert len(rep.samples) == 4
@@ -393,7 +393,7 @@ def test_perturbation_rejects_clearance_loss(heavy_calls):
     with pytest.raises(InsufficientSpan):
         perturbation_experiment(A, dA, [1e-3, 1e-2, 1e-1], 0.0, c)
     assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
-                           "sectorial_projection": 0}
+                           "schur_projection": 0}
     # eps = 0.5 moves the eigenvalue to 0.5, exactly onto the arc; every
     # epsilon of this grid lies within 1e-6 of it
     with pytest.raises(ClearanceLost):
@@ -421,7 +421,25 @@ def test_perturbation_refuses_a_bad_epsilon_before_projecting(heavy_calls,
                    np.array([[0.0, 1.0], [0.0, 0.0]]))):
         with pytest.raises(ValueError, match=f"got {bad}"):
             perturbation_experiment(A, dA, eps, 0.0, c)
-    assert heavy_calls["sectorial_projection"] == 0
+    assert heavy_calls["schur_projection"] == 0
+
+
+def test_perturbation_refuses_a_perturbation_that_does_not_fit(
+        heavy_calls, monkeypatch):
+    # a perturbation of another order or K is named before the seminorm
+    # and before any projection, in operator and in matrix mode
+    count_calls(monkeypatch, heavy_calls, experiments, "aggregate_seminorm")
+    eps = [1e-3, 1e-2, 1e-1, 0.2]
+    c = presets.contour_imag()
+    for A, dA, want in ((presets.op_dtheta_shift(8),
+                         presets.perturbation_cos_theta_lower(16),
+                         r"order 33 \(K = 16\).*order 17 \(K = 8\)"),
+                        (np.diag([1.0, -1.0]).astype(complex), np.eye(3),
+                         r"order 3 \(K = 0\).*order 2 \(K = 0\)")):
+        with pytest.raises(ValueError, match=want):
+            perturbation_experiment(A, dA, eps, 0.0, c)
+    assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
+                           "schur_projection": 0, "aggregate_seminorm": 0}
 
 
 def test_fits_count_distinct_abscissae(heavy_calls):
@@ -439,7 +457,7 @@ def test_fits_count_distinct_abscissae(heavy_calls):
         resolvent_decay_experiment(presets.op_dtheta_shift(16), np.pi / 2,
                                    0.0, 0.0, narrow, n_samples=8)
     assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
-                           "sectorial_projection": 0}
+                           "schur_projection": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ def test_all_names_resolve():
 
 def test_projection_and_power_leave_sparse_and_special_unimported():
     # scipy.sparse and scipy.special add about 8 MB of resident memory and
-    # 30 ms of import time to a fresh process; a projection (node loop and
-    # fibre route) and a complex power must not need them
+    # 30 ms of import time to a fresh process; a projection (node loop,
+    # fibre route and reordered Schur form) and a complex power must not
+    # need them
     code = "\n".join([
         "import sys",
         "import numpy as np",
@@ -28,6 +29,7 @@ def test_projection_and_power_leave_sparse_and_special_unimported():
         "c = presets.contour_imag()",
         "projections.sectorial_projection(presets.op_dtheta_shift(8), c)",
         "projections.sectorial_projection(np.array([[1, 2], [0, -1]]), c)",
+        "projections.schur_projection(np.array([[1, 2], [0, -1]]), c)",
         "projections.complex_power(np.diag([1.0, 2.0 + 1j]), 0.5, np.pi)",
         "print(sorted(m for m in sys.modules",
         "             if m.startswith(('scipy.sparse', 'scipy.special'))))",

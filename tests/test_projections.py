@@ -6,15 +6,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectoral import contour, linalg, presets
+from sectoral import contour, experiments, linalg, presets, projections
 from sectoral.contour import (make_sector_contour, point_contour_distance,
                               quad_nodes, ray_tail_moments, sector_phi)
 from sectoral.errors import (EigenvalueAtCut, EigenvalueOnBoundary,
                              EigenvalueOnCut, EigenvalueZero, NotHermitian,
-                             SingularMatrix, SpectrumOnContour, TooDefective)
+                             SectoralError, SingularMatrix, SpectrumOnContour,
+                             TooDefective)
+from sectoral.experiments import boundedness_check, perturbation_experiment
 from sectoral.projections import (aps_projection, complex_power,
                                   eigen_projection_oracle, riesz_transform,
-                                  sectorial_projection, wodzicki_residual)
+                                  schur_projection, sectorial_projection,
+                                  wodzicki_residual)
 from conftest import count_calls, random_diagonalizable
 
 
@@ -184,6 +187,107 @@ def test_idempotency_and_commutation(imag_contour):
         * linalg.operator_norm_2(A)
 
 
+# ---------------------------------------------------------------------------
+# the exact projector of the reordered Schur form
+
+# three sectors (alpha1, alpha2, R) besides the imaginary-axis one
+SECTORS = ((3 * np.pi / 4, -np.pi / 4, 0.5), (np.pi / 3, -np.pi / 3, 0.8),
+           (np.pi, np.pi / 4, 0.3))
+
+
+def _in_sector(c):
+    return lambda z: (abs(z) > c.R
+                      and 0.0 < (c.alpha1 - np.angle(z)) % (2 * np.pi)
+                      < c.theta)
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=["a", "b", "c"])
+def test_schur_projection_matches_the_oracle(sector):
+    c = make_sector_contour(*sector)
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        A, _, _ = random_diagonalizable(rng, dim=12)
+        got = schur_projection(A, c)
+        want = eigen_projection_oracle(A, _in_sector(c))
+        scale = max(linalg.operator_norm_2(want.P), 1.0)
+        assert linalg.operator_norm_2(got.P - want.P) <= 1e-12 * scale
+        assert got.rank_estimate == want.rank_estimate
+        assert got.truncation_error_estimate == 0.0
+        assert got.resolved
+
+
+def test_schur_projection_matches_the_quadrature():
+    A = presets.get_operator("variable_coeff_shift", 32)
+    c = presets.contour_imag()
+    got, want = schur_projection(A, c), sectorial_projection(A, c)
+    assert got.contour_clearance == want.contour_clearance
+    assert got.rank_estimate == want.rank_estimate == 32
+    scale = max(linalg.operator_norm_2(want.P), 1.0)
+    assert linalg.operator_norm_2(got.P - want.P) <= 1e-11 * scale
+
+
+def test_schur_projection_of_jordan_blocks():
+    # V diag(J_3(l_in), J_2(l_out)) V^-1 has no eigenbasis: the oracle
+    # refuses it, the projection is V diag(I_3, 0) V^-1
+    J = np.diag([2.0 + 0.5j] * 3 + [-1.5 - 0.3j] * 2)
+    J += np.diag([1.0, 1.0, 0.0, 1.0], 1)
+    _, _, V = random_diagonalizable(np.random.default_rng(5), dim=5)
+    Vinv = np.linalg.inv(V)
+    c = presets.contour_imag()
+    want = V @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ Vinv
+    got = schur_projection(V @ J @ Vinv, c)
+    assert got.rank_estimate == 3
+    assert linalg.operator_norm_2(got.P - want) <= 1e-10
+    with pytest.raises(TooDefective):
+        eigen_projection_oracle(V @ J @ Vinv, _in_sector(c))
+
+
+def test_schur_projection_edge_ranks():
+    # Grcar-40 (1 on the diagonal and three superdiagonals, -1 below) has
+    # its whole spectrum in the right half plane: P = I exactly, where the
+    # quadrature is off by 1e3; no eigenvalue inside gives P = 0
+    G = np.eye(40) - np.eye(40, k=-1) + sum(np.eye(40, k=k) for k in (1, 2, 3))
+    c = presets.contour_imag()
+    res = schur_projection(G, c)
+    assert (res.P == np.eye(40)).all()
+    assert res.rank_estimate == 40 and res.idempotency_defect == 0.0
+    res = schur_projection(-G, c)
+    assert (res.P == 0).all() and res.rank_estimate == 0
+
+
+def test_schur_projection_refuses_a_spectrum_on_the_contour(imag_contour):
+    for A in (np.diag([2.0j, 1.0]), np.diag([0.5, -1.0])):
+        with pytest.raises(SpectrumOnContour):
+            schur_projection(A, imag_contour)
+
+
+@pytest.mark.parametrize("routine, bad", [
+    ("_trsen", lambda out: (*out[:6], 1)),
+    ("_trsen", lambda out: (*out[:3], out[3] - 1, *out[4:])),
+    ("_trsyl", lambda out: (*out[:2], 1)),
+], ids=["trsen_info", "trsen_moved", "trsyl_info"])
+def test_schur_projection_refuses_a_lapack_failure(routine, bad,
+                                                   monkeypatch, imag_contour):
+    fn = getattr(projections, routine)
+    monkeypatch.setattr(projections, routine,
+                        lambda *a, **k: bad(fn(*a, **k)))
+    with pytest.raises(SectoralError, match=routine[1:]):
+        schur_projection(np.array([[1.0, 2.0], [0.0, -1.0]]), imag_contour)
+
+
+def test_consumers_of_p_make_no_solve(monkeypatch, imag_contour):
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "solve")
+    count_calls(monkeypatch, counts, experiments, "schur_projection")
+    perturbation_experiment(presets.op_variable_coeff_shift(16),
+                            presets.perturbation_cos_theta_lower(16),
+                            np.geomspace(1e-3, 1e-1, 5), 0.0, imag_contour)
+    boundedness_check(presets.op_dtheta_shift(16), imag_contour, [0.0])
+    A, _, _ = random_diagonalizable(np.random.default_rng(23), dim=6)
+    wodzicki_residual(A, 0.37, np.pi / 2, -np.pi / 2, imag_contour)
+    assert counts == {"solve": 0, "schur_projection": 7}
+
+
 def test_riesz_transform_eigenvalue_map():
     A = presets.op_dtheta(8)
     H = A.matrix + 0.3 * np.eye(17)
@@ -266,7 +370,7 @@ def test_wodzicki_residual_decomposes_once(imag_contour, monkeypatch):
     two_powers = linalg.operator_norm_2(
         complex_power(A, s, -np.pi / 2) - complex_power(A, s, np.pi / 2)
         - (1.0 - np.exp(2j * np.pi * s))
-        * (sectorial_projection(A, imag_contour).P
+        * (schur_projection(A, imag_contour).P
            @ complex_power(A, s, -np.pi / 2)))
     calls = []
     eig = linalg.eig
