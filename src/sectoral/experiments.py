@@ -274,13 +274,12 @@ def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
     return out
 
 
-def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
-    """Seminorms of the locally convex operator topology, realized
-    discretely: p_j = sup of theta- and xi-derivatives of the principal
-    symbol up to total order j on |xi| = 1 (theta derivatives spectral,
-    xi derivatives by central finite differences), each measured by the
-    spectral norm of its fibre, and the Sobolev norms
-    ||lower part||_{k+m-1,k} for k in k_list."""
+def seminorm_pc(D: SplitOperator) -> dict:
+    """The fixed seminorm family of the operator topology, realized
+    discretely: p_j (j <= 2) = sup of theta- and xi-derivatives of the
+    principal symbol up to total order j on |xi| = 1 (theta derivatives
+    spectral, xi derivatives by central finite differences), each measured
+    by the spectral norm of its fibre, and ||lower part||_{m-1,0} (k = 0)."""
     p = {}
     if D.principal is not None:
         G = 256
@@ -296,26 +295,24 @@ def seminorm_pc(D: SplitOperator, k_list: Sequence[int], j_max: int) -> dict:
             xi_derivs = (mid, lo * (-0.5 / h) + hi * (0.5 / h),
                          lo * (1.0 / h**2) + mid * (-2.0 / h**2)
                          + hi * (1.0 / h**2))
-            for beta in range(min(j_max, 2) + 1):
+            for beta in range(3):
                 for alpha, deriv in enumerate(
-                        _theta_spectral_derivs(xi_derivs[beta], j_max - beta)):
+                        _theta_spectral_derivs(xi_derivs[beta], 2 - beta)):
                     key = (alpha, beta)
                     sup[key] = max(sup.get(key, 0.0), float(np.linalg.norm(
                         deriv, ord=2, axis=(-2, -1)).max()))
-        for j in range(j_max + 1):
+        for j in range(3):
             p[j] = max(v for (a, b), v in sup.items() if a + b <= j)
     lower_norms = {}
     if D.lower is not None:
-        for k in k_list:
-            lower_norms[int(k)] = sobolev_op_norm(
-                D.lower, k + D.m - 1, k, K=D.K)
+        lower_norms[0] = sobolev_op_norm(D.lower, D.m - 1, 0, K=D.K)
     return {"p": p, "lower_norm": lower_norms}
 
 
 def aggregate_seminorm(D: SplitOperator) -> float:
-    """Max over the finite seminorm family p_0..p_2 and the lower-part norm
-    at k = 0; one abscissa for the continuity experiment."""
-    sem = seminorm_pc(D, (0,), 2)
+    """Max over the finite seminorm family of seminorm_pc; one abscissa
+    for the continuity experiment."""
+    sem = seminorm_pc(D)
     vals = list(sem["p"].values()) + list(sem["lower_norm"].values())
     return max(vals) if vals else 0.0
 
@@ -332,12 +329,13 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     experiment consumes P and does not test its quadrature.
 
     Fewer than MIN_FIT_SAMPLES distinct epsilons are refused as
-    InsufficientSpan, and an epsilon that is not finite and > 0 or a
-    perturbation whose matrix order or K differs from the operator's as
-    ValueError, before any projection.  Samples whose perturbed
-    operator loses contour clearance are rejected and recorded; if every
-    epsilon is rejected, ClearanceLost is raised, and fewer than
-    MIN_FIT_SAMPLES samples left are refused as InsufficientSpan.
+    InsufficientSpan, and an epsilon that is not finite and > 0, a
+    perturbation whose matrix order or K differs from the operator's or
+    one of aggregate seminorm 0 as ValueError, before any projection.
+    Samples whose perturbed operator loses contour clearance are
+    rejected and recorded; if every epsilon is rejected, ClearanceLost is
+    raised, and fewer than MIN_FIT_SAMPLES samples left are refused as
+    InsufficientSpan.
     """
     _check_fit_samples(epsilons)
     for eps in epsilons:
@@ -355,6 +353,9 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
                          f"does not fit the operator of order {len(M)} "
                          f"(K = {A.K})")
     x_unit = aggregate_seminorm(dA)
+    if x_unit == 0:
+        raise ValueError("the perturbation has aggregate seminorm 0, so "
+                         "every abscissa of the fit is 0")
     base = schur_projection(M, c)
     samples = []
     ratios = []
@@ -395,8 +396,7 @@ def boundedness_check(A: DiscretizedOperator, c: ContourSpec,
     res = schur_projection(A, c)
     phi0 = parametrix_phi0(A.symbol, psi, c, A.K)
     approx = (-1.0 / (2j * np.pi)) * (A.matrix @ phi0.matrix)
-    out = {"rho": psi.rho, "truncation_error_estimate":
-           res.truncation_error_estimate, "per_s": {}}
+    out = {"rho": psi.rho, "per_s": {}}
     for s in s_list:
         norm_p = sobolev_op_norm(res.P, s, s, K=A.K)
         gap = sobolev_op_norm(res.P - approx, s, s, K=A.K)

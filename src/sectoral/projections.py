@@ -11,6 +11,7 @@ contour is the one swept by the arc parameter, arg in (alpha2, alpha1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,10 +37,14 @@ _trsen, _trsyl = scipy.linalg.get_lapack_funcs(("trsen", "trsyl"),
 @dataclass
 class ProjectionResult:
     P: np.ndarray
-    idempotency_defect: float
     rank_estimate: int
     contour_clearance: float
     truncation_error_estimate: float
+
+    @cached_property
+    def idempotency_defect(self) -> float:
+        """||P^2 - P||_2, computed from P on first read."""
+        return float(linalg.operator_norm_2(self.P @ self.P - self.P))
 
     @property
     def resolved(self) -> bool:
@@ -107,9 +112,8 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     else:
         phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
     P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
-    defect = linalg.operator_norm_2(P @ P - P)
     rank = int(round(np.trace(P).real))
-    return ProjectionResult(P, float(defect), max(rank, 0), clearance,
+    return ProjectionResult(P, max(rank, 0), clearance,
                             float(rule.truncation_error_estimate))
 
 
@@ -141,8 +145,7 @@ def schur_projection(A, c: ContourSpec) -> ProjectionResult:
             raise SectoralError(f"LAPACK trsyl failed (info {info})")
         Z1 = Z[:, :k]
         P = Z1 @ (Z1.conj().T + (X / scale) @ Z[:, k:].conj().T)
-    defect = linalg.operator_norm_2(P @ P - P)
-    return ProjectionResult(P, float(defect), k, clearance, 0.0)
+    return ProjectionResult(P, k, clearance, 0.0)
 
 
 def eigen_projection_oracle(A, sector: Callable[[complex], bool]
@@ -167,9 +170,7 @@ def eigen_projection_oracle(A, sector: Callable[[complex], bool]
     V = dec.right_vectors
     D = np.diag(np.array(flags, dtype=complex))
     P = V @ D @ np.linalg.inv(V)
-    clearance = float("inf")
-    return ProjectionResult(P, float(linalg.operator_norm_2(P @ P - P)),
-                            int(sum(flags)), clearance, 0.0)
+    return ProjectionResult(P, int(sum(flags)), float("inf"), 0.0)
 
 
 def riesz_transform(A) -> np.ndarray:
@@ -190,8 +191,7 @@ def aps_projection(A, c: float) -> ProjectionResult:
         raise EigenvalueAtCut(f"eigenvalue within {gap:.3e} of the cut {c}")
     sel = U[:, w >= c]
     P = sel @ sel.conj().T
-    return ProjectionResult(P, float(linalg.operator_norm_2(P @ P - P)),
-                            int(sel.shape[1]), gap, 0.0)
+    return ProjectionResult(P, int(sel.shape[1]), gap, 0.0)
 
 
 def _arg_branch(lam: complex, alpha: float) -> float:

@@ -146,7 +146,9 @@ def _cosphere(a: SymbolFunction) -> tuple:
     """(theta, mu): the eigenvalues mu of a_m(theta, 1) and a_m(theta, -1)
     on 256 angles theta, shape (2, 256, N).  a_m is homogeneous of degree
     m > 0 for |xi| >= 1, where its eigenvalue |xi|^m mu has modulus r at
-    |xi| = (r/|mu|)^{1/m}."""
+    |xi| = (r/|mu|)^{1/m}; an order m <= 0 is refused with ValueError."""
+    if a.order <= 0:
+        raise ValueError(f"a_m must have positive order, got {a.order}")
     theta = TWO_PI * np.arange(256) / 256
     return theta, np.stack([np.broadcast_to(np.linalg.eigvals(_fibre_stack(
         a.principal(theta, xi), a.fiber_dim)), (256, a.fiber_dim))
@@ -292,8 +294,6 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
     eigenvalue |xi|^m mu of a_m (_cosphere) at |xi| > rho, where psi > 0."""
     lam = complex(lam)
     N = a.fiber_dim
-    if a.order <= 0:
-        raise ValueError(f"a_m must have positive order, got {a.order}")
     theta, mu = _cosphere(a)
     along = ray_distance(mu, np.angle(lam)) < ARG_RTOL * np.abs(mu)
     xi = np.divide(abs(lam), np.abs(mu), out=np.zeros(mu.shape),
@@ -326,14 +326,12 @@ def _arc_radii(a: SymbolFunction, c: ContourSpec) -> tuple:
     """(theta, xi): the radii xi = (R/|mu|)^{1/m} at which an eigenvalue
     |xi|^m mu of a_m (_cosphere) in the arc's sector meets the arc of c, 0
     for the others.  One along a ray breaks the rays' minimal growth and is
-    refused at its (theta, +-1); an order m <= 0 is refused."""
+    refused at its (theta, +-1)."""
     theta, mu = _cosphere(a)
     on_ray = np.minimum(ray_distance(mu, c.alpha1),
                         ray_distance(mu, c.alpha2)) < ARG_RTOL * np.abs(mu)
     if on_ray.any():
         raise _singular_at(theta, 1.0 * on_ray)
-    if a.order <= 0:
-        raise ValueError(f"a_m must have positive order, got {a.order}")
     inside = (mu != 0) & ((c.alpha1 - np.angle(mu)) % TWO_PI <= c.theta)
     return theta, np.divide(c.R, np.abs(mu), out=np.zeros(mu.shape),
                             where=inside) ** (1.0 / a.order)

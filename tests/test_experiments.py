@@ -280,7 +280,7 @@ def test_seminorm_principal_scaling():
     D = SplitOperator(m=1.0, K=8,
                       principal=SymbolFunction(order=1, evaluate=ev,
                                                principal=ev))
-    sem = seminorm_pc(D, k_list=(), j_max=2)
+    sem = seminorm_pc(D)
     # on |xi| = 1: |eps xi| = eps, first xi-derivative eps, theta-derivs 0
     assert sem["p"][0] == pytest.approx(eps, rel=1e-6)
     assert sem["p"][1] == pytest.approx(eps, rel=1e-4)
@@ -292,7 +292,7 @@ def test_seminorm_system_principal_is_the_fibre_spectral_norm():
     # xi-derivatives have spectral norm 1 on |xi| = 1; its second
     # xi-derivative vanishes
     D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole())
-    sem = seminorm_pc(D, k_list=(), j_max=2)
+    sem = seminorm_pc(D)
     assert sem["p"][0] == pytest.approx(1.0, rel=1e-12)
     assert sem["p"][1] == pytest.approx(1.0, rel=1e-9)
     assert sem["p"][2] == pytest.approx(1.0, rel=1e-6)
@@ -310,7 +310,7 @@ def test_split_operator_reads_its_fibre_dimension():
 def test_seminorm_lower_part_matches_direct_norm():
     K = 8
     D = presets.perturbation_cos_theta_lower(K)
-    sem = seminorm_pc(D, k_list=(0,), j_max=2)
+    sem = seminorm_pc(D)
     want = sobolev_op_norm(D.lower, D.m - 1.0, 0.0, K=K)
     assert sem["lower_norm"][0] == pytest.approx(want, rel=1e-12)
     # the cos(theta) Toeplitz multiplier has plain 2-norm < 1 and the
@@ -442,6 +442,32 @@ def test_perturbation_refuses_a_perturbation_that_does_not_fit(
                            "schur_projection": 0, "aggregate_seminorm": 0}
 
 
+def test_perturbation_refuses_a_zero_perturbation_before_projecting(
+        heavy_calls):
+    # every abscissa eps * 0 would be 0: the zero seminorm is named
+    # before any projection, in matrix and in operator mode
+    eps = np.geomspace(1e-4, 1e-1, 7)
+    c = presets.contour_imag()
+    for A, dA in ((np.diag([1.0, -1.0]), np.zeros((2, 2))),
+                  (presets.op_dtheta_shift(8), SplitOperator(1.0, 8))):
+        with pytest.raises(ValueError, match="aggregate seminorm 0"):
+            perturbation_experiment(A, dA, eps, 0.0, c)
+    assert heavy_calls["schur_projection"] == 0
+
+
+def test_perturbation_reads_no_idempotency_defect(monkeypatch):
+    # at the perturb defaults: one lower-part norm for the seminorm and
+    # one Sobolev norm per epsilon, none for the 14 projections' defects
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "operator_norm_2")
+    rep = perturbation_experiment(presets.op_variable_coeff_shift(32),
+                                  presets.perturbation_cos_theta_lower(32),
+                                  np.geomspace(1e-4, 1e-1, 13), 0.0,
+                                  presets.contour_imag())
+    assert len(rep.samples) == 13
+    assert counts["operator_norm_2"] == 14
+
+
 def test_fits_count_distinct_abscissae(heavy_calls):
     # repeated abscissae give polyfit one point to fit: they are refused
     # as too few, before anything is projected or sampled
@@ -473,6 +499,13 @@ def test_boundedness_norm_and_gap():
     assert np.allclose(norms, 1.0, atol=1e-6)
     for v in out["per_s"].values():
         assert v["gap"] <= v["norm_P"] + 1e-9
+
+
+def test_boundedness_record_keys():
+    # the exact projection has no quadrature, so no truncation estimate
+    out = boundedness_check(presets.op_dtheta_shift(32),
+                            presets.contour_imag(), [0.0])
+    assert list(out) == ["rho", "per_s"]
 
 
 def test_boundedness_stable_under_refinement():

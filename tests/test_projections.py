@@ -438,6 +438,39 @@ def test_schur_kernel_matches_dense_formula(A):
     assert res.idempotency_defect <= 1e-9 * scale ** 2
 
 
+def _grcar(n):
+    return (np.eye(n) - np.eye(n, k=-1)
+            + sum(np.eye(n, k=k) for k in (1, 2, 3)))
+
+
+def _random_hermitian(n):
+    X = np.random.default_rng(29).standard_normal((n, 2 * n)).view(complex)
+    return X + X.conj().T
+
+
+@pytest.mark.parametrize("produce", [
+    lambda c: schur_projection(
+        random_diagonalizable(np.random.default_rng(31), dim=12)[0], c),
+    lambda c: eigen_projection_oracle(
+        random_diagonalizable(np.random.default_rng(31), dim=12)[0],
+        lambda z: z.real > 0),
+    lambda c: sectorial_projection(_grcar(40), c),
+    lambda c: aps_projection(_random_hermitian(10), 0.0),
+], ids=["schur", "oracle", "quadrature_grcar40", "aps"])
+def test_idempotency_defect_is_read_from_p_once(produce, imag_contour,
+                                                monkeypatch):
+    # every producer leaves the defect to the record: ||P^2 - P||_2 is
+    # computed from P on the first read and not again
+    res = produce(imag_contour)
+    counts = {}
+    count_calls(monkeypatch, counts, linalg, "operator_norm_2")
+    assert res.idempotency_defect == float(
+        linalg.operator_norm_2(res.P @ res.P - res.P))
+    assert counts["operator_norm_2"] == 2
+    assert res.to_record()["idempotency_defect"] == res.idempotency_defect
+    assert counts["operator_norm_2"] == 2
+
+
 def test_projection_record_fields(imag_contour):
     res = sectorial_projection(np.diag([1.0, -1.0]).astype(complex),
                                imag_contour)

@@ -271,6 +271,14 @@ def test_cosphere_radii_refuse_an_order_that_is_not_positive():
         cutoff_resolvent_symbol(sym, CutoffFunction(2.0), 5.0j)
 
 
+def test_cosphere_refuses_the_order_before_the_rays():
+    # an order-0 symbol whose eigenvalue 2i lies on the ray arg = pi/2 is
+    # refused for its order, before the cosphere is sampled
+    sym = _const_symbol(lambda th, xi: 2.0j + 0j * np.asarray(th), order=0)
+    with pytest.raises(ValueError, match="positive order"):
+        choose_rho(sym, presets.contour_imag(), 16)
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_fibre_inverse_names_a_theta_independent_stack(N):
     # a (columns, 1, N, N) stack against G theta samples: the singular
@@ -645,10 +653,11 @@ def test_singular_fibre_in_a_block_named_as_on_the_scalar_path(a, lam, xi):
 
 
 def test_choose_rho_probes_the_arc_corners():
-    # the principal symbol 0.5i sign(xi) lies exactly on the arc corners
-    # R e^{+-i pi/2} of the contour, between its thinned probe nodes
+    # the principal symbol 0.5i xi lies exactly on the arc corners
+    # R e^{+-i pi/2} of the contour at |xi| = 1, between its thinned probe
+    # nodes
     c = presets.contour_imag()
-    sym = _const_symbol(lambda th, xi: 0.5j * np.sign(xi)
-                        + np.zeros(np.shape(th)), order=0)
+    sym = _const_symbol(lambda th, xi: 0.5j * np.asarray(xi, float)
+                        + np.zeros(np.shape(th)), order=1)
     with pytest.raises(SymbolSingular):
         choose_rho(sym, c, 16)
