@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import os
@@ -253,7 +254,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid("command line", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    reads it and changes nothing in it."""
     parser = _Parser(
         prog="sectoral",
         description="Sectorial spectral projections and decay-law "

@@ -178,6 +178,21 @@ def test_reports_of_one_second_are_all_kept(tmp_path, monkeypatch, capsys):
     assert _latest_json(tmp_path, "project-dtheta-")["K"] == 8
 
 
+def test_parser_is_built_once_and_keeps_no_option(tmp_path, monkeypatch,
+                                                  capsys):
+    # main parses with the one parser of the process; an option given to
+    # one call is not a default of the next
+    assert build_parser() is build_parser()
+    for argv in (["project", "--K", "8"], ["project"]):
+        code, _, _ = _run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0
+    Ks = []
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name) as fh:
+            Ks.append(json.load(fh)["K"])
+    assert Ks == [8, 16]
+
+
 def test_wodzicki_pass_and_deliberate_fail(tmp_path, monkeypatch, capsys):
     code, out, _ = _run(["wodzicki", "--preset", "dtheta_shift", "--K", "8"],
                         tmp_path, monkeypatch, capsys)

@@ -144,18 +144,23 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
     # Phi(a) = -2 pi i a^{-1} on the sector Re a > 0, 0 outside
     exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
     assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
-    # the node loop rewrites the diagonal of one shifted copy of X; the
-    # plain sum over k of w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
-    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    X_before = X.copy()
-    I6 = np.eye(6, dtype=complex)
-    got, rule = sector_phi(X, c, lambda B: linalg.solve(B, I6))
-    ref = np.zeros_like(X)
-    for lam, w in zip(rule.nodes, rule.weights / rule.nodes):
-        ref += w * linalg.solve(X - lam * I6, I6)
+    # the node loop rewrites the diagonal of one shifted copy of X and sums
+    # the inverses a block at a time (2 blocks at n = 6, 60 at n = 32, rows
+    # padded to 2 entries at n = 1) or node by node (n = 64); the plain sum
+    # over k of w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
     m2, m3 = ray_tail_moments(c)
-    assert np.array_equal(got, ref - m2 * I6 - m3 * X)
-    assert np.array_equal(X, X_before)
+    for shape in ((6, 6), (32, 32), (64, 64), (1, 1), (8, 20, 1, 1)):
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        X_before = X.copy()
+        I = np.eye(shape[-1], dtype=complex)
+        inverse = ((lambda B: 1.0 / B) if len(shape) > 2
+                   else (lambda B: linalg.solve(B, I)))
+        got, rule = sector_phi(X, c, inverse)
+        ref = np.zeros_like(X)
+        for lam, w in zip(rule.nodes, rule.weights / rule.nodes):
+            ref += w * inverse(X - lam * I)
+        assert np.array_equal(got, ref - m2 * I - m3 * X), shape
+        assert np.array_equal(X, X_before)
 
 
 def test_validate_contour_minimal_spectral_distance():
