@@ -32,8 +32,9 @@ _GAUSS_X.flags.writeable = False
 _GAUSS_W.flags.writeable = False
 # a spectrum within this distance of the contour is refused
 CLEARANCE_MIN = 1e-6
-# sector_phi sums node inverses in blocks of about this many bytes, where a
-# block holds at least this many rows (an X of at most 1,024 entries)
+# sector_phi sums node inverses in blocks of about this many bytes and of
+# at least this many rows: numpy's reduce of a few long rows costs several
+# adds (2 rows of 16,641 entries: 10.6 us against 3.7 us for one add)
 _BLOCK_BYTES = 2 ** 18
 _BLOCK_ROWS_MIN = 16
 
@@ -128,9 +129,8 @@ def sector_phi(X, c: ContourSpec, inverse) -> tuple:
     N x N matrix or a (..., N, N) stack; `inverse` inverts a shifted copy of
     X (per matrix for a stack) and must leave its argument unchanged.  This
     is the quadrature node loop of the package.  The node inverses are
-    summed in node order, a block at a time for an X of at most 1,024
-    entries and node by node above that, with the bits of the plain running
-    sum either way.  Returns (Phi, rule)."""
+    summed in node order, a block at a time, with the bits of the plain
+    running sum.  Returns (Phi, rule)."""
     rule = quad_nodes(c)
     # X - lambda I without n x n temporaries: one shifted copy of X whose
     # diagonal is rewritten at every node
@@ -143,33 +143,22 @@ def sector_phi(X, c: ContourSpec, inverse) -> tuple:
     # a row of at least 2 entries: numpy sums over rows in row order then
     # (a lone contiguous axis it sums pairwise)
     width = max(2, X.size)
-    rows = min(len(nodes) + 1, _BLOCK_BYTES // (16 * width))
-    if rows < _BLOCK_ROWS_MIN:
-        # copying a large X's inverses into blocks costs more than the numpy
-        # calls a block saves
-        phi = np.zeros(X.shape, dtype=complex)
-        for lam, coef in zip(nodes, coefs.tolist()):
+    rows = max(_BLOCK_ROWS_MIN,
+               min(len(nodes) + 1, _BLOCK_BYTES // (16 * width)))
+    # row 0 holds the running sum, rows 1.. a block's inverses, scaled and
+    # added in one call each
+    store = np.zeros((rows, width), dtype=complex)
+    inverses = store[:, :X.size].reshape((rows,) + X.shape)
+    for start in range(0, len(nodes), rows - 1):
+        block = nodes[start:start + rows - 1]
+        for i, lam in enumerate(block, 1):
             np.subtract(base, lam, out=diag)
-            # scaled in place: one more n x n temporary per node made glibc
-            # trim and re-fault the heap top on every node (n = 129: +146k
-            # faults)
-            inv = inverse(shifted)
-            phi += np.multiply(coef, inv, out=inv)
-    else:
-        # row 0 holds the running sum, rows 1.. a block's inverses, scaled
-        # and added in one call each
-        store = np.zeros((rows, width), dtype=complex)
-        inverses = store[:, :X.size].reshape((rows,) + X.shape)
-        for start in range(0, len(nodes), rows - 1):
-            block = nodes[start:start + rows - 1]
-            for i, lam in enumerate(block, 1):
-                np.subtract(base, lam, out=diag)
-                inverses[i] = inverse(shifted)
-            m = len(block) + 1
-            np.multiply(coefs[start:start + m - 1, None], store[1:m],
-                        out=store[1:m])
-            np.add.reduce(store[:m], axis=0, out=store[0])
-        phi = inverses[0]
+            inverses[i] = inverse(shifted)
+        m = len(block) + 1
+        np.multiply(coefs[start:start + m - 1, None], store[1:m],
+                    out=store[1:m])
+        np.add.reduce(store[:m], axis=0, out=store[0])
+    phi = inverses[0]
     m2, m3 = ray_tail_moments(c)
     return phi - m2 * np.eye(X.shape[-1], dtype=complex) - m3 * X, rule
 

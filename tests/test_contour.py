@@ -145,9 +145,10 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
     exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
     assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
     # the node loop rewrites the diagonal of one shifted copy of X and sums
-    # the inverses a block at a time (2 blocks at n = 6, 60 at n = 32, rows
-    # padded to 2 entries at n = 1) or node by node (n = 64); the plain sum
-    # over k of w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
+    # the inverses a block at a time (2 blocks at n = 6, 60 at n = 32 and at
+    # n = 64, where the row floor outgrows the byte budget, rows padded to 2
+    # entries at n = 1); the plain sum over k of w_k/lambda_k
+    # (X - lambda_k I)^{-1} is bit-equal
     m2, m3 = ray_tail_moments(c)
     for shape in ((6, 6), (32, 32), (64, 64), (1, 1), (8, 20, 1, 1)):
         X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
