@@ -149,8 +149,8 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
         raise ValueError(f"need 0 <= p <= m, got p={p}, m={m}")
     _check_resolved_regime(A.K, m, lambda_range, 4.0)
     grid = _ray_grid(lambda_range, n_samples, ray_angle, A)
-    I = np.eye(A.matrix.shape[0], dtype=complex)
-    samples = [(r, sobolev_inverse_norm(A.matrix - lam * I, s, s + p, K=A.K))
+    samples = [(r, sobolev_inverse_norm(linalg.shifted(A.matrix, lam), s,
+                                        s + p, K=A.K))
                for r, lam in grid]
     params = {"ray_angle": ray_angle, "s": s, "p": p, "m": m, "K": A.K}
     return _decay_report("resolvent_decay", params, lambda_range, samples,
@@ -182,10 +182,12 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
     grid = _ray_grid(lambda_range, n_samples, ray_angle, A)
     cols, rows = _window(A.K, A.fiber_dim)
     big = op_from_symbol(A.symbol, 2 * A.K).matrix
-    I = np.eye(big.shape[0], dtype=complex)
+    # the window's columns of I, the right-hand side of every solve
+    E = np.eye(big.shape[0], rows.stop - rows.start, -rows.start,
+               dtype=complex)
     samples = []
     for r, lam in grid:
-        R = linalg.solve(big - lam * I, I[:, rows])[rows]
+        R = linalg.solve(linalg.shifted(big, lam), E)[rows]
         D = _op_columns(cutoff_resolvent_symbol(A.symbol, psi, lam),
                         2 * A.K, cols)[rows] - R
         samples.append((r, sobolev_op_norm(D, s, s + m, K=A.K)))

@@ -94,6 +94,14 @@ def _singular_values(A) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
+def shifted(A, lam) -> np.ndarray:
+    """A - lam I as a new complex array, A unchanged: a copy of A with lam
+    subtracted from its diagonal, and no identity formed."""
+    S = np.array(A, dtype=complex)
+    S.flat[::S.shape[0] + 1] -= lam
+    return S
+
+
 def solve(A, B) -> np.ndarray:
     """Solve A X = B, or return A^{-1} when B is None.
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .contour import TWO_PI, ContourSpec, ray_distance, sector_phi
@@ -162,17 +163,6 @@ def _singular_at(theta, xi) -> SymbolSingular:
                           float((1 - 2 * side) * xi[side, j, k]))
 
 
-def _write_columns(M: np.ndarray, cols: np.ndarray, pos: np.ndarray,
-                   coeffs: np.ndarray) -> None:
-    """Block columns `cols` of Op(a) into positions `pos` of M, seen as an
-    (n_modes, N, n_positions, N) array, from the (len(cols), G, N, N)
-    theta-coefficients of a(., k) at those columns: block (j, k) is
-    a-hat_{j-k}(k), read at index (j - k) mod G."""
-    rows = np.arange(M.shape[0])[:, None]
-    blocks = coeffs[np.arange(cols.size), (rows - cols) % coeffs.shape[1]]
-    M[:, :, pos, :] = blocks.transpose(0, 2, 1, 3)
-
-
 def _write_diagonal(M: np.ndarray, cols: np.ndarray, pos: np.ndarray,
                     fibres: np.ndarray) -> None:
     """Diagonal blocks `cols` of Op(a) of a Fourier multiplier into
@@ -187,11 +177,12 @@ def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
     """Block columns `cols` (indices 0..2K into the modes -K..K) of Op(a):
     the N(2K+1) x N len(cols) matrix, assembled in blocks of about
     BLOCK_SAMPLES samples of the selected columns: one evaluate call, one
-    FFT along theta and one gather per block.  When the values on the first
-    block have theta-extent 1, a is a Fourier multiplier and its columns
-    are the block diagonal of a(k), the other columns read from one more
-    evaluate call: no FFT, exact zeros off the diagonal and no aliasing
-    tail.
+    FFT along theta into a buffer allocated once per call and one gather
+    per block, the gathered coefficients divided by G once at the end.
+    When the values on the first block have theta-extent 1, a is a
+    Fourier multiplier and its columns are the block diagonal of a(k), the
+    other columns read from one more evaluate call: no FFT, exact zeros off
+    the diagonal and no aliasing tail.
 
     Warns with AliasingRisk if the coefficient tail beyond degree 2K of the
     assembled columns exceeds 1e-10 relative to their largest coefficient.
@@ -218,19 +209,33 @@ def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
         if rest.size:
             _write_diagonal(M, cols[rest], rest, values(rest))
     else:
+        # one buffer per call: a block's unscaled DFT at 2K..2K+G-1, with
+        # its degrees -2K..-1 copied to 0..2K-1, so that degree d of the
+        # block's column c sits at [c, 2K + d]
+        coeffs = np.empty((first.size, 2 * K + G, N, N), dtype=complex)
+        mags = np.empty((first.size, G, N, N))
+        # block (j, k) of Op(a) is degree j - k: row j of the window at 2K - k
+        windows = sliding_window_view(coeffs[:, :2 * n_modes - 1], n_modes,
+                                      axis=1)
         max_coeff = 0.0
         max_tail = 0.0
         for start in range(0, cols.size, width):
-            pos = np.arange(start, min(start + width, cols.size))
+            pos = slice(start, start + width)
+            m = cols[pos].size
             if start > 0:
                 fibres = values(pos)
-            samples = np.broadcast_to(fibres, (pos.size, G, N, N))
-            coeffs = np.fft.fft(samples, axis=1) / G
-            mags = np.abs(coeffs)
-            max_coeff = max(max_coeff, mags.max())
+            dft = coeffs[:m, 2 * K:]
+            np.fft.fft(np.broadcast_to(fibres, (m, G, N, N)), axis=1, out=dft)
+            np.abs(dft, out=mags[:m])
+            max_coeff = max(max_coeff, mags[:m].max())
             # indices 2K+1 .. G-2K-1 hold the degrees beyond 2K
-            max_tail = max(max_tail, mags[:, 2 * K + 1:G - 2 * K].max())
-            _write_columns(M, cols[pos], pos, coeffs)
+            max_tail = max(max_tail, mags[:m, 2 * K + 1:G - 2 * K].max())
+            coeffs[:m, :2 * K] = coeffs[:m, G:]
+            blocks = windows[np.arange(m), 2 * K - cols[pos]]
+            M[:, :, pos, :] = blocks.transpose(3, 1, 0, 2)
+        # each entry divided by G once, as the scaled DFT would have it
+        M /= G
+        # the ratio of unscaled maxima: the scale 1/G cancels
         if max_coeff > 0 and max_tail > ALIASING_TOL * max_coeff:
             warnings.warn(AliasingRisk(
                 f"coefficient tail beyond degree {2 * K} is "
@@ -256,7 +261,9 @@ def _sobolev_weighted(M, s: float, t: float, K: int) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     k = np.repeat(np.arange(-K, K + 1), _fiber_dim(M.shape[0], K))
     w = 1.0 + k.astype(float)**2
-    return M * (w ** (t / 2.0))[:, None] / (w ** (s / 2.0))[None, :]
+    out = M * (w ** (t / 2.0))[:, None]
+    out /= (w ** (s / 2.0))[None, :]
+    return out
 
 
 def sobolev_op_norm(T, s: float, t: float, K: int) -> float:
@@ -308,9 +315,18 @@ def cutoff_resolvent_symbol(a: SymbolFunction, psi: CutoffFunction,
         against xi, so the resolvent of a multiplier is a multiplier."""
         xi = np.asarray(xi, dtype=float)
         w = np.asarray(weight(xi))[..., None, None]
-        fibres = np.where(w != 0, a.principal(theta, xi)
-                          - shift * np.eye(N), np.eye(N))
-        return w * _fibre_inverse(fibres, theta, xi)
+        I = np.eye(N)
+        # one expression, so that numpy can reuse the principal values'
+        # temporary; either way fibres is a new array, written below
+        fibres = a.principal(theta, xi) - shift * I
+        shape = np.broadcast_shapes(fibres.shape, w.shape)
+        if fibres.shape != shape:
+            # a principal part independent of xi, spread over the xi column
+            fibres = np.broadcast_to(fibres, shape).copy()
+        np.copyto(fibres, I, where=w == 0)
+        inverse = _fibre_inverse(fibres, theta, xi)
+        inverse *= w
+        return inverse
 
     def evaluate(theta, xi):
         return _resolvent(theta, xi, lam, psi)

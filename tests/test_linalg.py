@@ -340,3 +340,15 @@ def test_solve_upper_triangular_inverse_uses_trtri(monkeypatch):
     assert np.linalg.norm(U @ X - np.eye(9)) <= 1e-13
     # the inverse of an upper-triangular matrix is exactly upper triangular
     assert not X[np.tril_indices(9, -1)].any()
+
+
+@pytest.mark.parametrize("lam", [2.5, -3.0 + 4.0j, 1j, 0.0])
+def test_shifted_is_a_minus_lam_identity_and_leaves_a(lam):
+    rng = np.random.default_rng(11)
+    for A in (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)),
+              rng.standard_normal((5, 5)), np.triu(np.ones((4, 4)))):
+        before = A.copy()
+        S = linalg.shifted(A, lam)
+        assert S.dtype == complex and S is not A
+        assert (S == A - lam * np.eye(len(A))).all()
+        assert np.array_equal(A, before) and A.dtype == before.dtype

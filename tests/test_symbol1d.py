@@ -188,6 +188,18 @@ def test_cutoff_resolvent_of_a_multiplier_below_the_cutoff_is_zero():
     assert got.ravel().tolist() == [-0.125, 0.0, 0.25]
 
 
+def test_cutoff_resolvent_of_an_xi_independent_principal_spans_xi():
+    # a principal part that depends on neither theta nor xi: its resolvent
+    # is spread over the xi column, the zero-weight row exactly 0
+    psi = CutoffFunction(2.0)
+    a = _const_symbol(lambda th, xi: np.full((), 2.0 + 0j), order=1)
+    xi = np.array([[-3.0], [1.0], [4.0]])
+    got = cutoff_resolvent_symbol(a, psi, 5.0j).evaluate(np.zeros(8), xi)
+    assert got.shape == (3, 1, 1, 1)
+    assert np.array_equal(got.ravel(),
+                          psi(xi[:, 0]) * (1.0 / np.full(3, 2.0 - 5.0j)))
+
+
 @pytest.mark.parametrize("a, lam", [
     (presets.symbol_c_theta_times_xi(), 2.0),
     (presets.symbol_pauli_monopole(), 1.0),
@@ -433,22 +445,25 @@ def test_product_of_systems_is_the_fibre_product_g_f():
 # ---------------------------------------------------------------------------
 # block assembly of Op(a)
 
-def _op_by_columns(a, K):
-    """Op(a) one Fourier column at a time, one evaluate call and one FFT
-    per mode: the reference for the block assembly."""
+def _op_by_columns(a, K, cols=None):
+    """Op(a), or its block columns `cols`, one Fourier column at a time:
+    one evaluate call and one FFT per mode, the DFT divided by G and block
+    (j, k) read at index (j - k) mod G.  The reference for the block
+    assembly; it shares no code with _op_columns."""
     n_modes = 2 * K + 1
     G = 4 * n_modes
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
-    M = np.zeros((n_modes, N, n_modes, N), dtype=complex)
-    for col, k in enumerate(range(-K, K + 1)):
+    cols = range(n_modes) if cols is None else cols
+    M = np.zeros((n_modes, N, len(cols), N), dtype=complex)
+    for pos, col in enumerate(cols):
         # a theta-independent value is spread over the theta grid
         samples = np.broadcast_to(np.asarray(
-            a.evaluate(theta, float(k)), dtype=complex).reshape(-1, N, N),
-            (G, N, N))
+            a.evaluate(theta, float(col - K)), dtype=complex).reshape(
+                -1, N, N), (G, N, N))
         coeffs = np.fft.fft(samples, axis=0) / G
-        M[:, :, col, :] = coeffs[(np.arange(n_modes) - col) % G]
-    return M.reshape(N * n_modes, N * n_modes)
+        M[:, :, pos, :] = coeffs[(np.arange(n_modes) - col) % G]
+    return M.reshape(N * n_modes, N * len(cols))
 
 
 def _block_widths(K, N):
@@ -661,3 +676,36 @@ def test_choose_rho_probes_the_arc_corners():
                         + np.zeros(np.shape(th)), order=1)
     with pytest.raises(SymbolSingular):
         choose_rho(sym, c, 16)
+
+
+def _variable_coeff_shift():
+    return presets.get_operator("variable_coeff_shift", 4).symbol
+
+
+# (symbol, K, columns) for the naive-oracle check of _op_columns
+ORACLE_CASES = {
+    # 513 columns: several blocks, the last one partial
+    "variable_coeff_shift": lambda: (_variable_coeff_shift(), 256,
+                                     np.arange(513)),
+    "window": lambda: (_variable_coeff_shift(), 64, np.arange(35, 100)),
+    # psi(k) = 0 for |k| <= 4
+    "resolvent_rho4": lambda: (cutoff_resolvent_symbol(
+        presets.symbol_c_theta_times_xi(), CutoffFunction(4.0), 20j), 64,
+        np.arange(129)),
+    "pauli": lambda: (presets.symbol_pauli_monopole(), 64, np.arange(129)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_op_columns_equal_a_naive_per_column_assembly(case):
+    a, K, cols = ORACLE_CASES[case]()
+    widths = _block_widths(K, a.fiber_dim)
+    assert len(widths) > 2 and widths[-1] < widths[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingRisk)
+        got = symbol1d._op_columns(a, K, cols)
+    assert np.array_equal(got, _op_by_columns(a, K, cols))
+    if case == "resolvent_rho4":
+        # the zero-weight columns are exactly 0, and only those
+        zero = np.abs(cols - K) <= 4
+        assert not got[:, zero].any() and got[:, ~zero].any(axis=0).all()
