@@ -175,10 +175,10 @@ def _cmd_parametrix(opt: dict) -> dict:
 
 
 def _cmd_compose(opt: dict) -> dict:
-    f_family, g_family, r, m, tol = presets.lookup(
+    f_family, g_family, tol = presets.lookup(
         "pairs", "pair", opt["pair"])(opt["rho"])
     rep = composition_gap_experiment(
-        f_family, g_family, r, m, opt["s"],
+        f_family, g_family, opt["s"],
         (opt["lambda_min"], opt["lambda_max"]), opt["K"], opt["n_samples"],
         tolerance=tol)
     return _experiment_record(rep, opt["pair"], {"K": opt["K"]})

@@ -16,12 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .contour import ContourSpec, ray_distance
+from .contour import CLEARANCE_MIN, ContourSpec, ray_distance
 from .errors import (ClearanceLost, InsufficientSpan, RangeOutsideResolvedRegime,
                      RayHitsSpectrum, SpectrumOnContour)
 from .projections import schur_projection
 from .symbol1d import (CutoffFunction, DiscretizedOperator, SymbolFunction,
-                       _fiber_dim, _op_columns, _pointwise_product, choose_rho,
+                       _op_columns, _pointwise_product, choose_rho,
                        cutoff_resolvent_symbol, op_from_symbol,
                        parametrix_phi0, sobolev_inverse_norm, sobolev_op_norm)
 
@@ -85,7 +85,7 @@ def _ray_grid(lambda_range, n_samples, ray_angle: float, A=None) -> list:
     """(|lambda|, lambda) pairs, geometric in |lambda| over lambda_range (12
     per decade unless n_samples is given), on the ray at ray_angle.  Fewer
     than MIN_FIT_SAMPLES are refused (InsufficientSpan), then a spectrum of
-    the operator A within 1e-6 of the ray (RayHitsSpectrum)."""
+    the operator A within CLEARANCE_MIN of the ray (RayHitsSpectrum)."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not 0 < lo < hi:
         raise ValueError("lambda_range must satisfy 0 < min < max")
@@ -96,7 +96,7 @@ def _ray_grid(lambda_range, n_samples, ray_angle: float, A=None) -> list:
     if A is not None:
         dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
                             ray_angle)
-        if dist.min() <= 1e-6:
+        if dist.min() <= CLEARANCE_MIN:
             raise RayHitsSpectrum(f"spectrum within {dist.min():.3e} of "
                                   f"the ray at angle {ray_angle}")
     return [(float(r), complex(r * np.exp(1j * ray_angle))) for r in radii]
@@ -197,13 +197,14 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
                          expected_slope=-min(1.0 / m, 1.0), tolerance=0.15)
 
 
-def composition_gap_experiment(f_family, g_family, r: float, m: float,
-                               s: float, lambda_range, K: int,
-                               n_samples=None, tolerance=0.15
+def composition_gap_experiment(f_family, g_family, s: float, lambda_range,
+                               K: int, n_samples=None, tolerance=0.15
                                ) -> ExperimentReport:
     """Sampled ||Op(g)Op(f) - Op(g f)||_{s, s+m-r} for lambda-dependent
     symbol families f (order r) and g (order -m); expected decay exponent
-    -min(1/m, 1).  A gap that vanishes identically (commuting multipliers)
+    -min(1/m, 1).  r and m are read from the declared orders of the first
+    lambda's pair, and orders outside 0 <= r <= m are refused with
+    ValueError.  A gap that vanishes identically (commuting multipliers)
     is reported as degenerate_zero and passes vacuously; a g whose Op(g)
     is zero on every window column (a cutoff radius >= K) is refused with
     ValueError.
@@ -214,15 +215,17 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
     O(1/K) artifact there that is not part of the composition error.  The
     window of Op(g)Op(f) needs all columns of Op(g) but only the window's
     columns of Op(f), so Op(f) and Op(g f) are assembled on those alone."""
+    grid = _ray_grid(lambda_range, n_samples, np.pi / 2)
+    pairs = [(f_family(lam), g_family(lam)) for _, lam in grid]
+    f, g = pairs[0]
+    r, m = float(f.order), -float(g.order)
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     # same low-mode support argument as the parametrix gap: ceiling (K/2)^m
     _check_resolved_regime(K, m, lambda_range, 2.0)
+    cols, rows = _window(K, f.fiber_dim)
     samples = []
-    for radius, lam in _ray_grid(lambda_range, n_samples, np.pi / 2):
-        f = f_family(lam)
-        g = g_family(lam)
-        cols, rows = _window(K, f.fiber_dim)
+    for (radius, _), (f, g) in zip(grid, pairs):
         Mg = op_from_symbol(g, 2 * K).matrix
         if not Mg[:, rows].any():
             raise ValueError(f"Op(g) is zero on every mode |k| <= K = {K}, "
@@ -242,27 +245,11 @@ def composition_gap_experiment(f_family, g_family, r: float, m: float,
 @dataclass
 class SplitOperator:
     """An operator difference in split form: homogeneous principal symbol
-    plus a lower-order matrix part (already discretized)."""
+    plus a lower-order matrix part (already discretized).  Its order, modes
+    and fibre are those of the operator it perturbs."""
 
-    m: float
-    K: int
     principal: Optional[SymbolFunction] = None
     lower: Optional[np.ndarray] = None
-
-    @property
-    def fiber_dim(self) -> int:
-        if self.principal is not None:
-            return self.principal.fiber_dim
-        return 1 if self.lower is None else _fiber_dim(len(self.lower), self.K)
-
-    def matrix(self) -> np.ndarray:
-        dim = self.fiber_dim * (2 * self.K + 1)
-        M = np.zeros((dim, dim), dtype=complex)
-        if self.principal is not None:
-            M += op_from_symbol(self.principal, self.K).matrix
-        if self.lower is not None:
-            M += np.asarray(self.lower, dtype=complex)
-        return M
 
 
 def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
@@ -276,12 +263,13 @@ def _theta_spectral_derivs(samples: np.ndarray, j_max: int) -> list:
     return out
 
 
-def seminorm_pc(D: SplitOperator) -> dict:
-    """The fixed seminorm family of the operator topology, realized
-    discretely: p_j (j <= 2) = sup of theta- and xi-derivatives of the
-    principal symbol up to total order j on |xi| = 1 (theta derivatives
-    spectral, xi derivatives by central finite differences), each measured
-    by the spectral norm of its fibre, and ||lower part||_{m-1,0} (k = 0)."""
+def seminorm_pc(D: SplitOperator, A: DiscretizedOperator) -> dict:
+    """The fixed seminorm family of the operator topology at the operator
+    A, realized discretely: p_j (j <= 2) = sup of theta- and
+    xi-derivatives of the principal symbol up to total order j on |xi| = 1
+    (theta derivatives spectral, xi derivatives by central finite
+    differences), each measured by the spectral norm of its fibre, and
+    ||lower part||_{m-1,0} (k = 0), with A's order m and modes K."""
     p = {}
     if D.principal is not None:
         G = 256
@@ -307,14 +295,14 @@ def seminorm_pc(D: SplitOperator) -> dict:
             p[j] = max(v for (a, b), v in sup.items() if a + b <= j)
     lower_norms = {}
     if D.lower is not None:
-        lower_norms[0] = sobolev_op_norm(D.lower, D.m - 1, 0, K=D.K)
+        lower_norms[0] = sobolev_op_norm(D.lower, A.order - 1, 0, K=A.K)
     return {"p": p, "lower_norm": lower_norms}
 
 
-def aggregate_seminorm(D: SplitOperator) -> float:
-    """Max over the finite seminorm family of seminorm_pc; one abscissa
-    for the continuity experiment."""
-    sem = seminorm_pc(D)
+def aggregate_seminorm(D: SplitOperator, A: DiscretizedOperator) -> float:
+    """Max over the finite seminorm family of seminorm_pc at A; one
+    abscissa for the continuity experiment."""
+    sem = seminorm_pc(D, A)
     vals = list(sem["p"].values()) + list(sem["lower_norm"].values())
     return max(vals) if vals else 0.0
 
@@ -330,14 +318,15 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     P is the exact projection of projections.schur_projection: the
     experiment consumes P and does not test its quadrature.
 
-    Fewer than MIN_FIT_SAMPLES distinct epsilons are refused as
-    InsufficientSpan, and an epsilon that is not finite and > 0, a
-    perturbation whose matrix order or K differs from the operator's or
-    one of aggregate seminorm 0 as ValueError, before any projection.
-    Samples whose perturbed operator loses contour clearance are
-    rejected and recorded; if every epsilon is rejected, ClearanceLost is
-    raised, and fewer than MIN_FIT_SAMPLES samples left are refused as
-    InsufficientSpan.
+    The perturbation is assembled on A's modes, and its seminorm is taken
+    at A's order.  Fewer than MIN_FIT_SAMPLES distinct epsilons are refused
+    as InsufficientSpan, and an epsilon that is not finite and > 0, a
+    principal part of another order than A's, a perturbation whose shape
+    differs from A's or one of aggregate seminorm 0 as ValueError, before
+    any projection.  Samples whose perturbed operator loses contour
+    clearance are rejected and recorded; if every epsilon is rejected,
+    ClearanceLost is raised, and fewer than MIN_FIT_SAMPLES samples left
+    are refused as InsufficientSpan.
     """
     _check_fit_samples(epsilons)
     for eps in epsilons:
@@ -346,15 +335,25 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     if not isinstance(A, DiscretizedOperator):
         # the operator on the one mode k = 0, whose Sobolev weights are 1
         A = DiscretizedOperator(linalg.as_matrix(A), 0, 1.0)
-        dA = SplitOperator(1.0, 0, lower=linalg.as_matrix(dA))
+        dA = SplitOperator(lower=linalg.as_matrix(dA))
     elif not isinstance(dA, SplitOperator):
         raise TypeError("operator-mode perturbation needs a SplitOperator")
-    M, dM = A.matrix, dA.matrix()
-    if dM.shape != M.shape or dA.K != A.K:
-        raise ValueError(f"perturbation of order {len(dM)} (K = {dA.K}) "
-                         f"does not fit the operator of order {len(M)} "
-                         f"(K = {A.K})")
-    x_unit = aggregate_seminorm(dA)
+    M = A.matrix
+    parts = []
+    if dA.principal is not None:
+        if dA.principal.order != A.order:
+            raise ValueError(f"principal part of order {dA.principal.order} "
+                             f"perturbs an operator of order {A.order}")
+        parts.append(op_from_symbol(dA.principal, A.K).matrix)
+    if dA.lower is not None:
+        parts.append(np.asarray(dA.lower, dtype=complex))
+    for part in parts:
+        if part.shape != M.shape:
+            raise ValueError(f"perturbation of shape {part.shape} does not "
+                             f"fit the operator of order {len(M)} "
+                             f"(K = {A.K})")
+    dM = sum(parts, np.zeros_like(M))
+    x_unit = aggregate_seminorm(dA, A)
     if x_unit == 0:
         raise ValueError("the perturbation has aggregate seminorm 0, so "
                          "every abscissa of the fit is 0")
@@ -371,7 +370,7 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
         y = sobolev_op_norm(res.P - base.P, s, s, K=A.K)
         x = eps * x_unit
         samples.append((x, y))
-        ratios.append([eps, y / x if x > 0 else float("nan")])
+        ratios.append([eps, y / x])
     if rejected and not samples:
         raise ClearanceLost(rejected[0])
     params = {"kind_detail": "perturbation", "s": s,

@@ -33,18 +33,6 @@ def symbol_c_theta_times_xi() -> SymbolFunction:
     return SymbolFunction(order=1, evaluate=f, principal=f)
 
 
-def symbol_pauli_monopole() -> SymbolFunction:
-    sx, sy = topology.PAULI[0], topology.PAULI[1]
-
-    def evaluate(theta, xi):
-        theta = np.asarray(theta, float)[..., None, None]
-        return np.asarray(xi, float)[..., None, None] * (
-            np.cos(theta) * sx + np.sin(theta) * sy) + 0j
-
-    return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
-                          fiber_dim=2)
-
-
 # ---------------------------------------------------------------------------
 # operator presets (factories take the mode cutoff K)
 
@@ -90,7 +78,7 @@ OPERATOR_PRESETS = {
 def perturbation_cos_theta_lower(K: int) -> SplitOperator:
     f = lambda theta, xi: np.cos(np.asarray(theta))[..., None, None] + 0j
     sym = SymbolFunction(order=0, evaluate=f, principal=f)
-    return SplitOperator(m=1.0, K=K, lower=op_from_symbol(sym, K).matrix)
+    return SplitOperator(lower=op_from_symbol(sym, K).matrix)
 
 
 PERTURBATION_PRESETS = {
@@ -101,8 +89,8 @@ PERTURBATION_PRESETS = {
 
 # ---------------------------------------------------------------------------
 # composition-gap symbol pairs (factories take the cutoff radius rho and
-# return the lambda-dependent families f and g, the order r of f, the order
-# m of the resolvent and the slope tolerance: (f, g, r, m, tolerance))
+# return the lambda-dependent families f and g, whose declared orders fix
+# the experiment's r and m, and the slope tolerance: (f, g, tolerance))
 
 def _cutoff_resolvent_family(a: SymbolFunction, rho: float):
     psi = CutoffFunction(rho)
@@ -112,13 +100,13 @@ def _cutoff_resolvent_family(a: SymbolFunction, rho: float):
 def pair_resolvent(rho: float) -> tuple:
     am = symbol_c_theta_times_xi()
     f_family = lambda lam: _combine(am, -lam)
-    return f_family, _cutoff_resolvent_family(am, rho), 1.0, 1.0, 0.15
+    return f_family, _cutoff_resolvent_family(am, rho), 0.15
 
 
 def pair_multiplier(rho: float) -> tuple:
     xi = symbol_xi()
     f_family = lambda lam: _combine(xi, -lam)
-    return f_family, _cutoff_resolvent_family(xi, rho), 1.0, 1.0, 0.15
+    return f_family, _cutoff_resolvent_family(xi, rho), 0.15
 
 
 def pair_order_zero(rho: float) -> tuple:
@@ -127,7 +115,7 @@ def pair_order_zero(rho: float) -> tuple:
                            * xi)[..., None, None]
     phase_xi = SymbolFunction(order=1, evaluate=b, principal=b)
     f_family = lambda lam: _pointwise_product(g_family(lam), phase_xi)
-    return f_family, g_family, 0.0, 1.0, 0.2
+    return f_family, g_family, 0.2
 
 
 PAIR_PRESETS = {

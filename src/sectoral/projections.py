@@ -72,11 +72,17 @@ def _matrix_of(A):
 
 
 def _schur_form(A, c: ContourSpec) -> tuple:
-    """(T, Z, clearance): the complex Schur form M = Z T Z* of A's matrix
-    and the clearance of T's diagonal from the contour, refused by
-    contour.validate_contour; the preamble of both projectors."""
+    """(T, Z, clearance, select): the complex Schur form M = Z T Z* of A's
+    matrix, the clearance of T's diagonal from the contour, refused by
+    contour.validate_contour, and the mask of the diagonal entries in the
+    sector of c (|lambda| > R, arg lambda in (alpha2, alpha1)), whose count
+    is the rank of the projection; the preamble of both projectors."""
     T, Z = scipy.linalg.schur(_matrix_of(A), output="complex")
-    return T, Z, validate_contour(np.diag(T), c)
+    d = np.diag(T)
+    clearance = validate_contour(d, c)
+    select = (np.abs(d) > c.R) & ((c.alpha1 - np.angle(d)) % TWO_PI
+                                  < c.theta)
+    return T, Z, clearance, select
 
 
 def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
@@ -95,8 +101,10 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     the diagonal d of T.  A diagonal T (a Fourier multiplier's) runs
     through sector_phi as the (n, 1, 1) stack of d, one division per node;
     solve's pivot floor is then checked on the nodes where it can break.
+    rank_estimate counts the d in the sector, apart from the quadrature,
+    so that `resolved` checks the trace of P against it.
     """
-    T, Z, clearance = _schur_form(A, c)
+    T, Z, clearance, select = _schur_form(A, c)
     d = np.diag(T)
     if linalg.is_diagonal(T):
         phi, rule = sector_phi(d[:, None, None], c, lambda x: 1.0 / x)
@@ -112,8 +120,7 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     else:
         phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
     P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
-    rank = int(round(np.trace(P).real))
-    return ProjectionResult(P, max(rank, 0), clearance,
+    return ProjectionResult(P, int(select.sum()), clearance,
                             float(rule.truncation_error_estimate))
 
 
@@ -128,11 +135,8 @@ def schur_projection(A, c: ContourSpec) -> ProjectionResult:
     Z* (Stewart, SIAM Rev. 15, 1973; Bai & Demmel, SIMAX 19, 1998).  No
     eigenvectors are formed, so Jordan blocks are exact.  A LAPACK failure
     raises SectoralError; truncation_error_estimate is 0 (no quadrature)."""
-    T, Z, clearance = _schur_form(A, c)
-    d = np.diag(T)
-    select = (np.abs(d) > c.R) & ((c.alpha1 - np.angle(d)) % TWO_PI
-                                  < c.theta)
-    n, k = len(d), int(select.sum())
+    T, Z, clearance, select = _schur_form(A, c)
+    n, k = len(select), int(select.sum())
     if k in (0, n):
         P = np.eye(n, dtype=complex) if k else np.zeros((n, n), complex)
     else:

@@ -16,10 +16,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .contour import ray_distance
+from .contour import CLEARANCE_MIN, ray_distance
 from .errors import EigenvalueOnAxis, RoundingUnsafe
 
-AXIS_CLEARANCE = 1e-6
 ROUNDING_LIMIT = 0.05
 
 
@@ -29,7 +28,7 @@ def component_index(a) -> int:
     hyperbolic matrices."""
     values = np.linalg.eigvals(linalg.as_matrix(a))
     min_clear = float(np.abs(values.real).min())
-    if min_clear <= AXIS_CLEARANCE:
+    if min_clear <= CLEARANCE_MIN:
         raise EigenvalueOnAxis(
             f"eigenvalue within {min_clear:.3e} of the imaginary axis")
     return int(np.count_nonzero(values.real > 0))

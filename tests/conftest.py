@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random matrix factories."""
+"""Shared test helpers: seeded random matrix factories and the Pauli
+monopole symbol, the 2 x 2 system symbol of the symbol-calculus tests."""
 import os
 
 # One BLAS thread, set before numpy loads its BLAS: the contour quadrature
@@ -11,7 +12,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from sectoral import topology
 from sectoral.contour import make_sector_contour
+from sectoral.symbol1d import SymbolFunction
 
 
 def random_diagonalizable(rng, dim=None, cond_max=1e3, min_abs_re=0.7,
@@ -42,6 +45,19 @@ def random_diagonalizable(rng, dim=None, cond_max=1e3, min_abs_re=0.7,
     V = q1 @ np.diag(sing) @ q2
     A = V @ np.diag(values) @ np.linalg.inv(V)
     return A, values, V
+
+
+def symbol_pauli_monopole() -> SymbolFunction:
+    """xi (cos theta sigma_x + sin theta sigma_y), order 1, 2 x 2 fibres."""
+    sx, sy = topology.PAULI[0], topology.PAULI[1]
+
+    def evaluate(theta, xi):
+        theta = np.asarray(theta, float)[..., None, None]
+        return np.asarray(xi, float)[..., None, None] * (
+            np.cos(theta) * sx + np.sin(theta) * sy) + 0j
+
+    return SymbolFunction(order=1, evaluate=evaluate, principal=evaluate,
+                          fiber_dim=2)
 
 
 def count_calls(monkeypatch, counts, module, name):

@@ -86,12 +86,11 @@ def _run_suite():
                                   and rep.r_squared >= 0.98)}
 
     # -- criterion 5: composition gap -------------------------------------
-    f_fam, g_fam, r, m, tol = presets.pair_resolvent(1.0)
-    rep = composition_gap_experiment(f_fam, g_fam, r, m, 0.0, (10.0, 50.0),
+    f_fam, g_fam, tol = presets.pair_resolvent(1.0)
+    rep = composition_gap_experiment(f_fam, g_fam, 0.0, (10.0, 50.0),
                                      K=128, tolerance=tol)
-    f2, g2, r2_, m2_, _ = presets.pair_multiplier(1.0)
-    rep0 = composition_gap_experiment(f2, g2, r2_, m2_, 0.0, (10.0, 50.0),
-                                      K=128)
+    f2, g2, _ = presets.pair_multiplier(1.0)
+    rep0 = composition_gap_experiment(f2, g2, 0.0, (10.0, 50.0), K=128)
     max_gap0 = max(y for _, y in rep0.samples)
     records["c5"] = {"slope": rep.fitted_slope, "r_squared": rep.r_squared,
                      "multiplier_max_gap": max_gap0,

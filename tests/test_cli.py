@@ -12,6 +12,7 @@ from sectoral import cli, presets
 from sectoral.cli import (_SAMPLES, COMMANDS, KEYS, build_parser,
                           canonical_json, load_config, main)
 from sectoral.errors import ConfigInvalid
+from sectoral.symbol1d import sobolev_op_norm
 
 
 def _run(argv, tmp_path, monkeypatch, capsys):
@@ -216,6 +217,20 @@ def test_wodzicki_pass_and_deliberate_fail(tmp_path, monkeypatch, capsys):
     assert rec["residual"] <= 1e-6
     assert rec["contour"]["alpha1"] == rec["alpha1"] == 4.71238898038469
     assert rec["contour"]["alpha2"] == rec["alpha2"] == 1.5707963267948966
+
+
+def test_perturb_measures_the_lower_part_at_the_operator_order(
+        tmp_path, monkeypatch, capsys):
+    # the lower part of a perturbation of an order-2 operator is measured
+    # as an operator of order 1, ||lower||_{1,0}
+    code, _, _ = _run(["perturb", "--preset", "variable_coeff_m2", "--K",
+                       "32"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    rec = _latest_json(tmp_path, "perturbation-variable_coeff_m2-")
+    lower = presets.perturbation_cos_theta_lower(32).lower
+    want = sobolev_op_norm(lower, 1.0, 0.0, K=32)
+    assert rec["parameters"]["seminorm_unit"] == want
+    assert want == pytest.approx(0.74505, abs=5e-6)
 
 
 def test_perturb_small_run(tmp_path, monkeypatch, capsys):

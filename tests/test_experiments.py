@@ -15,10 +15,10 @@ from sectoral.experiments import (ExperimentReport, SplitOperator,
                                   perturbation_experiment,
                                   resolvent_decay_experiment, seminorm_pc)
 from sectoral.projections import sectorial_projection
-from sectoral.symbol1d import (CutoffFunction, cutoff_resolvent_symbol,
-                               op_from_symbol, sobolev_inverse_norm,
-                               sobolev_op_norm)
-from conftest import count_calls
+from sectoral.symbol1d import (CutoffFunction, SymbolFunction,
+                               cutoff_resolvent_symbol, op_from_symbol,
+                               sobolev_inverse_norm, sobolev_op_norm)
+from conftest import count_calls, symbol_pauli_monopole
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,8 @@ def test_composition_gap_degenerate_for_commuting_multipliers():
         psi = CutoffFunction(1.0)
         return cutoff_resolvent_symbol(a, psi, lam)
 
-    rep = composition_gap_experiment(f_family, g_family, 1.0, 1.0, 0.0,
-                                     (4.0, 45.0), K=96)
+    rep = composition_gap_experiment(f_family, g_family, 0.0, (4.0, 45.0),
+                                     K=96)
     assert rep.parameters["degenerate_zero"]
     assert rep.passed
     # both are multipliers, so both matrices are exactly diagonal
@@ -217,7 +217,7 @@ def assembled_columns(monkeypatch):
 def test_composition_gap_assembles_f_and_gf_on_the_window_only(
         assembled_columns):
     K, K2 = 16, 32
-    f_family, g_family, r, m, tol = presets.pair_resolvent(1.0)
+    f_family, g_family, tol = presets.pair_resolvent(1.0)
     made = {"f": [], "g": []}
 
     def f_fam(lam):
@@ -232,9 +232,11 @@ def test_composition_gap_assembles_f_and_gf_on_the_window_only(
         return next((k for k, syms in made.items()
                      if any(a is b for b in syms)), "gf")
 
-    rep = composition_gap_experiment(f_fam, g_fam, r, m, 0.0, (2.0, 8.0),
-                                     K=K, n_samples=4, tolerance=tol)
-    assert len(rep.samples) == len(made["f"]) == 4
+    rep = composition_gap_experiment(f_fam, g_fam, 0.0, (2.0, 8.0), K=K,
+                                     n_samples=4, tolerance=tol)
+    # each lambda's pair is built once
+    assert len(rep.samples) == len(made["f"]) == len(made["g"]) == 4
+    assert (rep.parameters["r"], rep.parameters["m"]) == (1.0, 1.0)
     # per lambda: Op(g) on all 2K2+1 columns, Op(f) and Op(g f) on 2K+1
     got = sorted((kind(a), KK, n) for a, KK, n in assembled_columns)
     assert got == ([("f", K2, 2 * K + 1)] * 4 + [("g", K2, 2 * K2 + 1)] * 4
@@ -252,21 +254,32 @@ def test_parametrix_gap_assembles_the_window_only(assembled_columns):
         [(True, K2, 2 * K2 + 1)] + [(False, K2, 2 * A.K + 1)] * 4)
 
 
-def test_composition_gap_range_guard():
+def test_composition_gap_range_guard(assembled_columns):
+    # the resolvent pair has m = 1: at K = 8 the ceiling is (8/2)^1 = 4,
+    # and lambda up to 100 is refused before anything is assembled
+    f_family, g_family, tol = presets.pair_resolvent(1.0)
+    with pytest.raises(RangeOutsideResolvedRegime, match=r"\(K/2\)\^m = 4"):
+        composition_gap_experiment(f_family, g_family, 0.0, (1.0, 100.0),
+                                   K=8, tolerance=tol)
+    assert assembled_columns == []
+
+
+def test_composition_gap_refuses_orders_outside_the_range(assembled_columns):
+    # f = g = xi declares r = 1 and m = -1, which breaks 0 <= r <= m:
+    # refused from the declared orders before any Op(a) is assembled
     def fam(lam):
         return presets.symbol_xi()
 
-    with pytest.raises(RangeOutsideResolvedRegime):
-        composition_gap_experiment(fam, fam, 1.0, 1.0, 0.0, (1.0, 100.0),
-                                   K=32)
+    with pytest.raises(ValueError, match=r"r=1\.0, m=-1\.0"):
+        composition_gap_experiment(fam, fam, 0.0, (1.0, 4.0), K=32)
+    assert assembled_columns == []
 
 
 # ---------------------------------------------------------------------------
 # seminorms
 
 def test_seminorm_zero_difference():
-    D = SplitOperator(m=1.0, K=8)
-    assert aggregate_seminorm(D) == 0.0
+    assert aggregate_seminorm(SplitOperator(), presets.op_dtheta(8)) == 0.0
 
 
 def test_seminorm_principal_scaling():
@@ -276,11 +289,9 @@ def test_seminorm_principal_scaling():
         return np.full_like(np.asarray(theta, float), eps * xi,
                             dtype=complex)[..., None, None]
 
-    from sectoral.symbol1d import SymbolFunction
-    D = SplitOperator(m=1.0, K=8,
-                      principal=SymbolFunction(order=1, evaluate=ev,
+    D = SplitOperator(principal=SymbolFunction(order=1, evaluate=ev,
                                                principal=ev))
-    sem = seminorm_pc(D)
+    sem = seminorm_pc(D, presets.op_dtheta(8))
     # on |xi| = 1: |eps xi| = eps, first xi-derivative eps, theta-derivs 0
     assert sem["p"][0] == pytest.approx(eps, rel=1e-6)
     assert sem["p"][1] == pytest.approx(eps, rel=1e-4)
@@ -291,31 +302,26 @@ def test_seminorm_system_principal_is_the_fibre_spectral_norm():
     # xi (cos theta sx + sin theta sy) and its theta- and first
     # xi-derivatives have spectral norm 1 on |xi| = 1; its second
     # xi-derivative vanishes
-    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole())
-    sem = seminorm_pc(D)
+    D = SplitOperator(principal=symbol_pauli_monopole())
+    sem = seminorm_pc(D, presets.op_dtheta(8))
     assert sem["p"][0] == pytest.approx(1.0, rel=1e-12)
     assert sem["p"][1] == pytest.approx(1.0, rel=1e-9)
     assert sem["p"][2] == pytest.approx(1.0, rel=1e-6)
 
 
-def test_split_operator_reads_its_fibre_dimension():
-    # from the principal symbol, or else from the order of the lower part
-    D = SplitOperator(m=1.0, K=8, principal=presets.symbol_pauli_monopole())
-    assert D.fiber_dim == 2
-    assert np.array_equal(D.matrix(), op_from_symbol(D.principal, 8).matrix)
-    assert SplitOperator(m=1.0, K=8, lower=np.eye(34)).fiber_dim == 2
-    assert SplitOperator(m=1.0, K=8).matrix().shape == (17, 17)
-
-
 def test_seminorm_lower_part_matches_direct_norm():
     K = 8
     D = presets.perturbation_cos_theta_lower(K)
-    sem = seminorm_pc(D)
-    want = sobolev_op_norm(D.lower, D.m - 1.0, 0.0, K=K)
+    sem = seminorm_pc(D, presets.op_dtheta_shift(K))
+    want = sobolev_op_norm(D.lower, 0.0, 0.0, K=K)
     assert sem["lower_norm"][0] == pytest.approx(want, rel=1e-12)
     # the cos(theta) Toeplitz multiplier has plain 2-norm < 1 and the
     # (0, 0)-weighted norm reduces to it when m = 1
     assert 0.9 < want <= 1.0
+    # at an operator of order 2 the lower part is measured in order 1
+    sem2 = seminorm_pc(D, presets.op_variable_coeff_m2(K))
+    assert sem2["lower_norm"][0] == sobolev_op_norm(D.lower, 1.0, 0.0, K=K)
+    assert sem2["lower_norm"][0] < want
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +349,7 @@ def test_perturbation_matrix_is_the_one_mode_operator():
     matrix = perturbation_experiment(A, dA, eps, 0.0, c)
     operator = perturbation_experiment(
         symbol1d.DiscretizedOperator(A, 0, 1.0),
-        SplitOperator(1.0, 0, lower=dA), eps, 0.0, c)
+        SplitOperator(lower=dA), eps, 0.0, c)
     assert matrix.to_json_dict() == operator.to_json_dict()
     assert matrix.parameters["seminorm_unit"] == linalg.operator_norm_2(dA)
 
@@ -426,18 +432,40 @@ def test_perturbation_refuses_a_bad_epsilon_before_projecting(heavy_calls,
 
 def test_perturbation_refuses_a_perturbation_that_does_not_fit(
         heavy_calls, monkeypatch):
-    # a perturbation of another order or K is named before the seminorm
-    # and before any projection, in operator and in matrix mode
+    # a perturbation of another shape is named, with the operator's order
+    # and K, before the seminorm and before any projection, in operator
+    # and in matrix mode
     count_calls(monkeypatch, heavy_calls, experiments, "aggregate_seminorm")
     eps = [1e-3, 1e-2, 1e-1, 0.2]
     c = presets.contour_imag()
     for A, dA, want in ((presets.op_dtheta_shift(8),
                          presets.perturbation_cos_theta_lower(16),
-                         r"order 33 \(K = 16\).*order 17 \(K = 8\)"),
+                         r"shape \(33, 33\).*order 17 \(K = 8\)"),
+                        (presets.op_dtheta_shift(8),
+                         SplitOperator(principal=symbol_pauli_monopole()),
+                         r"shape \(34, 34\).*order 17 \(K = 8\)"),
                         (np.diag([1.0, -1.0]).astype(complex), np.eye(3),
-                         r"order 3 \(K = 0\).*order 2 \(K = 0\)")):
+                         r"shape \(3, 3\).*order 2 \(K = 0\)")):
         with pytest.raises(ValueError, match=want):
             perturbation_experiment(A, dA, eps, 0.0, c)
+    assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
+                           "schur_projection": 0, "aggregate_seminorm": 0}
+
+
+def test_perturbation_refuses_a_principal_part_of_another_order(
+        heavy_calls, monkeypatch):
+    # the principal part of a perturbation of an order-1 operator has
+    # order 1: one of order 2 is named with both orders before the
+    # seminorm and before any projection
+    count_calls(monkeypatch, heavy_calls, experiments, "aggregate_seminorm")
+    f = lambda theta, xi: (np.cos(np.asarray(theta, float)) * xi * xi
+                           + 0j)[..., None, None]
+    dA = SplitOperator(principal=SymbolFunction(order=2, evaluate=f,
+                                                principal=f))
+    with pytest.raises(ValueError, match=r"order 2 .*order 1$"):
+        perturbation_experiment(presets.op_dtheta_shift(8), dA,
+                                [1e-3, 1e-2, 1e-1, 0.2], 0.0,
+                                presets.contour_imag())
     assert heavy_calls == {"solve": 0, "inverse_norm_2": 0,
                            "schur_projection": 0, "aggregate_seminorm": 0}
 
@@ -449,7 +477,7 @@ def test_perturbation_refuses_a_zero_perturbation_before_projecting(
     eps = np.geomspace(1e-4, 1e-1, 7)
     c = presets.contour_imag()
     for A, dA in ((np.diag([1.0, -1.0]), np.zeros((2, 2))),
-                  (presets.op_dtheta_shift(8), SplitOperator(1.0, 8))):
+                  (presets.op_dtheta_shift(8), SplitOperator())):
         with pytest.raises(ValueError, match="aggregate seminorm 0"):
             perturbation_experiment(A, dA, eps, 0.0, c)
     assert heavy_calls["schur_projection"] == 0

@@ -62,6 +62,27 @@ def _package_trees():
             for path in sorted(src.glob("*.py"))}
 
 
+def _module_level_names(tree):
+    """The names a module binds at its top level: functions, classes and
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from (n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _names_read(trees):
+    """Every name the trees load, or read as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
 def test_package_has_no_unused_import():
     # a name bound by an import is read in its module (or, in __init__,
     # exported through __all__)
@@ -88,28 +109,10 @@ def test_package_has_no_unused_import():
 def test_private_module_names_have_a_caller_in_the_package():
     # a module-level _name that only tests reach is code kept for its test
     trees = _package_trees()
-    defined = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined.update((module, name) for name in names
-                           if name.startswith("_")
-                           and not name.startswith("__"))
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    defined = {(module, name) for module, tree in trees.items()
+               for name in _module_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
+    read = _names_read(trees.values())
     assert sorted(f"{m}: {n}" for m, n in defined if n not in read) == []
 
 
@@ -118,16 +121,26 @@ def test_module_level_names_are_defined_once():
     # can drift apart: the second module imports it instead
     homes = {}
     for module, tree in _package_trees().items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
-                homes.setdefault(name, set()).add(module)
+        for name in _module_level_names(tree):
+            homes.setdefault(name, set()).add(module)
     assert {n: sorted(m) for n, m in homes.items() if len(m) > 1} == {}
+
+
+def test_public_module_names_are_read_exported_or_benchmarked():
+    # a public module-level name is read somewhere in the package, exported
+    # through sectoral.__all__, or named by the benchmark (as a name, an
+    # attribute, an import or a string); one that only tests reach belongs
+    # with the tests
+    trees = _package_trees()
+    defined = {(module, name) for module, tree in trees.items()
+               for name in _module_level_names(tree)
+               if not name.startswith("_")}
+    bench = [ast.parse(path.read_text()) for path in sorted(
+        (Path(__file__).parent.parent / "perfbench").glob("*.py"))]
+    read = _names_read(trees.values()) | _names_read(bench)
+    read |= set(sectoral.__all__)
+    read |= {node.name for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.alias)}
+    read |= {node.value for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(f"{m}: {n}" for m, n in defined if n not in read) == []

@@ -226,6 +226,22 @@ def test_schur_projection_matches_the_quadrature():
     assert linalg.operator_norm_2(got.P - want.P) <= 1e-11 * scale
 
 
+def test_both_projectors_count_the_sector_for_their_rank(imag_contour):
+    # the rank is the count of Schur diagonal entries in the sector, not
+    # read from the quadrature's trace: equal on criterion 1's inputs
+    rng = np.random.default_rng(20250601)
+    for _ in range(100):
+        A, _, _ = random_diagonalizable(rng)
+        assert (sectorial_projection(A, imag_contour).rank_estimate
+                == schur_projection(A, imag_contour).rank_estimate)
+    # 0.3 lies inside the arc (|0.3| < R = 0.5, Re > 0): both exclude it
+    A = np.array([[0.3, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, -1.5]],
+                 dtype=complex)
+    got = sectorial_projection(A, imag_contour)
+    assert got.rank_estimate == schur_projection(A, imag_contour).rank_estimate
+    assert got.rank_estimate == 1 and got.resolved
+
+
 def test_schur_projection_of_jordan_blocks():
     # V diag(J_3(l_in), J_2(l_out)) V^-1 has no eigenbasis: the oracle
     # refuses it, the projection is V diag(I_3, 0) V^-1

@@ -8,13 +8,12 @@ import pytest
 from sectoral import presets, symbol1d, topology
 from sectoral.contour import make_sector_contour
 from sectoral.errors import AliasingRisk, SymbolSingular
-from sectoral.experiments import SplitOperator
 from sectoral.symbol1d import (CutoffFunction, DiscretizedOperator,
                                SymbolFunction, _combine,
                                choose_rho, cutoff_resolvent_symbol,
                                op_from_symbol, parametrix_phi0,
                                sobolev_op_norm)
-from conftest import count_calls
+from conftest import count_calls, symbol_pauli_monopole
 
 
 def _const_symbol(fn, order=0):
@@ -99,8 +98,7 @@ def test_matrix_order_must_be_a_multiple_of_the_mode_count():
     # 18 is not a multiple of 2K + 1 = 17: every reader of the fibre
     # dimension refuses it, naming the order and K
     reads = (lambda: DiscretizedOperator(np.eye(18), 8, 1.0).fiber_dim,
-             lambda: sobolev_op_norm(np.eye(18), 0.0, 1.0, K=8),
-             lambda: SplitOperator(m=1.0, K=8, lower=np.eye(18)).matrix())
+             lambda: sobolev_op_norm(np.eye(18), 0.0, 1.0, K=8))
     for read in reads:
         with pytest.raises(ValueError, match=r"order 18 .*\(K = 8\)"):
             read()
@@ -112,8 +110,7 @@ def test_matrix_order_must_be_a_multiple_of_the_mode_count():
     # no order is a positive multiple of 2K + 1 < 0; one mode (K = 0)
     # takes any order
     for read in (lambda: DiscretizedOperator(np.eye(3), -1, 1.0),
-                 lambda: sobolev_op_norm(np.eye(3), 0.0, 1.0, K=-1),
-                 lambda: SplitOperator(m=1.0, K=-1, lower=np.eye(3)).matrix()):
+                 lambda: sobolev_op_norm(np.eye(3), 0.0, 1.0, K=-1)):
         with pytest.raises(ValueError, match=r"order 3 .*\(K = -1\)"):
             read()
     assert DiscretizedOperator(np.eye(3), 0, 1.0).fiber_dim == 3
@@ -202,7 +199,7 @@ def test_cutoff_resolvent_of_an_xi_independent_principal_spans_xi():
 
 @pytest.mark.parametrize("a, lam", [
     (presets.symbol_c_theta_times_xi(), 2.0),
-    (presets.symbol_pauli_monopole(), 1.0),
+    (symbol_pauli_monopole(), 1.0),
 ], ids=["c_theta_times_xi", "pauli_monopole"])
 def test_cutoff_resolvent_below_the_cutoff_is_zero(a, lam):
     # a_m(theta, 1) - lam is singular at a grid angle (pi/2 and 0) and
@@ -226,7 +223,7 @@ def test_choose_rho_for_presets():
     assert choose_rho(presets.symbol_c_theta_times_xi(), c, 16) == 1
     symbols = [presets.get_operator(name, 2).symbol
                for name in presets.OPERATOR_PRESETS]
-    symbols.append(presets.symbol_pauli_monopole())
+    symbols.append(symbol_pauli_monopole())
     for c in (presets.contour_imag(), make_sector_contour(2.0, 0.5, 9.0)):
         assert [choose_rho(a, c, 16) for a in symbols] == [1] * 6
 
@@ -269,9 +266,9 @@ def test_cutoff_resolvent_precondition_where_the_cutoff_is_active():
     with pytest.raises(SymbolSingular) as err:
         cutoff_resolvent_symbol(presets.symbol_xi(), psi, -3.0)
     assert err.value.xi == -3.0
-    cutoff_resolvent_symbol(presets.symbol_pauli_monopole(), psi, -1.5)
+    cutoff_resolvent_symbol(symbol_pauli_monopole(), psi, -1.5)
     with pytest.raises(SymbolSingular):
-        cutoff_resolvent_symbol(presets.symbol_pauli_monopole(), psi, -3.0)
+        cutoff_resolvent_symbol(symbol_pauli_monopole(), psi, -3.0)
 
 
 def test_cosphere_radii_refuse_an_order_that_is_not_positive():
@@ -340,7 +337,7 @@ def test_parametrix_phi0_consistent_with_nodewise_assembly():
 
 def test_parametrix_phi0_system_consistent_with_nodewise_assembly():
     # N = 2: the 2x2 fibre inverses and block columns of the same assembly
-    _check_phi0_against_nodewise_assembly(presets.symbol_pauli_monopole(),
+    _check_phi0_against_nodewise_assembly(symbol_pauli_monopole(),
                                           contextlib.nullcontext())
 
 
@@ -400,7 +397,7 @@ def test_check_classical_accepts_presets_and_rejects_fakes():
 
 
 def test_op_from_symbol_system_blocks():
-    sym = presets.symbol_pauli_monopole()
+    sym = symbol_pauli_monopole()
     A = op_from_symbol(sym, 3)
     assert A.fiber_dim == 2
     assert A.matrix.shape == (14, 14)
@@ -410,11 +407,11 @@ def test_op_from_symbol_system_blocks():
 
 
 def test_shift_of_a_system_is_shift_times_identity():
-    sym = symbol1d._combine(presets.symbol_pauli_monopole(), 0.3)
+    sym = symbol1d._combine(symbol_pauli_monopole(), 0.3)
     assert np.array_equal(sym.evaluate(0.0, 2.0), [[0.3, 2.0], [2.0, 0.3]])
     theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     xi = np.arange(-3.0, 4.0)[:, None]
-    pauli = presets.symbol_pauli_monopole().evaluate(theta, xi)
+    pauli = symbol_pauli_monopole().evaluate(theta, xi)
     assert np.array_equal(sym.evaluate(theta, xi), pauli + 0.3 * np.eye(2))
     # a scalar symbol keeps its shape, a multiplier its theta-extent 1
     scalar = symbol1d._combine(presets.symbol_xi(), 0.3).evaluate(theta, xi)
@@ -478,13 +475,13 @@ def _block_case_symbols():
     psi = CutoffFunction(2.5)
     cases = {name: presets.get_operator(name, 2).symbol
              for name in presets.OPERATOR_PRESETS}
-    cases["pauli_monopole"] = presets.symbol_pauli_monopole()
+    cases["pauli_monopole"] = symbol_pauli_monopole()
     cases["cos_theta"] = _const_symbol(
         lambda th, xi: np.cos(np.asarray(th)) + 0j)
     cases["resolvent_xi"] = cutoff_resolvent_symbol(
         presets.symbol_xi(), psi, 7.5j)
     cases["resolvent_pauli"] = cutoff_resolvent_symbol(
-        presets.symbol_pauli_monopole(), psi, 3.0 + 4.5j)
+        symbol_pauli_monopole(), psi, 3.0 + 4.5j)
     for name, (factory, _) in presets.PAIR_PRESETS.items():
         f_family, g_family = factory(4.0)[:2]
         f, g = f_family(20j), g_family(20j)
@@ -643,7 +640,7 @@ def test_aliasing_warning_from_the_last_block_only():
     # (2 + cos theta) xi = 14 on the grid only at theta = pi/2, xi = 7
     (presets.symbol_c_theta_times_xi(), 14.0, 7.0),
     # eigenvalues +-xi of the Pauli symbol hit 5 first at xi = -5
-    (presets.symbol_pauli_monopole(), 5.0, -5.0),
+    (symbol_pauli_monopole(), 5.0, -5.0),
 ])
 def test_singular_fibre_in_a_block_named_as_on_the_scalar_path(a, lam, xi):
     K = BLOCK_KS[1]
@@ -692,7 +689,7 @@ ORACLE_CASES = {
     "resolvent_rho4": lambda: (cutoff_resolvent_symbol(
         presets.symbol_c_theta_times_xi(), CutoffFunction(4.0), 20j), 64,
         np.arange(129)),
-    "pauli": lambda: (presets.symbol_pauli_monopole(), 64, np.arange(129)),
+    "pauli": lambda: (symbol_pauli_monopole(), 64, np.arange(129)),
 }
 
 

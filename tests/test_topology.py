@@ -56,7 +56,7 @@ def test_spectral_flow_constant_and_loop():
 
 
 def test_spectral_flow_rejects_axis_endpoint():
-    for start in (0.0, 1e-6):  # on the axis, and within AXIS_CLEARANCE
+    for start in (0.0, 1e-6):  # on the axis, and within CLEARANCE_MIN
         p = lambda t: np.diag([start + t, -1.0]).astype(complex)
         with pytest.raises(EigenvalueOnAxis):
             spectral_flow(p)
