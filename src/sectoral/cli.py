@@ -186,11 +186,11 @@ def _cmd_compose(opt: dict) -> dict:
 
 def _cmd_obstruction(opt: dict) -> dict:
     proj = presets.lookup("bundles", "preset", opt["preset"])
-    # obstruction_demo refuses a non-projector family and an unsafe
-    # rounding, so a record it returns passes
-    return dict(topology.obstruction_demo(proj, opt["level"]),
-                experiment_kind="obstruction", preset=opt["preset"],
-                **{"pass": True})
+    expected = topology.BUNDLE_PRESETS[opt["preset"]][2]
+    rec = topology.obstruction_demo(proj, opt["level"])
+    return dict(rec, experiment_kind="obstruction", preset=opt["preset"],
+                expected_chern_number=expected,
+                **{"pass": rec["chern_number"] == expected})
 
 
 def _cmd_wodzicki(opt: dict) -> dict:
@@ -210,8 +210,11 @@ def _cmd_wodzicki(opt: dict) -> dict:
 
 def _cmd_spectral_flow(opt: dict) -> dict:
     path = presets.lookup("paths", "path", opt["path"])
+    expected = presets.PATH_PRESETS[opt["path"]][2]
+    flow = int(topology.spectral_flow(path))
     return {"experiment_kind": "spectral_flow", "preset": opt["path"],
-            "flow": int(topology.spectral_flow(path)), "pass": True}
+            "flow": flow, "expected_flow": expected,
+            "pass": flow == expected}
 
 
 _SAMPLES = ("s", "lambda_min", "lambda_max", "n_samples")

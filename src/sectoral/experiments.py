@@ -94,8 +94,12 @@ def _ray_grid(lambda_range, n_samples, ray_angle: float, A=None) -> list:
     radii = np.geomspace(lo, hi, max(n_samples, 0))
     _check_fit_samples(radii)
     if A is not None:
-        dist = ray_distance(np.linalg.eigvals(linalg.as_matrix(A.matrix)),
-                            ray_angle)
+        M = linalg.as_matrix(A.matrix)
+        # a diagonal operator's (a Fourier multiplier's) spectrum is its
+        # diagonal
+        spectrum = (M.diagonal() if linalg.is_diagonal(M)
+                    else np.linalg.eigvals(M))
+        dist = ray_distance(spectrum, ray_angle)
         if dist.min() <= CLEARANCE_MIN:
             raise RayHitsSpectrum(f"spectrum within {dist.min():.3e} of "
                                   f"the ray at angle {ray_angle}")
@@ -149,8 +153,11 @@ def resolvent_decay_experiment(A: DiscretizedOperator, ray_angle: float,
         raise ValueError(f"need 0 <= p <= m, got p={p}, m={m}")
     _check_resolved_regime(A.K, m, lambda_range, 4.0)
     grid = _ray_grid(lambda_range, n_samples, ray_angle, A)
-    samples = [(r, sobolev_inverse_norm(linalg.shifted(A.matrix, lam), s,
-                                        s + p, K=A.K))
+    # a diagonal A (a Fourier multiplier) is sampled on its diagonal alone,
+    # with the arithmetic of the matrix's diagonal entries
+    M = A.matrix.diagonal() if linalg.is_diagonal(A.matrix) else A.matrix
+    samples = [(r, sobolev_inverse_norm(linalg.shifted(M, lam), s, s + p,
+                                        K=A.K))
                for r, lam in grid]
     params = {"ray_angle": ray_angle, "s": s, "p": p, "m": m, "K": A.K}
     return _decay_report("resolvent_decay", params, lambda_range, samples,

@@ -57,20 +57,13 @@ class EigenDecomposition:
 
 
 @functools.lru_cache(maxsize=64)
-def _strict_lower(n):
-    """Boolean mask of the strict lower triangle of an n x n matrix, built
-    once per n and shared read-only."""
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def _is_upper_triangular(A) -> bool:
-    # the corner test rejects a full matrix in one scalar read; the masked
-    # reduction then reads the strict lower triangle in place (gathering it
-    # first would copy half the matrix: 2 MB at n = 513)
-    n = A.shape[0]
-    return n > 1 and A[-1, 0] == 0 and not A.any(where=_strict_lower(n))
+def _strict_lower_weights(n):
+    """The n * n weights 1 on the strict lower triangle of a flattened
+    C-ordered n x n matrix and 0 elsewhere, built once per n and shared
+    read-only."""
+    weights = np.tri(n, k=-1).ravel()
+    weights.flags.writeable = False
+    return weights
 
 
 def is_diagonal(A) -> bool:
@@ -86,19 +79,26 @@ def is_diagonal(A) -> bool:
 
 def _singular_values(A) -> np.ndarray:
     """Singular values of a validated square A in descending order.  A
-    diagonal A (as Op(a) of a Fourier multiplier) has the moduli of its
-    diagonal as singular values; anything else goes through one
-    values-only SVD."""
-    if is_diagonal(A):
-        return np.sort(np.abs(A.diagonal()))[::-1]
-    return np.linalg.svd(A, compute_uv=False)
+    diagonal A (as Op(a) of a Fourier multiplier), or a 1-D A holding the
+    diagonal of one, has the moduli of its diagonal as singular values;
+    anything else goes through one values-only SVD."""
+    if A.ndim == 2:
+        if not is_diagonal(A):
+            return np.linalg.svd(A, compute_uv=False)
+        A = A.diagonal()
+    return np.sort(np.abs(A))[::-1]
 
 
 def shifted(A, lam) -> np.ndarray:
     """A - lam I as a new complex array, A unchanged: a copy of A with lam
-    subtracted from its diagonal, and no identity formed."""
+    subtracted from its diagonal, and no identity formed.  A 1-D A is the
+    diagonal of a diagonal matrix, and lam is subtracted from every
+    entry."""
     S = np.array(A, dtype=complex)
-    S.flat[::S.shape[0] + 1] -= lam
+    if S.ndim == 1:
+        S -= lam
+    else:
+        S.flat[::S.shape[0] + 1] -= lam
     return S
 
 
@@ -117,29 +117,37 @@ def solve(A, B) -> np.ndarray:
     A is validated as by `as_matrix`, but in one pass over |A|: NaN and inf
     propagate through max|A|, so only a non-finite maximum is checked
     entry by entry (a finite entry whose modulus overflows passes that
-    check and is refused by the pivot floor), and a triangular A's pivots
-    are read from the same |A|.  B must be 1-D or 2-D with as many rows as
+    check and is refused by the pivot floor).  The same |A|, flattened in
+    C order, gives the triangular test (its strict lower triangle weighted
+    by 1, the rest by 0, sums to exactly 0) and a triangular A's pivots
+    (its entries n + 1 apart).  B must be 1-D or 2-D with as many rows as
     A.
     """
     A = _square(np.asarray(A, dtype=complex))
-    if A.size == 0:
+    n = A.shape[0]
+    if n == 0:
         raise ValueError("cannot solve with an empty matrix")
-    mag = np.abs(A)
-    scale = mag.max()
+    mag = np.abs(A, order="C").ravel()
+    scale = np.maximum.reduce(mag)
+    nonzero = mag
     if not math.isfinite(scale):
         _check_finite(A)
+        # an overflowed |a| = inf weighted by 0 is NaN; min(|A|, 1) is
+        # finite and zero exactly where |A| is
+        nonzero = np.minimum(mag, 1.0)
     if B is not None:
         B = np.asarray(B, dtype=complex)
         if B.ndim not in (1, 2):
             raise ValueError(f"B must be 1-D or 2-D, got shape {B.shape}")
-        if B.shape[0] != A.shape[0]:
+        if B.shape[0] != n:
             raise ValueError("dimension mismatch between A and B")
     threshold = PIVOT_REL_THRESHOLD * max(scale, 1e-300)
-    triangular = B is None and _is_upper_triangular(A)
+    triangular = (B is None and n > 1
+                  and _strict_lower_weights(n) @ nonzero == 0)
     if triangular:
-        min_pivot = mag.diagonal().min()
+        min_pivot = np.minimum.reduce(mag[::n + 1])
     # |A| is not held across LAPACK: 2 MB at n = 513
-    del mag
+    del mag, nonzero
     if not triangular:
         # getrf reports an exact zero pivot via info > 0; the pivot floor
         # below refuses it together with the nearly singular cases
@@ -155,7 +163,7 @@ def solve(A, B) -> np.ndarray:
     else:
         routine = "getrs"
         if B is None:
-            B = np.eye(A.shape[0], dtype=complex)
+            B = np.eye(n, dtype=complex)
         X, info = _getrs(lu, piv, B)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
@@ -164,10 +172,14 @@ def solve(A, B) -> np.ndarray:
 
 def inverse_norm_2(A) -> float:
     """||A^{-1}||_2 = 1 / sigma_min(A), from the singular values of
-    `_singular_values` and without forming A^{-1}.  Raises SingularMatrix
-    (carrying sigma_min) when sigma_min <= PIVOT_REL_THRESHOLD *
-    sigma_max."""
-    A = as_matrix(A)
+    `_singular_values` and without forming A^{-1}; a 1-D A is the
+    diagonal of a diagonal matrix.  Raises SingularMatrix (carrying
+    sigma_min) when sigma_min <= PIVOT_REL_THRESHOLD * sigma_max."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim == 1:
+        _check_finite(A)
+    else:
+        A = as_matrix(A)
     if A.size == 0:
         raise ValueError("cannot invert an empty matrix")
     sigma = _singular_values(A)

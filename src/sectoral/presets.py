@@ -3,7 +3,8 @@ symbol pairs, the standard contour and matrix paths.
 
 Presets are the only way operators and symbols enter through the CLI;
 arbitrary expressions are out of scope.  Each registry maps a name that a
-subcommand accepts to a factory plus a description for ``list-presets``;
+subcommand accepts to a factory plus a description for ``list-presets``
+(a path or a bundle adds the flow or Chern number its record must show);
 ``REGISTRIES`` holds them all, the sphere bundles of
 ``topology.BUNDLE_PRESETS`` included, and ``lookup`` resolves a name.
 """
@@ -154,12 +155,14 @@ def path_loop(t: float) -> np.ndarray:
     return np.diag([1.0 + 0.5 * np.exp(2j * np.pi * t), -1.0 + 0j])
 
 
+# name -> (path, description, expected spectral flow)
 PATH_PRESETS = {
     "crossing": (path_crossing,
-                 "diag(t-1/2, -1): one eigenvalue crosses the axis at t=1/2"),
-    "constant": (path_constant, "diag(1, -1), no crossings"),
+                 "diag(t-1/2, -1): one eigenvalue crosses the axis at t=1/2",
+                 1),
+    "constant": (path_constant, "diag(1, -1), no crossings", 0),
     "loop": (path_loop,
-             "closed loop diag(1 + 0.5 e^{2 pi i t}, -1); flow 0"),
+             "closed loop diag(1 + 0.5 e^{2 pi i t}, -1); flow 0", 0),
 }
 
 # every name a subcommand accepts, by the registry it is looked up in
@@ -191,6 +194,6 @@ def describe_presets() -> str:
     lines = []
     for title, registry in REGISTRIES.items():
         lines.append(f"[{title}]")
-        for name, (_, desc) in sorted(registry.items()):
-            lines.append(f"  {name}: {desc}")
+        for name, entry in sorted(registry.items()):
+            lines.append(f"  {name}: {entry[1]}")
     return "\n".join(lines) + "\n"

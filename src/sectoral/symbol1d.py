@@ -257,12 +257,14 @@ def op_from_symbol(a: SymbolFunction, K: int) -> DiscretizedOperator:
 
 def _sobolev_weighted(M, s: float, t: float, K: int) -> np.ndarray:
     """W_t M W_s^{-1} for a matrix on modes |k| <= K, its fibre dimension
-    read from its order."""
+    read from its order.  A 1-D M is the diagonal of a diagonal matrix,
+    weighted entry by entry as that matrix's diagonal is."""
     M = np.asarray(M, dtype=complex)
     k = np.repeat(np.arange(-K, K + 1), _fiber_dim(M.shape[0], K))
     w = 1.0 + k.astype(float)**2
-    out = M * (w ** (t / 2.0))[:, None]
-    out /= (w ** (s / 2.0))[None, :]
+    rows = w ** (t / 2.0)
+    out = M * (rows if M.ndim == 1 else rows[:, None])
+    out /= w ** (s / 2.0)
     return out
 
 

@@ -204,13 +204,15 @@ def trivial_projector(xi: np.ndarray) -> np.ndarray:
     return np.diag([1.0, 0j]) + np.zeros(np.shape(xi)[:-1] + (1, 1))
 
 
+# name -> (projector map, description, expected Chern number)
 BUNDLE_PRESETS = {
     "monopole": (monopole_projector,
-                 "P(xi) = (I + xi.sigma)/2; Chern number +1, obstructed"),
+                 "P(xi) = (I + xi.sigma)/2; Chern number +1, obstructed", 1),
     "antimonopole": (antimonopole_projector,
-                     "P(xi) = (I - xi.sigma)/2; Chern number -1, obstructed"),
+                     "P(xi) = (I - xi.sigma)/2; Chern number -1, obstructed",
+                     -1),
     "trivial": (trivial_projector,
-                "constant rank-1 projector; Chern number 0, extendable"),
+                "constant rank-1 projector; Chern number 0, extendable", 0),
 }
 
 

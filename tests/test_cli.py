@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sectoral import cli, presets
+from sectoral import cli, presets, topology
 from sectoral.cli import (_SAMPLES, COMMANDS, KEYS, build_parser,
                           canonical_json, load_config, main)
 from sectoral.errors import ConfigInvalid
@@ -127,6 +127,28 @@ def test_spectral_flow_presets(tmp_path, monkeypatch, capsys):
                       tmp_path, monkeypatch, capsys)
     assert code == 0
     assert _latest_json(tmp_path, "spectral_flow-loop-")["flow"] == 0
+
+
+@pytest.mark.parametrize("argv, registry, name, prefix, key", [
+    (["spectral-flow", "--path", "crossing"], presets.PATH_PRESETS,
+     "crossing", "spectral_flow-crossing-", "expected_flow"),
+    (["obstruction", "--preset", "antimonopole", "--level", "2"],
+     topology.BUNDLE_PRESETS, "antimonopole",
+     "obstruction-antimonopole-", "expected_chern_number")])
+def test_topology_pass_flag_compares_with_the_expected_value(
+        argv, registry, name, prefix, key, tmp_path, monkeypatch, capsys):
+    # the record passes when the computed flow or Chern number is the
+    # preset's, and fails (exit 2) when it is not
+    code, out, _ = _run(argv, tmp_path, monkeypatch, capsys)
+    rec = _latest_json(tmp_path, prefix)
+    assert code == 0 and ": pass ->" in out
+    assert rec["pass"] is True and rec[key] == registry[name][2]
+    factory, desc, expected = registry[name]
+    monkeypatch.setitem(registry, name, (factory, desc, expected + 1))
+    code, out, _ = _run(argv, tmp_path, monkeypatch, capsys)
+    rec = _latest_json(tmp_path, prefix)
+    assert code == 2 and ": FAIL ->" in out
+    assert rec["pass"] is False and rec[key] == expected + 1
 
 
 def test_compose_gap_order_zero_pair(tmp_path, monkeypatch, capsys):

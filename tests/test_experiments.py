@@ -87,6 +87,27 @@ def test_resolvent_decay_norm_matches_formed_inverse(p):
         assert value == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("K, lambda_range", [(16, (1.0, 4.0)),
+                                             (64, (1.6, 16.0))])
+@pytest.mark.parametrize("s, p", [(0.0, 0.0), (0.5, 0.5), (1.5, 1.0)])
+def test_resolvent_decay_of_a_multiplier_samples_its_diagonal(
+        K, lambda_range, s, p, monkeypatch):
+    # a Fourier multiplier is shifted and weighted on its diagonal alone,
+    # and every sample has the bits of the route through the dense matrix
+    A = presets.op_dtheta_shift(K)
+    ray = np.pi / 2
+    dense = [sobolev_inverse_norm(linalg.shifted(A.matrix, lam), s, s + p,
+                                  K=K)
+             for _, lam in experiments._ray_grid(lambda_range, None, ray)]
+    shapes = []
+    shifted = linalg.shifted
+    monkeypatch.setattr(linalg, "shifted", lambda M, lam: (
+        shapes.append(np.shape(M)), shifted(M, lam))[1])
+    rep = resolvent_decay_experiment(A, ray, s, p, lambda_range)
+    assert [value for _, value in rep.samples] == dense
+    assert shapes == [(2 * K + 1,)] * len(dense)
+
+
 def test_parametrix_gap_matches_formed_inverse():
     # the samples solve only for the window's columns of the resolvent;
     # they must equal the gap computed from the full formed inverse
@@ -158,6 +179,19 @@ def test_resolvent_decay_rejects_ray_through_spectrum():
     # a grid too short to fit is refused first
     with pytest.raises(InsufficientSpan):
         resolvent_decay_experiment(A, 0.0, 0.0, 0.0, (1.0, 4.0), n_samples=3)
+
+
+def test_resolvent_decay_reads_a_multiplier_spectrum_from_its_diagonal(
+        monkeypatch):
+    # -i d/dtheta has the eigenvalue 0 on every ray; a diagonal operator's
+    # spectrum is its diagonal, with no eigenvalue solver
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("eigvals called on a diagonal operator")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    with pytest.raises(RayHitsSpectrum):
+        resolvent_decay_experiment(presets.op_dtheta(16), 0.0, 0.0, 0.0,
+                                   (1.0, 4.0))
 
 
 def test_parametrix_gap_rejects_ray_through_spectrum():

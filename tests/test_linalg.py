@@ -110,6 +110,27 @@ def test_singular_values_diagonal_refusals():
         linalg.inverse_norm_2(np.zeros((0, 0)))
 
 
+def test_inverse_norm_of_a_diagonal_given_as_its_diagonal():
+    # a 1-D array is the diagonal of a diagonal matrix: the same norm, the
+    # same refusals and the same SingularMatrix payload
+    d = np.array([2.0 - 1j, -0.5, 3j, 1e-3])
+    assert linalg.inverse_norm_2(d) == linalg.inverse_norm_2(np.diag(d))
+    assert np.array_equal(linalg.shifted(d, 0.25 + 1j),
+                          np.diag(linalg.shifted(np.diag(d), 0.25 + 1j)))
+    for zero in (np.array([1.0, 0.0, -2.0]), np.array([1e-14, 1.0]),
+                 np.zeros(2)):
+        payloads = []
+        for A in (zero, np.diag(zero)):
+            with pytest.raises(SingularMatrix) as exc:
+                linalg.inverse_norm_2(A)
+            payloads.append(exc.value.pivot_magnitude)
+        assert payloads[0] == payloads[1]
+    with pytest.raises(ValueError, match="finite"):
+        linalg.inverse_norm_2(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="empty"):
+        linalg.inverse_norm_2(np.zeros(0))
+
+
 @pytest.mark.parametrize("i, j", [(0, 5), (5, 0), (2, 3), (4, 1)])
 def test_singular_values_one_off_diagonal_entry_takes_the_svd(i, j):
     rng = np.random.default_rng(i + 7 * j)
@@ -299,6 +320,22 @@ def test_solve_refusals(A, B, error, message, monkeypatch):
         assert str(exc.value) == message
     else:
         assert exc.value.pivot_magnitude < np.inf
+
+
+def test_solve_overflowing_modulus_keeps_the_triangular_test_exact(
+        monkeypatch):
+    # a finite entry with |a| = inf: the zeros below the diagonal are still
+    # seen (inf * 0 is NaN in a 0/1-weighted sum of |A|), so the inverse is
+    # refused by the pivot floor with the diagonal pivot, before getrf
+    def no_lu(*args, **kwargs):
+        raise AssertionError("getrf called on a triangular matrix")
+
+    monkeypatch.setattr(linalg, "_getrf", no_lu)
+    with pytest.raises(SingularMatrix) as exc:
+        linalg.solve(_with_entry(_UPPER, (0, 2), 1.5e308 + 1.5e308j), None)
+    assert exc.value.pivot_magnitude == 1.0
+    with pytest.raises(AssertionError):
+        linalg.solve(_with_entry(_UPPER, (2, 0), 1.5e308 + 1.5e308j), None)
 
 
 def _general(rng, n):

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sectoral
+from sectoral import contour, presets, projections
 
 
 def test_all_names_resolve():
@@ -41,19 +44,45 @@ def test_projection_and_power_leave_sparse_and_special_unimported():
     assert out.stdout.strip() == "[]"
 
 
-def test_benchmark_tracer_targets_exist():
-    # the benchmark's --trace run refuses to start when a wrapped name is
-    # gone from its module
+def _bench_tracer():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_exist():
+    # the benchmark's --trace run refuses to start when a wrapped name is
+    # gone from its module
+    tracer = _bench_tracer()
     missing = [f"{mod}.{name}"
                for table in (tracer.SPAN_TARGETS, tracer.COUNT_TARGETS)
                for mod, names in table.items() for name in names
                if not callable(getattr(importlib.import_module(
                    f"sectoral.{mod}"), name, None))]
     assert missing == []
+
+
+def test_benchmark_tracer_counts_one_solve_per_quadrature_node():
+    # the benchmark's --trace self-check counts linalg.solve once per
+    # quadrature node of a probe projection; a node loop that went around
+    # linalg.solve would fail it
+    c = presets.contour_imag()
+    n_nodes = len(contour.quad_nodes(c).nodes)
+    A = np.random.default_rng(6).standard_normal((6, 6))
+    tracer = _bench_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.start("probe")
+        projections.sectorial_projection(A, c)
+        counts = tracer.stop()
+    finally:
+        tracer.uninstall()
+    assert n_nodes > 0
+    assert (counts["linalg.solve"], counts["contour.quad_nodes"],
+            counts["projections.sectorial_projection"]) == (n_nodes, 1, 1)
 
 
 def _package_trees():
