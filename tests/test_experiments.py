@@ -101,8 +101,12 @@ def test_resolvent_decay_of_a_multiplier_samples_its_diagonal(
              for _, lam in experiments._ray_grid(lambda_range, None, ray)]
     shapes = []
     shifted = linalg.shifted
-    monkeypatch.setattr(linalg, "shifted", lambda M, lam: (
-        shapes.append(np.shape(M)), shifted(M, lam))[1])
+
+    def recording_shifted(M, lam):
+        shapes.append(np.shape(M))
+        return shifted(M, lam)
+
+    monkeypatch.setattr(linalg, "shifted", recording_shifted)
     rep = resolvent_decay_experiment(A, ray, s, p, lambda_range)
     assert [value for _, value in rep.samples] == dense
     assert shapes == [(2 * K + 1,)] * len(dense)

@@ -290,9 +290,9 @@ _NONFINITE = "matrix entries must be finite"
     # the finiteness check comes before the B row check
     (_with_entry(_FULL, (0, 0), np.inf), np.eye(2), ValueError, _NONFINITE),
     # finite entries whose modulus overflows: refused by the pivot floor
-    (_with_entry(_UPPER, (0, 2), 1e308 + 1e308j), np.eye(3),
+    (_with_entry(_UPPER, (0, 2), 1.5e308 + 1.5e308j), np.eye(3),
      SingularMatrix, None),
-    (_with_entry(_FULL, (1, 0), 1e308 + 1e308j), np.eye(3),
+    (_with_entry(_FULL, (1, 0), 1.5e308 + 1.5e308j), np.eye(3),
      SingularMatrix, None),
     (np.zeros((2, 3)), np.eye(2), ValueError,
      "expected a square matrix, got shape (2, 3)"),
