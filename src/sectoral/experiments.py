@@ -199,7 +199,7 @@ def parametrix_gap_experiment(A: DiscretizedOperator, psi: CutoffFunction,
                         2 * A.K, cols)[rows] - R
         samples.append((r, sobolev_op_norm(D, s, s + m, K=A.K)))
     params = {"ray_angle": ray_angle, "s": s, "m": m, "K": A.K,
-              "rho": psi.rho, "fit_only": bool(m >= 2)}
+              "rho": psi.rho}
     return _decay_report("parametrix_gap", params, lambda_range, samples,
                          expected_slope=-min(1.0 / m, 1.0), tolerance=0.15)
 
@@ -330,10 +330,11 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     as InsufficientSpan, and an epsilon that is not finite and > 0, a
     principal part of another order than A's, a perturbation whose shape
     differs from A's or one of aggregate seminorm 0 as ValueError, before
-    any projection.  Samples whose perturbed operator loses contour
-    clearance are rejected and recorded; if every epsilon is rejected,
-    ClearanceLost is raised, and fewer than MIN_FIT_SAMPLES samples left
-    are refused as InsufficientSpan.
+    any projection, and a projection of A of rank 0 or n (0 or I, which no
+    perturbation moves) as ValueError before the epsilons.  Samples whose
+    perturbed operator loses contour clearance are rejected and recorded;
+    if every epsilon is rejected, ClearanceLost is raised, and fewer than
+    MIN_FIT_SAMPLES samples left are refused as InsufficientSpan.
     """
     _check_fit_samples(epsilons)
     for eps in epsilons:
@@ -365,6 +366,10 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
         raise ValueError("the perturbation has aggregate seminorm 0, so "
                          "every abscissa of the fit is 0")
     base = schur_projection(M, c)
+    if base.rank_estimate in (0, len(M)):
+        raise ValueError(f"the projection has rank {base.rank_estimate} of "
+                         f"n = {len(M)}: it is 0 or I, and the contour "
+                         "leaves nothing to perturb")
     samples = []
     ratios = []
     rejected = []

@@ -99,8 +99,9 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     triangular inverse (LAPACK trtri) per node instead of an LU
     factorization, and contour.validate_contour checks the clearance of
     the diagonal d of T.  A diagonal T (a Fourier multiplier's) runs
-    through sector_phi as the (n, 1, 1) stack of d, one division per node;
-    solve's pivot floor is then checked on the nodes where it can break.
+    through sector_phi as the (n, 1, 1) stack of d, shifted and divided
+    for a block of nodes at once (one division per block); solve's pivot
+    floor is then checked on the nodes where it can break.
     rank_estimate counts the d in the sector, apart from the quadrature,
     so that `resolved` checks the trace of P against it.
     """

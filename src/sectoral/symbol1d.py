@@ -117,8 +117,10 @@ def _fibre_stack(values, N: int) -> np.ndarray:
 
 def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
     """Inverse of each fibre of a (..., N, N) stack sampled at (theta, xi),
-    both broadcast over the stack; SymbolSingular names the first singular
-    fibre.  1 x 1 fibres are inverted elementwise (~60x faster than inv)."""
+    both broadcast over the stack, which may have leading axes beyond
+    theta's and xi's (sector_phi's nodes); SymbolSingular names the first
+    singular fibre.  1 x 1 fibres are inverted elementwise (~60x faster
+    than inv)."""
     N = fibres.shape[-1]
     if N == 1:
         bad = np.abs(fibres[..., 0, 0]) < 1e-300
@@ -137,8 +139,10 @@ def _fibre_inverse(fibres: np.ndarray, theta, xi) -> np.ndarray:
             except np.linalg.LinAlgError:
                 break
     shape = fibres.shape[:-2]
-    # theta-extent 1 (no larger than xi): named at the first theta sample
-    theta = theta if np.prod(shape) > np.size(xi) else np.ravel(theta)[0]
+    # theta runs along the last stack axis, after xi's and any leading
+    # ones; a stack of theta-extent 1 is named at the first theta sample
+    if not shape or shape[-1] != np.size(theta):
+        theta = np.ravel(theta)[0]
     raise SymbolSingular(float(np.broadcast_to(theta, shape).flat[i]),
                          float(np.broadcast_to(xi, shape).flat[i]))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from sectoral import linalg, presets
 from sectoral.contour import (ContourSpec, make_sector_contour, point_contour_distance,
                               quad_nodes, ray_tail_moments, sector_phi,
                               validate_contour)
-from sectoral.errors import InvalidAngles, InvalidRadii, SpectrumOnContour
+from sectoral.errors import (InvalidAngles, InvalidRadii, SpectrumOnContour,
+                             SymbolSingular)
 from sectoral.symbol1d import _fibre_inverse
 
 
@@ -144,24 +146,88 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
     # Phi(a) = -2 pi i a^{-1} on the sector Re a > 0, 0 outside
     exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
     assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
-    # the node loop rewrites the diagonal of one shifted copy of X and sums
-    # the inverses a block at a time (2 blocks at n = 6, 60 at n = 32 and at
-    # n = 64, where the row floor outgrows the byte budget, rows padded to 2
-    # entries at n = 1); the plain sum over k of w_k/lambda_k
-    # (X - lambda_k I)^{-1} is bit-equal
+    # a matrix is shifted and inverted node by node, a stack for a block of
+    # k nodes in one call: 51 at (8, 20, 1, 1), 85 at (8, 3, 2, 2), all 896
+    # at (5, 1, 1, 1) and 1 above the byte budget at (3, 2800, 1, 1);
+    # the inverses are summed a block at a time (2 blocks at n = 6, 60 at
+    # n = 32 and at n = 64, where the row floor outgrows the byte budget,
+    # rows padded to 2 entries at n = 1); the plain sum over k of
+    # w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
     m2, m3 = ray_tail_moments(c)
-    for shape in ((6, 6), (32, 32), (64, 64), (1, 1), (8, 20, 1, 1)):
+    divide = lambda B: 1.0 / B
+    for shape, inverse, k in (
+            ((6, 6), None, 1), ((32, 32), None, 1), ((64, 64), None, 1),
+            ((1, 1), None, 1), ((8, 20, 1, 1), divide, 51),
+            ((8, 3, 2, 2), np.linalg.inv, 85), ((5, 1, 1, 1), divide, 896),
+            ((3, 2800, 1, 1), divide, 1)):
         X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         X_before = X.copy()
         I = np.eye(shape[-1], dtype=complex)
-        inverse = ((lambda B: 1.0 / B) if len(shape) > 2
-                   else (lambda B: linalg.solve(B, I)))
-        got, rule = sector_phi(X, c, inverse)
+        if inverse is None:
+            inverse = lambda B: linalg.solve(B, I)
+        seen = []
+
+        def counted(B):
+            seen.append(B.shape)
+            return inverse(B)
+
+        got, rule = sector_phi(X, c, counted)
         ref = np.zeros_like(X)
         for lam, w in zip(rule.nodes, rule.weights / rule.nodes):
             ref += w * inverse(X - lam * I)
         assert np.array_equal(got, ref - m2 * I - m3 * X), shape
         assert np.array_equal(X, X_before)
+        # 896 calls for a matrix (one solve per node), ceil(896 / k) for a
+        # stack, each on a (k, *X.shape) block but the last
+        assert len(seen) == -(-896 // k), shape
+        block = (k,) + shape if len(shape) > 2 else shape
+        assert all(s == block for s in seen[:-1]), shape
+        assert seen[-1][-len(shape):] == shape
+
+
+@pytest.mark.parametrize("N, node, theta_extent", [
+    (1, 300, 6), (1, 57, 1), (2, 500, 6)])
+def test_sector_phi_names_the_fibre_a_node_meets(N, node, theta_extent):
+    # a fibre with the eigenvalue lambda_node is singular at that node only:
+    # the blocked inverse names it with the (theta, xi) of that node's
+    # stack alone, whatever its place in the block
+    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
+    lam = quad_nodes(c).nodes[node]
+    theta = 0.3 + 2.0 * np.pi * np.arange(6) / 6
+    xi = np.array([[-3.0], [1.0], [4.0], [7.0]])
+    rng = np.random.default_rng(11)
+    shape = (4, theta_extent, N, N)
+    X = 2.0 + rng.uniform(0.5, 1.0, shape) + 0j
+    X[..., 0, 0] += 1j * rng.uniform(0.5, 1.0, shape[:2])
+    if N == 2:
+        X[..., 0, 1] = X[..., 1, 0] = 0.0
+    X[2, theta_extent - 1, 0, 0] = lam
+    with pytest.raises(SymbolSingular) as alone:
+        _fibre_inverse(X - lam * np.eye(N), theta, xi)
+    with pytest.raises(SymbolSingular) as blocked:
+        sector_phi(X, c, lambda B: _fibre_inverse(B, theta, xi))
+    where = (blocked.value.theta, blocked.value.xi)
+    assert where == (alone.value.theta, alone.value.xi)
+    assert where == (theta[theta_extent - 1], 4.0)
+
+
+def test_sector_phi_memory_stays_within_a_few_nodes():
+    # a (32, 1028, 1, 1) stack is above the byte budget: one node per
+    # block, and the loop's peak stays within 8 copies of X (6.1 measured);
+    # inverting all 896 nodes at once would take about 1,800
+    c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
+    rng = np.random.default_rng(2)
+    shape = (32, 1028, 1, 1)
+    X = rng.uniform(1.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sector_phi(X, c, lambda B: 1.0 / B)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * X.nbytes
 
 
 def test_validate_contour_minimal_spectral_distance():

@@ -214,7 +214,6 @@ def test_parametrix_gap_slope_first_order():
     assert rep.expected_slope == -1.0
     assert abs(rep.fitted_slope + 1.0) <= 0.15
     assert rep.r_squared >= 0.98
-    assert not rep.parameters["fit_only"]
 
 
 def test_composition_gap_degenerate_for_commuting_multipliers():
