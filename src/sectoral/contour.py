@@ -174,12 +174,7 @@ def sector_phi(X, c: ContourSpec, inverse) -> tuple:
                 np.subtract(base, lam, out=one_diag)
                 inverses[i] = inverse(one)
             np.multiply(scale, inverses[1:m], out=inverses[1:m])
-        if m == 2:
-            # a block of one node (each one of a stack above the budget):
-            # one add, a quarter of the cost of numpy's reduce of 2 rows
-            np.add(store[0], store[1], out=store[0])
-        else:
-            np.add.reduce(store[:m], axis=0, out=store[0])
+        np.add.reduce(store[:m], axis=0, out=store[0])
     phi = inverses[0]
     m2, m3 = ray_tail_moments(c)
     return phi - m2 * np.eye(X.shape[-1], dtype=complex) - m3 * X, rule
