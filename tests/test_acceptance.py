@@ -19,6 +19,7 @@ from sectoral.projections import (aps_projection, eigen_projection_oracle,
                                   wodzicki_residual)
 from sectoral.symbol1d import CutoffFunction
 from conftest import random_diagonalizable
+import golden
 
 IMAG = presets.contour_imag()
 
@@ -282,3 +283,10 @@ def test_criterion_10_determinism(suite):
     rec = {"pass": bool(same and set(records) == set(rerun))}
     _report("criterion 10", "determinism of the full suite under fixed "
             "seeds", rec)
+
+
+def test_records_match_golden(suite):
+    # the c1-c9 records against the committed ones (tests/golden.py)
+    records, _ = suite
+    got = {k: golden.canonical(rec) for k, rec in records.items()}
+    assert golden.mismatches(golden.load("acceptance"), got) == []
