@@ -4,8 +4,9 @@ Symbols a(theta, xi) live on S^1 x R (xi restricted to the integer lattice
 when discretized).  Operators act in the Fourier basis with modes
 k = -K..K, blocks of size N per mode for fiber dimension N.  The matrix of
 Op(a) is M[(j,.),(k,.)] = a-hat_{j-k}(k), the (j-k)-th Fourier coefficient
-in theta of a(., k), computed by FFT on a 4(2K+1)-point grid so that
-trigonometric-polynomial coefficients up to degree 2K are exact.
+in theta of a(., k), computed by FFT on an 8K-point grid, so that the
+coefficients of degree up to 2K are exact for a trigonometric polynomial
+of degree below 6K.
 
 A symbol is evaluated like a ufunc: theta broadcasts against xi, and the
 result is an N x N fibre stack over the broadcast shape, 1 x 1 for a
@@ -183,6 +184,9 @@ def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
     BLOCK_SAMPLES samples of the selected columns: one evaluate call, one
     FFT along theta into a buffer allocated once per call and one gather
     per block, the gathered coefficients divided by G once at the end.
+    The theta grid has G = 8K points, a power of two for a power-of-two K:
+    degrees -2K..2K stay distinct, and a degree d >= 6K is the first to
+    alias onto them.
     When the values on the first block have theta-extent 1, a is a
     Fourier multiplier and its columns are the block diagonal of a(k), the
     other columns read from one more evaluate call: no FFT, exact zeros off
@@ -194,7 +198,7 @@ def _op_columns(a: SymbolFunction, K: int, cols: np.ndarray) -> np.ndarray:
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
     n_modes = 2 * K + 1
-    G = 4 * n_modes
+    G = 8 * K
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
     width = -(-BLOCK_SAMPLES // (G * N * N))

@@ -448,7 +448,7 @@ def _op_by_columns(a, K, cols=None):
     (j, k) read at index (j - k) mod G.  The reference for the block
     assembly; it shares no code with _op_columns."""
     n_modes = 2 * K + 1
-    G = 4 * n_modes
+    G = 8 * K
     theta = 2.0 * np.pi * np.arange(G) / G
     N = a.fiber_dim
     cols = range(n_modes) if cols is None else cols
@@ -466,7 +466,7 @@ def _op_by_columns(a, K, cols=None):
 def _block_widths(K, N):
     """Column counts of the evaluate calls op_from_symbol makes."""
     n_modes = 2 * K + 1
-    width = -(-symbol1d.BLOCK_SAMPLES // (4 * n_modes * N * N))
+    width = -(-symbol1d.BLOCK_SAMPLES // (8 * K * N * N))
     return [min(width, n_modes - start) for start in range(0, n_modes, width)]
 
 
@@ -522,7 +522,7 @@ def _multiplier_diagonal(a, K):
     blocks, zeros elsewhere, from one evaluation on the xi column."""
     n_modes = 2 * K + 1
     N = a.fiber_dim
-    G = 4 * n_modes
+    G = 8 * K
     theta = 2.0 * np.pi * np.arange(G) / G
     xi = np.arange(-K, K + 1, dtype=float)[:, None]
     values = np.asarray(a.evaluate(theta, xi), dtype=complex)
@@ -619,6 +619,23 @@ def test_op_from_symbol_evaluates_once_per_block():
             assert calls == [(w, 1) for w in widths]
 
 
+def test_op_from_symbol_transforms_on_a_grid_of_8K_points(monkeypatch):
+    # 8K is a power of two for a power-of-two K, where numpy's FFT is
+    # fastest: a theta-dependent symbol is transformed along 8K samples
+    lengths = []
+    fft = np.fft.fft
+
+    def recorded(x, *args, axis=-1, **kwargs):
+        lengths.append(np.shape(x)[axis])
+        return fft(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    for K in (4, 64, 128):
+        lengths.clear()
+        op_from_symbol(presets.symbol_c_theta_times_xi(), K)
+        assert lengths and set(lengths) == {8 * K}
+
+
 def test_aliasing_warning_from_the_last_block_only():
     # the square wave sits in the column xi = K alone, the last block
     K = BLOCK_KS[1]
@@ -644,7 +661,7 @@ def test_aliasing_warning_from_the_last_block_only():
 ])
 def test_singular_fibre_in_a_block_named_as_on_the_scalar_path(a, lam, xi):
     K = BLOCK_KS[1]
-    G = 4 * (2 * K + 1)
+    G = 8 * K
     theta = 2.0 * np.pi * np.arange(G) / G
     # the precondition refuses lam itself (a_m - lam is singular where
     # psi > 0), so the singular fibre is reached through a principal part
