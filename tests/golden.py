@@ -24,6 +24,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from sectoral.cli import canonical_json, main as cli_main
+
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-8
 ATOL = 1e-11
@@ -52,7 +54,6 @@ CLI_RUNS = {
 
 def canonical(record: dict) -> dict:
     """The record as canonical_json serializes it, read back."""
-    from sectoral.cli import canonical_json
     return json.loads(canonical_json(record))
 
 
@@ -60,27 +61,23 @@ def run_cli(argv) -> dict:
     """{"exit_code", "record"} of one CLI run, its report written to a
     temporary directory (SECTORAL_OUT must be unset); the record is None
     when the run writes none."""
-    from sectoral.cli import main
     with tempfile.TemporaryDirectory() as out:
-        code = main([*argv, "--out", out])
-        names = [p for p in os.listdir(out) if p.endswith(".json")]
-        record = None
-        if names:
-            with open(os.path.join(out, *names)) as fh:
-                record = canonical(json.load(fh))
+        code = cli_main([*argv, "--out", out])
+        names = list(Path(out).glob("*.json"))
+        record = canonical(json.loads(names[0].read_text())) if names else None
     return {"exit_code": code, "record": record}
 
 
 def mismatches(want, got, where="") -> list:
     """Where `got` differs from `want` beyond the stated tolerance."""
-    if isinstance(want, float) and type(got) is float:
+    if type(want) is not type(got):
+        pass
+    elif isinstance(want, float):
         if want == got or (math.isnan(want) and math.isnan(got)):
             return []
         if math.isfinite(want) and math.isfinite(got) and abs(want - got) \
                 <= RTOL * max(abs(want), abs(got)) + ATOL:
             return []
-    elif type(want) is not type(got):
-        pass
     elif isinstance(want, dict):
         if want.keys() != got.keys():
             return [f"{where}: keys {sorted(want)} != {sorted(got)}"]

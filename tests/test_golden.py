@@ -13,7 +13,7 @@ def test_golden_file_holds_the_listed_runs():
 
 
 @pytest.mark.parametrize("name", sorted(golden.CLI_RUNS))
-def test_cli_record_matches_golden(name, monkeypatch, capsys):
+def test_cli_record_matches_golden(name, monkeypatch):
     monkeypatch.delenv("SECTORAL_OUT", raising=False)
     want = GOLDEN_CLI[name]
     got = golden.run_cli(want["argv"])
