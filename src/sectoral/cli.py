@@ -1,11 +1,11 @@
 """Command-line front end: configure one operator/contour/experiment,
 run it, and emit JSON (full record) plus CSV (samples) reports.
 
-Exit codes: 0 all pass flags true, 2 a computed pass flag is false,
-1 usage, configuration or numerical error.  Each subcommand accepts only
-the keys it reads (COMMANDS), as flags or in a config file.  Config files
-are flat INI-style key=value files; section names are ignored and keys
-are merged.  CLI flags override config-file keys.  The SECTORAL_OUT
+Exit codes: 0 all pass flags true, 2 a computed pass flag is false, 1 usage,
+configuration or numerical error.  Each subcommand accepts only the keys it
+reads (COMMANDS), as flags or in a config file.  Config files are INI files
+whose key=value lines follow a [section] line; section names are ignored and
+keys are merged.  CLI flags override config-file keys.  The SECTORAL_OUT
 environment variable overrides the output directory.
 """
 from __future__ import annotations
@@ -75,7 +75,8 @@ def _coerce(key: str, raw: str):
 
 
 def load_config(path: str, command: str) -> dict:
-    """Read a flat key=value config file; unknown keys are rejected."""
+    """Read a config file's key=value lines, which must follow a [section]
+    line (ConfigInvalid on config otherwise); unknown keys are rejected."""
     if not os.path.isfile(path):
         raise ConfigInvalid("config", f"config file {path!r} not found")
     parser = configparser.ConfigParser()
@@ -151,7 +152,9 @@ def _cmd_perturb(opt: dict) -> dict:
     A = presets.get_operator(opt["preset"], K)
     dA = presets.lookup("perturbations", "perturbation",
                         opt["perturbation"])(K)
-    eps = np.geomspace(opt["eps_min"], opt["eps_max"], opt["n_eps"])
+    # a bad bound makes NaNs, which perturbation_experiment names
+    with np.errstate(invalid="ignore"):
+        eps = np.geomspace(opt["eps_min"], opt["eps_max"], opt["n_eps"])
     c = presets.contour_imag(opt["R"])
     rep = perturbation_experiment(A, dA, eps, opt["s"], c)
     return _experiment_record(rep, opt["preset"], {

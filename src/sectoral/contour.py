@@ -32,12 +32,11 @@ _GAUSS_X.flags.writeable = False
 _GAUSS_W.flags.writeable = False
 # a spectrum within this distance of the contour is refused
 CLEARANCE_MIN = 1e-6
-# sector_phi sums node inverses in blocks of about this many bytes; a
-# single matrix in blocks of at least this many rows: numpy's reduce of a
-# few long rows costs several adds (2 rows of 16,641 entries: 10.6 us
-# against 3.7 us for one add)
+# sector_phi shifts, inverts and sums the nodes in blocks of about this many
+# bytes of shifted copies and inverses; a single matrix in blocks of at
+# least 16 nodes: numpy's reduce of a few long rows costs several adds (2
+# rows of 16,641 entries: 10.6 us against 3.7 us for one add)
 _BLOCK_BYTES = 2 ** 18
-_BLOCK_ROWS_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -127,54 +126,38 @@ def sector_phi(X, c: ContourSpec, inverse) -> tuple:
     """Phi(X) = integral over Gamma_+ of lambda^{-1} (X - lambda)^{-1} by
     the rule quad_nodes(c), plus the analytic tail of the truncated rays:
     lambda^{-1} (X - lambda)^{-1} ~ -I/lambda^2 - X/lambda^3.  X is one
-    N x N matrix or a (..., N, N) stack; `inverse` inverts a shifted copy of
-    X (per matrix for a stack, whatever its leading axes) and must leave its
-    argument unchanged.  This is the quadrature node loop of the package.
-    A single matrix is shifted and inverted node by node; a stack for a
-    block of k nodes at once, the (k, *X.shape) array of the copies
-    X - lambda_j I in one `inverse` call, k set so that a block's shifted
-    copies and inverses take about _BLOCK_BYTES (at least one node).  The
-    node inverses are summed in node order, a block at a time, with the
-    bits of the plain running sum.  Returns (Phi, rule)."""
+    N x N matrix or a (..., N, N) stack.  This is the quadrature node loop
+    of the package: for each block of k consecutive nodes, `inverse` gets
+    the (k, *X.shape) array of the shifted copies X - lambda_j I and
+    returns their inverses (per N x N matrix, whatever the leading axes),
+    leaving its argument unchanged.  k is set so that a block's shifted
+    copies and inverses take about _BLOCK_BYTES, at least 16 nodes for a
+    single matrix and one for a stack.  The node inverses are summed in
+    node order, a block at a time, with the bits of the plain running sum.
+    Returns (Phi, rule)."""
     rule = quad_nodes(c)
     n_nodes = len(rule.nodes)
     coefs = rule.weights / rule.nodes
     # a row of at least 2 entries: numpy sums over rows in row order then
     # (a lone contiguous axis it sums pairwise)
     width = max(2, X.size)
-    if X.ndim > 2:
-        k = max(1, min(n_nodes, _BLOCK_BYTES // (32 * width)))
-        rows = k + 1
-    else:
-        k = 1
-        rows = max(_BLOCK_ROWS_MIN,
-                   min(n_nodes + 1, _BLOCK_BYTES // (16 * width)))
+    k = min(n_nodes, max(_BLOCK_BYTES // (32 * width),
+                         16 if X.ndim == 2 else 1))
     # X - lambda I without temporaries of X's size: k shifted copies of X
     # whose diagonals are rewritten at every block
     shifted = np.repeat(np.asarray(X, dtype=complex)[None], k, axis=0)
     diag = np.einsum("...ii->...i", shifted)
     base = diag[0].copy()
-    # row 0 holds the running sum, rows 1.. a block's inverses, scaled and
-    # added in one call each
-    store = np.zeros((rows, width), dtype=complex)
-    inverses = store[:, :X.size].reshape((rows,) + X.shape)
-    for start in range(0, n_nodes, rows - 1):
-        m = min(rows, n_nodes - start + 1)
-        lams = rule.nodes[start:start + m - 1]
-        scale = coefs[start:start + m - 1].reshape((-1,) + (1,) * X.ndim)
-        if X.ndim > 2:
-            np.subtract(base, lams.reshape((-1,) + (1,) * (X.ndim - 1)),
-                        out=diag[:m - 1])
-            np.multiply(scale, inverse(shifted[:m - 1]), out=inverses[1:m])
-        else:
-            # plain Python complex scalars, and views taken per block: a
-            # numpy scalar or a new view costs more per node
-            one, one_diag = shifted[0], diag[0]
-            for i, lam in enumerate(lams.tolist(), 1):
-                np.subtract(base, lam, out=one_diag)
-                inverses[i] = inverse(one)
-            np.multiply(scale, inverses[1:m], out=inverses[1:m])
-        np.add.reduce(store[:m], axis=0, out=store[0])
+    # row 0 holds the running sum, rows 1.. a block's scaled inverses
+    store = np.zeros((k + 1, width), dtype=complex)
+    inverses = store[:, :X.size].reshape((k + 1,) + X.shape)
+    for start in range(0, n_nodes, k):
+        m = min(k, n_nodes - start)
+        lams = rule.nodes[start:start + m]
+        scale = coefs[start:start + m].reshape((-1,) + (1,) * X.ndim)
+        np.subtract(base, lams.reshape(scale.shape[:-1]), out=diag[:m])
+        np.multiply(scale, inverse(shifted[:m]), out=inverses[1:m + 1])
+        np.add.reduce(store[:m + 1], axis=0, out=store[0])
     phi = inverses[0]
     m2, m3 = ray_tail_moments(c)
     return phi - m2 * np.eye(X.shape[-1], dtype=complex) - m3 * X, rule

@@ -325,21 +325,21 @@ def perturbation_experiment(A, dA, epsilons, s: float, c: ContourSpec
     P is the exact projection of projections.schur_projection: the
     experiment consumes P and does not test its quadrature.
 
-    The perturbation is assembled on A's modes, and its seminorm is taken
-    at A's order.  Fewer than MIN_FIT_SAMPLES distinct epsilons are refused
-    as InsufficientSpan, and an epsilon that is not finite and > 0, a
-    principal part of another order than A's, a perturbation whose shape
-    differs from A's or one of aggregate seminorm 0 as ValueError, before
-    any projection, and a projection of A of rank 0 or n (0 or I, which no
+    The perturbation is assembled on A's modes, and its seminorm is taken at
+    A's order.  An epsilon that is not finite and > 0 is refused as ValueError,
+    then fewer than MIN_FIT_SAMPLES distinct epsilons as InsufficientSpan, and
+    a principal part of another order than A's, a perturbation whose shape
+    differs from A's or one of aggregate seminorm 0 as ValueError, before any
+    projection, and a projection of A of rank 0 or n (0 or I, which no
     perturbation moves) as ValueError before the epsilons.  Samples whose
-    perturbed operator loses contour clearance are rejected and recorded;
-    if every epsilon is rejected, ClearanceLost is raised, and fewer than
+    perturbed operator loses contour clearance are rejected and recorded; if
+    every epsilon is rejected, ClearanceLost is raised, and fewer than
     MIN_FIT_SAMPLES samples left are refused as InsufficientSpan.
     """
-    _check_fit_samples(epsilons)
     for eps in epsilons:
         if not (np.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
+    _check_fit_samples(epsilons)
     if not isinstance(A, DiscretizedOperator):
         # the operator on the one mode k = 0, whose Sobolev weights are 1
         A = DiscretizedOperator(linalg.as_matrix(A), 0, 1.0)

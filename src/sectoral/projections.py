@@ -85,6 +85,15 @@ def _schur_form(A, c: ContourSpec) -> tuple:
     return T, Z, clearance, select
 
 
+def _triangular_inverses(S) -> np.ndarray:
+    """linalg.solve's inverse of each matrix of sector_phi's block S, written
+    into one array (a list of them would hold a second block)."""
+    out = np.empty_like(S)
+    for i, B in enumerate(S):
+        out[i] = linalg.solve(B, None)
+    return out
+
+
 def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     """P = (-1/2 pi i) A Phi(A) with
     Phi(A) = integral over Gamma_+ of lambda^{-1} (A - lambda)^{-1}.
@@ -119,7 +128,7 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
                 raise SingularMatrix(mag.min())
         phi = np.diag(phi.ravel())
     else:
-        phi, rule = sector_phi(T, c, lambda B: linalg.solve(B, None))
+        phi, rule = sector_phi(T, c, _triangular_inverses)
     P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
     return ProjectionResult(P, int(select.sum()), clearance,
                             float(rule.truncation_error_estimate))

@@ -42,6 +42,8 @@ CLI_RUNS = {
     "perturb-variable_coeff_m2-R5": [
         "perturb", "--preset", "variable_coeff_m2", "--R", "5"],
     "wodzicki": ["wodzicki"],
+    "compose-gap-order_zero_pair": [
+        "compose-gap", "--pair", "order_zero_pair"],
     **{f"resolvent-decay-p{p}": ["resolvent-decay", "--p", p]
        for p in ("0", "0.5", "1")},
     **{f"obstruction-{b}-level4": ["obstruction", "--preset", b,

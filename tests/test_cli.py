@@ -384,6 +384,33 @@ def test_cutoff_radius_below_K_is_accepted(tmp_path, monkeypatch, capsys):
     assert rec["pass"] is True and rec["parameters"]["degenerate_zero"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps-min", "-1"), ("--eps-max", "nan")])
+def test_perturb_names_a_bad_epsilon_bound(flag, value, tmp_path,
+                                           monkeypatch, capsys):
+    # a bound that is not finite and positive makes the epsilon grid NaN or
+    # negative: the epsilon is named, ahead of the count of distinct ones,
+    # and numpy's warning stays off stderr
+    code, _, err = _run(["perturb", "--preset", "dtheta_shift", "--K", "8",
+                         flag, value], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "epsilon must be finite and > 0" in err
+    assert "RuntimeWarning" not in err and "InsufficientSpan" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_config_without_section_header_exits_1(tmp_path, monkeypatch,
+                                               capsys):
+    # keys must follow a [section] line
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("preset = dtheta\nK = 8\n")
+    code, _, err = _run(["project", "--config", str(cfg)], tmp_path,
+                        monkeypatch, capsys)
+    assert code == 1
+    assert "ConfigInvalid: invalid configuration: config:" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_load_config_merges_sections(tmp_path):
     cfg = tmp_path / "m.ini"
     cfg.write_text("[a]\npreset = dtheta\n[b]\nK = 24\n")

@@ -10,6 +10,7 @@ from sectoral.contour import (ContourSpec, make_sector_contour, point_contour_di
                               validate_contour)
 from sectoral.errors import (InvalidAngles, InvalidRadii, SpectrumOnContour,
                              SymbolSingular)
+from sectoral.projections import _triangular_inverses
 from sectoral.symbol1d import _fibre_inverse
 
 
@@ -139,50 +140,51 @@ def test_sector_phi_fibre_stack_matches_diagonal_matrix():
                                lambda X: _fibre_inverse(X, 0.0, 0.0))
     eye = np.eye(len(vals), dtype=complex)
     phi, rule_m = sector_phi(np.diag(vals), c,
-                             lambda B: linalg.solve(B, eye))
+                             lambda S: np.array([linalg.solve(B, eye)
+                                                 for B in S]))
     assert stack.shape == (len(vals), 1, 1)
     assert np.array_equal(rule_s.nodes, rule_m.nodes)
     assert np.abs(phi - np.diag(stack[:, 0, 0])).max() <= 1e-13
     # Phi(a) = -2 pi i a^{-1} on the sector Re a > 0, 0 outside
     exact = np.where(vals.real > 0, -2j * np.pi / vals, 0.0)
     assert np.abs(stack[:, 0, 0] - exact).max() <= 1e-10
-    # a matrix is shifted and inverted node by node, a stack for a block of
-    # k nodes in one call: 51 at (8, 20, 1, 1), 85 at (8, 3, 2, 2), all 896
-    # at (5, 1, 1, 1) and 1 above the byte budget at (3, 2800, 1, 1);
-    # the inverses are summed a block at a time (2 blocks at n = 6, 60 at
-    # n = 32 and at n = 64, where the row floor outgrows the byte budget,
-    # rows padded to 2 entries at n = 1); the plain sum over k of
+    # every X is shifted and inverted for a block of k nodes in one call,
+    # k from the byte budget: a matrix at 227 nodes at n = 6, at the floor
+    # of 16 at n = 32 and at n = 64, all 896 at n = 1 (rows padded to 2
+    # entries); a stack at 51 at (8, 20, 1, 1), 85 at (8, 3, 2, 2), all 896
+    # at (5, 1, 1, 1) and at its floor of 1 above the byte budget at
+    # (3, 2800, 1, 1); the plain sum over k of
     # w_k/lambda_k (X - lambda_k I)^{-1} is bit-equal
     m2, m3 = ray_tail_moments(c)
     divide = lambda B: 1.0 / B
     for shape, inverse, k in (
-            ((6, 6), None, 1), ((32, 32), None, 1), ((64, 64), None, 1),
-            ((1, 1), None, 1), ((8, 20, 1, 1), divide, 51),
+            ((6, 6), None, 227), ((32, 32), None, 16), ((64, 64), None, 16),
+            ((1, 1), None, 896), ((8, 20, 1, 1), divide, 51),
             ((8, 3, 2, 2), np.linalg.inv, 85), ((5, 1, 1, 1), divide, 896),
             ((3, 2800, 1, 1), divide, 1)):
         X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         X_before = X.copy()
         I = np.eye(shape[-1], dtype=complex)
+        one = inverse
         if inverse is None:
-            inverse = lambda B: linalg.solve(B, I)
+            one = lambda B: linalg.solve(B, I)
+            inverse = lambda S: np.array([one(B) for B in S])
         seen = []
 
-        def counted(B):
-            seen.append(B.shape)
-            return inverse(B)
+        def counted(S):
+            seen.append(S.shape)
+            return inverse(S)
 
         got, rule = sector_phi(X, c, counted)
         ref = np.zeros_like(X)
         for lam, w in zip(rule.nodes, rule.weights / rule.nodes):
-            ref += w * inverse(X - lam * I)
+            ref += w * one(X - lam * I)
         assert np.array_equal(got, ref - m2 * I - m3 * X), shape
         assert np.array_equal(X, X_before)
-        # 896 calls for a matrix (one solve per node), ceil(896 / k) for a
-        # stack, each on a (k, *X.shape) block but the last
+        # ceil(896 / k) calls, each on a (k, *X.shape) block but the last
         assert len(seen) == -(-896 // k), shape
-        block = (k,) + shape if len(shape) > 2 else shape
-        assert all(s == block for s in seen[:-1]), shape
-        assert seen[-1][-len(shape):] == shape
+        assert all(s == (k,) + shape for s in seen[:-1]), shape
+        assert seen[-1] == (896 - k * (len(seen) - 1),) + shape, shape
 
 
 @pytest.mark.parametrize("N, node, theta_extent", [
@@ -211,23 +213,39 @@ def test_sector_phi_names_the_fibre_a_node_meets(N, node, theta_extent):
     assert where == (theta[theta_extent - 1], 4.0)
 
 
-def test_sector_phi_memory_stays_within_a_few_nodes():
-    # a (32, 1028, 1, 1) stack is above the byte budget: one node per
-    # block, and the loop's peak stays within 8 copies of X (6.1 measured);
-    # inverting all 896 nodes at once would take about 1,800
+def _sector_phi_peak(X, inverse):
+    """Peak bytes traced by tracemalloc during sector_phi(X)."""
     c = make_sector_contour(np.pi / 2, -np.pi / 2, 0.5)
-    rng = np.random.default_rng(2)
-    shape = (32, 1028, 1, 1)
-    X = rng.uniform(1.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sector_phi(X, c, lambda B: 1.0 / B)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        sector_phi(X, c, inverse)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * X.nbytes
+
+
+def test_sector_phi_memory_stays_within_a_few_nodes():
+    # a (32, 1028, 1, 1) stack is above the byte budget: one node per
+    # block, and the loop's peak stays within 8 copies of X (6.1 measured);
+    # inverting all 896 nodes at once would take about 1,800
+    rng = np.random.default_rng(2)
+    shape = (32, 1028, 1, 1)
+    X = rng.uniform(1.0, 4.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
+    assert _sector_phi_peak(X, lambda B: 1.0 / B) <= 8 * X.nbytes
+
+
+def test_sector_phi_memory_of_a_matrix_stays_near_its_node_floor():
+    # a 129 x 129 matrix is above the byte budget: blocks of the floor of
+    # 16 nodes, whose shifted copies, scaled inverses and the inverse block
+    # hold about 3 x 16 copies of X; the peak stays within 56 (50.7
+    # measured), against about 2,700 for all 896 nodes at once
+    rng = np.random.default_rng(4)
+    X = np.triu(rng.standard_normal((129, 129))
+                + 1j * rng.standard_normal((129, 129)))
+    X[np.diag_indices(129)] += 3.0
+    assert _sector_phi_peak(X, _triangular_inverses) <= 56 * X.nbytes
 
 
 def test_validate_contour_minimal_spectral_distance():
