@@ -152,9 +152,11 @@ def _cmd_perturb(opt: dict) -> dict:
     A = presets.get_operator(opt["preset"], K)
     dA = presets.lookup("perturbations", "perturbation",
                         opt["perturbation"])(K)
-    # a bad bound makes NaNs, which perturbation_experiment names
+    lo, hi = opt["eps_min"], opt["eps_max"]
+    # a bad bound makes NaNs, and a bound of 0 (which no geometric grid
+    # holds) is passed as it is: perturbation_experiment names either
     with np.errstate(invalid="ignore"):
-        eps = np.geomspace(opt["eps_min"], opt["eps_max"], opt["n_eps"])
+        eps = np.geomspace(lo, hi, opt["n_eps"]) if lo and hi else [lo, hi]
     c = presets.contour_imag(opt["R"])
     rep = perturbation_experiment(A, dA, eps, opt["s"], c)
     return _experiment_record(rep, opt["preset"], {

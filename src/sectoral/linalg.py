@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotHermitian, NotPositiveDefinite, SingularMatrix
+from .errors import (NotHermitian, NotPositiveDefinite, SingularMatrix,
+                     TooDefective)
 
 PIVOT_REL_THRESHOLD = 1e-13
+DEFECTIVE_LIMIT = 1e8
 
 # LAPACK's LU factorization and LU solve, and the triangular inverse, bound
 # once and called directly: solve runs once per quadrature node, where
@@ -43,17 +44,6 @@ def as_matrix(a) -> np.ndarray:
     m = _square(np.asarray(a, dtype=complex))
     _check_finite(m)
     return m
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (sorted lexicographically by (real, imag)), matching right
-    eigenvectors as columns, and the reciprocal of the smallest singular
-    value of the eigenvector matrix as a defectiveness indicator."""
-
-    values: np.ndarray
-    right_vectors: np.ndarray
-    condition_estimate: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -188,22 +178,20 @@ def inverse_norm_2(A) -> float:
     return float(1.0 / sigma[-1])
 
 
-def eig(A) -> EigenDecomposition:
-    """Full eigendecomposition with lexicographic (real, imag) ordering.
-
-    Never refuses defective input; the caller decides via
-    ``condition_estimate`` whether diagonalization-based results are usable.
-    """
+def eig(A) -> tuple:
+    """(values, V): the eigenvalues of A and matching right eigenvectors as
+    the columns of V, in LAPACK's order.  Refused as TooDefective when
+    1/sigma_min(V), which bounds the accuracy of V f(D) V^{-1}, exceeds
+    DEFECTIVE_LIMIT."""
     A = as_matrix(A)
     if A.shape[0] > 1024:
         raise ValueError("eig is limited to dim <= 1024")
-    values, vectors = np.linalg.eig(A)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    smin = np.linalg.svd(vectors, compute_uv=False)[-1]
+    values, V = np.linalg.eig(A)
+    smin = np.linalg.svd(V, compute_uv=False)[-1]
     cond = 1.0 / smin if smin > 0 else np.inf
-    return EigenDecomposition(values, vectors, float(cond))
+    if cond > DEFECTIVE_LIMIT:
+        raise TooDefective(float(cond))
+    return values, V
 
 
 def operator_norm_2(A) -> float:

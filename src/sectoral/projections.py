@@ -21,11 +21,9 @@ from . import linalg
 from .contour import (CLEARANCE_MIN, TWO_PI, ContourSpec, ray_distance,
                       sector_phi, validate_contour)
 from .errors import (EigenvalueAtCut, EigenvalueOnBoundary, EigenvalueOnCut,
-                     EigenvalueZero, SectoralError, SingularMatrix,
-                     TooDefective)
+                     EigenvalueZero, SectoralError, SingularMatrix)
 from .symbol1d import DiscretizedOperator
 
-DEFECTIVE_LIMIT = 1e8
 BOUNDARY_PROBE = 1e-6
 
 # LAPACK's Schur reordering and triangular Sylvester solver, bound once as
@@ -110,9 +108,11 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
     the diagonal d of T.  A diagonal T (a Fourier multiplier's) runs
     through sector_phi as the (n, 1, 1) stack of d, shifted and divided
     for a block of nodes at once (one division per block); solve's pivot
-    floor is then checked on the nodes where it can break.
-    rank_estimate counts the d in the sector, apart from the quadrature,
-    so that `resolved` checks the trace of P against it.
+    floor is then checked on the nodes where it can break, and P is the
+    one product (Z diag((-1/2 pi i) d phi)) Z*, the diagonal applied as a
+    scaling of Z's columns.  rank_estimate counts the d in the sector,
+    apart from the quadrature, so that `resolved` checks the trace of P
+    against it.
     """
     T, Z, clearance, select = _schur_form(A, c)
     d = np.diag(T)
@@ -126,10 +126,10 @@ def sectorial_projection(A, c: ContourSpec) -> ProjectionResult:
             mag = np.abs(d - lam)
             if mag.min() < tau * mag.max():
                 raise SingularMatrix(mag.min())
-        phi = np.diag(phi.ravel())
+        P = (Z * ((-1.0 / (2j * np.pi)) * (d * phi.ravel()))) @ Z.conj().T
     else:
         phi, rule = sector_phi(T, c, _triangular_inverses)
-    P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
+        P = Z @ ((-1.0 / (2j * np.pi)) * (T @ phi)) @ Z.conj().T
     return ProjectionResult(P, int(select.sum()), clearance,
                             float(rule.truncation_error_estimate))
 
@@ -171,17 +171,16 @@ def eigen_projection_oracle(A, sector: Callable[[complex], bool]
     on the boundary when the predicate is not constant on a small circle
     around it (radius BOUNDARY_PROBE).
     """
-    dec = _diagonalization(A)
+    values, V = linalg.eig(_matrix_of(A))
     probes = BOUNDARY_PROBE * np.exp(2j * np.pi * np.arange(8) / 8)
     flags = []
-    for lam in dec.values:
+    for lam in values:
         inside = bool(sector(complex(lam)))
         ring = {bool(sector(complex(lam + p))) for p in probes}
         if ring != {inside}:
             raise EigenvalueOnBoundary(f"eigenvalue {lam} within "
                                        f"{BOUNDARY_PROBE} of sector boundary")
         flags.append(inside)
-    V = dec.right_vectors
     D = np.diag(np.array(flags, dtype=complex))
     P = V @ D @ np.linalg.inv(V)
     return ProjectionResult(P, int(sum(flags)), float("inf"), 0.0)
@@ -213,35 +212,28 @@ def _arg_branch(lam: complex, alpha: float) -> float:
     return alpha - ((alpha - np.angle(lam)) % TWO_PI)
 
 
-def _diagonalization(A) -> linalg.EigenDecomposition:
-    """linalg.eig of A's matrix, refused as TooDefective beyond
-    DEFECTIVE_LIMIT; the one decomposition behind every power of A."""
-    dec = linalg.eig(_matrix_of(A))
-    if dec.condition_estimate > DEFECTIVE_LIMIT:
-        raise TooDefective(dec.condition_estimate)
-    return dec
-
-
-def _power(dec: linalg.EigenDecomposition, s: complex,
-           alpha: float) -> np.ndarray:
-    """V diag(lambda_i^s) V^{-1} with the branch cut along L_alpha."""
-    scale = max(np.abs(dec.values).max(), 1.0)
-    powers = np.empty_like(dec.values)
-    cut_dist = ray_distance(dec.values, alpha)
-    for i, lam in enumerate(dec.values):
+def _power(values, V, s: complex, alpha: float) -> np.ndarray:
+    """V diag(lambda_i^s) V^{-1} with the branch cut along L_alpha, from
+    linalg.eig's (values, V)."""
+    scale = max(np.abs(values).max(), 1.0)
+    powers = np.empty_like(values)
+    cut_dist = ray_distance(values, alpha)
+    # checked in (real, imag) order: an A with a zero eigenvalue and another
+    # on the cut is named by the first, whatever LAPACK's order
+    for i in np.lexsort((values.imag, values.real)):
+        lam = values[i]
         if abs(lam) <= 1e-12 * scale:
             raise EigenvalueZero(f"eigenvalue {lam} too close to zero")
         if cut_dist[i] <= 1e-10 * scale:
             raise EigenvalueOnCut(f"eigenvalue {lam} on the cut L_{alpha}")
         powers[i] = np.exp(s * (np.log(abs(lam)) + 1j * _arg_branch(lam, alpha)))
-    V = dec.right_vectors
     return V @ np.diag(powers) @ np.linalg.inv(V)
 
 
 def complex_power(A, s: complex, alpha: float) -> np.ndarray:
     """A^s with the branch cut along the ray L_alpha
     (arg in (alpha - 2*pi, alpha)), via eigendecomposition."""
-    return _power(_diagonalization(A), s, alpha)
+    return _power(*linalg.eig(_matrix_of(A)), s, alpha)
 
 
 def wodzicki_residual(A, s: complex, alpha1: float, alpha2: float,
@@ -249,9 +241,9 @@ def wodzicki_residual(A, s: complex, alpha1: float, alpha2: float,
     """Norm of A^s_{a2} - A^s_{a1} - (1 - e^{2 pi i s}) P_{Gamma+}(A) A^s_{a2},
     which vanishes identically for the correct branch and sector
     conventions; P is the exact projection of schur_projection."""
-    dec = _diagonalization(A)
-    p2 = _power(dec, s, alpha2)
-    p1 = _power(dec, s, alpha1)
+    values, V = linalg.eig(_matrix_of(A))
+    p2 = _power(values, V, s, alpha2)
+    p1 = _power(values, V, s, alpha1)
     P = schur_projection(A, c).P
     factor = 1.0 - np.exp(2j * np.pi * s)
     return linalg.operator_norm_2(p2 - p1 - factor * (P @ p2))

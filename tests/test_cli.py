@@ -385,12 +385,14 @@ def test_cutoff_radius_below_K_is_accepted(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--eps-min", "-1"), ("--eps-max", "nan")])
+    ("--eps-min", "-1"), ("--eps-max", "nan"), ("--eps-min", "0"),
+    ("--eps-max", "0")])
 def test_perturb_names_a_bad_epsilon_bound(flag, value, tmp_path,
                                            monkeypatch, capsys):
     # a bound that is not finite and positive makes the epsilon grid NaN or
-    # negative: the epsilon is named, ahead of the count of distinct ones,
-    # and numpy's warning stays off stderr
+    # negative, or (a bound of 0, which numpy's geomspace refuses) reaches
+    # the check as it is: the epsilon is named, ahead of the count of
+    # distinct ones, and numpy's warning stays off stderr
     code, _, err = _run(["perturb", "--preset", "dtheta_shift", "--K", "8",
                          flag, value], tmp_path, monkeypatch, capsys)
     assert code == 1

@@ -85,6 +85,28 @@ def test_benchmark_tracer_counts_one_solve_per_quadrature_node():
             counts["projections.sectorial_projection"]) == (n_nodes, 1, 1)
 
 
+def test_benchmark_tracer_counts_one_eig_per_oracle_and_residual():
+    # the benchmark's linalg.eig.repeat_frac reads the traced eig spans:
+    # the oracle and the branch-difference residual each decompose A once
+    c = presets.contour_imag()
+    A = np.random.default_rng(6).standard_normal((6, 6))
+    tracer = _bench_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.start("oracle")
+        projections.eigen_projection_oracle(A, lambda z: z.real > 0)
+        oracle = tracer.stop()
+        tracer.start("residual")
+        projections.wodzicki_residual(A, 0.37, np.pi / 2, -np.pi / 2, c)
+        residual = tracer.stop()
+    finally:
+        tracer.uninstall()
+    assert (oracle["linalg.eig"],
+            oracle["projections.eigen_projection_oracle"]) == (1, 1)
+    assert (residual["linalg.eig"],
+            residual["projections.wodzicki_residual"]) == (1, 1)
+
+
 def _package_trees():
     src = Path(sectoral.__file__).parent
     return {path.name: ast.parse(path.read_text())

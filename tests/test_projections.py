@@ -69,6 +69,20 @@ def test_diagonal_schur_factor_takes_the_fibre_route(A, R, monkeypatch):
     assert np.abs(got - want).max() <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("A", [
+    presets.op_dtheta(16), presets.op_dtheta(64), presets.op_dtheta_shift(32)
+], ids=["dtheta_16", "dtheta_64", "dtheta_shift_32"])
+def test_fibre_route_forms_p_in_one_product(A):
+    # P = (Z * ((-1/2 pi i) d phi)) Z* has the bytes, signs of zero
+    # included, of the three dense products Z ((-1/2 pi i) T diag(phi)) Z*
+    c = presets.contour_imag()
+    T, Z = scipy.linalg.schur(A.matrix, output="complex")
+    phi, _ = sector_phi(np.diag(T)[:, None, None], c, lambda x: 1.0 / x)
+    D = np.diag(phi.ravel())
+    want = Z @ ((-1.0 / (2j * np.pi)) * (T @ D)) @ Z.conj().T
+    assert sectorial_projection(A, c).P.tobytes() == want.tobytes()
+
+
 def test_fibre_route_keeps_the_pivot_floor(monkeypatch):
     # an eigenvalue 4e-6 off the contour, next to a node (the first and
     # last of each ray, one on the arc), against one of modulus 1e9: clear
@@ -369,6 +383,15 @@ def test_complex_power_errors():
         complex_power(np.diag([2.0j, 1.0]), 0.5, np.pi / 2)
     with pytest.raises(TooDefective):
         complex_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5, np.pi / 2)
+
+
+def test_complex_power_names_the_first_refused_eigenvalue():
+    # a zero eigenvalue and another on the cut: the refusal names the first
+    # in (real, imag) order, whichever order LAPACK returns them in
+    with pytest.raises(EigenvalueZero):
+        complex_power(np.diag([3.0j, 0.0]), 0.5, np.pi / 2)
+    with pytest.raises(EigenvalueOnCut):
+        complex_power(np.diag([0.0, -1.0]), 0.5, np.pi)
 
 
 def test_wodzicki_identity_sample(imag_contour):
